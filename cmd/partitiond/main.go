@@ -1,9 +1,9 @@
 // Command partitiond is the cache partition-sharing daemon: it registers
 // tenants by hotlprof profile upload, serves miss-ratio-curve queries and
 // optimal partition plans for ad-hoc co-run groups, and re-optimizes the
-// shared plan in the background as tenants churn — warm-starting the DP
-// from the previous epoch and serving the last good plan (flagged
-// degraded) when re-optimization fails.
+// shared plan in the background as tenants churn — one solver-ladder
+// solve per epoch, serving the last good plan (flagged degraded) when
+// re-optimization fails.
 //
 // Usage:
 //
@@ -22,7 +22,7 @@
 //	GET    /healthz, /readyz        liveness / readiness
 //
 // Every served plan carries a provenance record (epoch, input digest,
-// solver path, warm/cold start, triggering cause and trace); every epoch
+// solver path, compute time, triggering cause and trace); every epoch
 // transition is diffed, appended to a crash-safe audit log in the store
 // directory, and fanned out to /v1/plan/changes subscribers without ever
 // back-pressuring re-optimization (slow consumers see a gap marker).
@@ -31,8 +31,9 @@
 // Robustness: requests run under deadlines (?deadline_ms, capped by
 // -deadline) propagated into the DP solve; admission is bounded
 // (-max-inflight, -queue-depth) with typed 429/503 shedding; the tenant
-// store is crash-safe (atomic snapshot + CRC-framed journal, proven
-// byte-identical across kill -9 in the chaos tests). SIGINT/SIGTERM
+// store and the audit log are crash-safe (one atomic snapshot +
+// CRC-framed journal engine, proven byte-identical across kill -9 in the
+// chaos tests). SIGINT/SIGTERM
 // trigger a graceful drain: in-flight requests finish (bounded by
 // -drain-timeout), listeners stop, the run manifest is written, and the
 // process exits 0 on a clean drain.

@@ -11,18 +11,15 @@ import (
 	"partitionshare/internal/faultinject"
 )
 
-// Append-only log with torn-tail-tolerant replay — the journal half of a
-// snapshot+journal store (internal/service's tenant store). A rename-based
-// atomic write is the wrong tool for an append log (rewriting the whole
-// file per record is O(n²) in records), so this is the one other durable
-// write primitive the package blesses: length- and CRC-framed records,
-// each fsynced before Append returns, with a failed append truncated back
-// off the file so the log never accumulates garbage between valid records.
+// Append-only log with torn-tail-tolerant replay — the log half of a
+// Journal (journal.go). Rewriting a whole file per record would be O(n²),
+// so this is the one other durable write primitive the package blesses:
+// length- and CRC-framed records, each fsynced before Append returns,
+// with a failed append truncated back off the file.
 //
 // Crash contract: a record is durable iff Append returned nil. A crash —
-// including kill -9 — mid-append leaves a torn final frame that Replay
-// detects (short frame or CRC mismatch) and discards, reporting torn=true
-// so the owner can compact. Records before the tail are never affected.
+// including kill -9 — mid-append leaves a torn final frame that ReplayLog
+// discards, reporting torn=true. Records before the tail are unaffected.
 
 // Fault points in the log path (see the WriteFile points above).
 const (
@@ -43,8 +40,7 @@ var ErrLogBroken = errors.New("atomicio: append log broken")
 const maxLogRecord = 1 << 26
 
 // A Log is a durable append-only record log. Not safe for concurrent
-// Append; the owner serializes writers (the tenant store holds its own
-// lock). Construct with OpenLog.
+// Append; the owner serializes writers. Construct with OpenLog.
 type Log struct {
 	f      *os.File
 	broken bool

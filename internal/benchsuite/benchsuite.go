@@ -11,8 +11,8 @@
 // the DP granularity sweep, one full-trace profiling pass, the three
 // reuse-collection scans (dense, map reference, sharded parallel), the
 // full Table I regeneration, and the daemon's service paths: the
-// admission-gated plan request and the warm-vs-cold re-optimization
-// epoch.
+// admission-gated plan request, and the library's incremental DP
+// against a cold solve of the same churn epoch.
 package benchsuite
 
 import (
@@ -336,10 +336,11 @@ func (s *Suite) Benches() []Bench {
 	// Service paths (PR 7). ServicePlanRequest is the daemon's plan
 	// request end to end minus HTTP: admission, curve gather, and the
 	// cancellable DP under the default deadline. The ReOptimize pair
-	// measures one churn epoch — the group's last member swapped — as the
-	// background loop runs it: warm rebases onto the shared three-layer
-	// prefix and pushes one layer, cold re-runs the full DP from scratch;
-	// their ratio is the warm-start payoff the incremental optimizer buys.
+	// measures one churn epoch — the group's last member swapped: warm
+	// rebases the library's partition.Incremental onto the shared
+	// three-layer prefix and pushes one layer; cold is the solver-ladder
+	// solve the daemon's background loop runs. The pair is the evidence
+	// for keeping or deleting Incremental; the service no longer uses it.
 	benches = append(benches, Bench{
 		Name: "ServicePlanRequest",
 		Fn:   s.ServicePlanBench(false),

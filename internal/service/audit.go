@@ -2,11 +2,8 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"partitionshare/internal/atomicio"
@@ -17,14 +14,10 @@ import (
 // The epoch audit log: the durable half of the plan-lifecycle
 // observability layer. Every epoch transition the re-optimizer publishes
 // is appended here — provenance, structured diff, and the new plan's
-// group and allocation — with the same snapshot+journal machinery and
-// crash contract as the tenant store: an appended record is durable iff
-// Append returned nil; a crash (including kill -9) mid-append leaves a
-// torn tail that replay discards and compacts away; and recovery is
-// deterministic — two opens of the same directory yield byte-identical
-// canonical state. The log also carries the epoch counter across
-// restarts: New seeds the service's epoch from LastEpoch, so epochs stay
-// monotonic over the daemon's whole life, not one process's.
+// group and allocation — through the same atomicio.Journal, and so with
+// the same crash contract, as the tenant store. The log also carries the
+// epoch counter across restarts: New seeds the service's epoch from
+// LastEpoch, so epochs stay monotonic over the daemon's whole life.
 
 // FaultAuditAppend fires at the head of every audit append, before
 // anything is journaled — the cheapest way to make an epoch's audit
@@ -32,17 +25,16 @@ import (
 // tolerated, counted, and logged, never propagated into the reopt loop).
 const FaultAuditAppend = "service.audit.append"
 
-// auditVersion is the audit snapshot schema version.
-const auditVersion = 1
-
 // defaultAuditRetain bounds how many epoch records the log keeps; older
 // epochs fall off the front at append time (and therefore out of the
 // next snapshot), bounding both memory and disk.
 const defaultAuditRetain = 256
 
+// The audit log's files, and its snapshot schema version.
 const (
 	auditSnapshotFile = "epochs.json"
 	auditJournalFile  = "epochs.log"
+	auditVersion      = 1
 )
 
 // An EpochRecord is one audited epoch transition: why and how the plan
@@ -70,87 +62,72 @@ type auditDoc struct {
 // An AuditLog is the durable, bounded record of epoch transitions.
 // Construct with OpenAuditLog; safe for concurrent use.
 type AuditLog struct {
-	dir          string
-	retain       int
-	compactEvery int
+	retain int
 
 	mu        sync.Mutex
 	records   []EpochRecord // epoch ascending, at most retain entries
 	lastEpoch int64
-	log       *atomicio.Log
-	logOps    int
+	j         *atomicio.Journal
 }
 
-// OpenAuditLog opens (creating if needed) the epoch audit log in dir,
-// replaying the journal over the snapshot; a torn journal tail is
-// discarded and compacted away exactly as the tenant store does.
-// retain <= 0 and compactEvery <= 0 use the defaults.
+// OpenAuditLog opens (creating if needed) the epoch audit log in dir.
+// retain <= 0 uses the default; compactEvery <= 0 uses
+// atomicio.DefaultCompactEvery.
 func OpenAuditLog(dir string, retain, compactEvery int) (*AuditLog, error) {
 	if retain <= 0 {
 		retain = defaultAuditRetain
 	}
-	if compactEvery <= 0 {
-		compactEvery = defaultCompactEvery
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	a := &AuditLog{dir: dir, retain: retain, compactEvery: compactEvery}
-
-	snapPath := filepath.Join(dir, auditSnapshotFile)
-	if data, err := os.ReadFile(snapPath); err == nil {
-		var doc auditDoc
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrStoreCorrupt, snapPath, err)
-		}
-		if doc.Version != auditVersion {
-			return nil, fmt.Errorf("%w: %s: snapshot version %d (want %d)", ErrStoreCorrupt, snapPath, doc.Version, auditVersion)
-		}
-		a.records = doc.Records
-		a.lastEpoch = doc.LastEpoch
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-
-	jPath := filepath.Join(dir, auditJournalFile)
-	replayed := 0
-	torn, err := atomicio.ReplayLog(jPath, func(rec []byte) error {
-		var er EpochRecord
-		if err := json.Unmarshal(rec, &er); err != nil {
-			// Framed but unparseable: damage the CRC cannot see; stop the
-			// replay there, like a torn tail.
-			return errStopReplay
-		}
-		if er.Provenance.Epoch <= a.lastEpoch {
-			return nil // already folded into the snapshot
-		}
-		a.records = append(a.records, er)
-		a.lastEpoch = er.Provenance.Epoch
-		replayed++
-		return nil
-	})
-	if errors.Is(err, errStopReplay) {
-		torn, err = true, nil
-	}
+	a := &AuditLog{retain: retain}
+	j, rec, err := atomicio.OpenJournal(dir, auditSnapshotFile, auditJournalFile, compactEvery, (*auditState)(a))
 	if err != nil {
 		return nil, err
 	}
-	a.trimLocked()
-	a.logOps = replayed
-	obs.Enabled().Counter(mAuditReplayed).Add(int64(replayed))
-
-	if torn {
-		obs.Enabled().Counter(mAuditTornRecovered).Add(1)
-		obs.Logger().Warn("epoch audit journal had a torn tail; compacting", "dir", dir)
-		if err := a.compactLocked(); err != nil {
-			return nil, err
-		}
-	} else {
-		if a.log, err = atomicio.OpenLog(jPath); err != nil {
-			return nil, err
-		}
+	a.j = j
+	reg := obs.Enabled()
+	reg.Counter(mAuditReplayed).Add(int64(rec.Replayed))
+	if rec.Torn {
+		reg.Counter(mAuditTornRecovered).Add(1)
+		reg.Counter(mAuditCompactions).Add(1)
+		obs.Logger().Warn("epoch audit journal had a torn tail; compacted", "dir", dir)
 	}
 	return a, nil
+}
+
+// auditState is the AuditLog as the journal's atomicio.JournalState; the
+// journal calls it during OpenAuditLog and under a.mu afterwards.
+type auditState AuditLog
+
+func (st *auditState) Restore(data []byte) error {
+	var doc auditDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return fmt.Errorf("%w: %v", ErrStoreCorrupt, err)
+	}
+	if doc.Version != auditVersion {
+		return fmt.Errorf("%w: snapshot version %d (want %d)", ErrStoreCorrupt, doc.Version, auditVersion)
+	}
+	for _, rec := range doc.Records {
+		(*AuditLog)(st).applyLocked(rec)
+	}
+	st.lastEpoch = doc.LastEpoch
+	return nil
+}
+
+func (st *auditState) Apply(rec []byte) (bool, error) {
+	var er EpochRecord
+	if err := json.Unmarshal(rec, &er); err != nil {
+		return false, err
+	}
+	if er.Provenance.Epoch <= st.lastEpoch {
+		return false, nil // already folded into the snapshot
+	}
+	(*AuditLog)(st).applyLocked(er)
+	return true, nil
+}
+
+func (st *auditState) WriteSnapshot(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(auditDoc{Version: auditVersion, LastEpoch: st.lastEpoch, Records: st.records})
 }
 
 // Append records one epoch transition durably: journaled and fsynced
@@ -167,58 +144,24 @@ func (a *AuditLog) Append(rec EpochRecord) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.log == nil {
-		return fmt.Errorf("service: audit log closed")
+	compacted, err := a.j.Append(data, func() {
+		a.applyLocked(rec)
+		obs.Enabled().Counter(mAuditAppended).Add(1)
+	})
+	if compacted {
+		obs.Enabled().Counter(mAuditCompactions).Add(1)
 	}
-	if err := a.log.Append(data); err != nil {
-		return err
-	}
-	a.records = append(a.records, rec)
-	a.lastEpoch = rec.Provenance.Epoch
-	a.trimLocked()
-	a.logOps++
-	obs.Enabled().Counter(mAuditAppended).Add(1)
-	if a.logOps < a.compactEvery {
-		return nil
-	}
-	return a.compactLocked()
+	return err
 }
 
-func (a *AuditLog) trimLocked() {
+// applyLocked adds rec as the newest record, trimming the oldest beyond
+// the retention bound.
+func (a *AuditLog) applyLocked(rec EpochRecord) {
+	a.records = append(a.records, rec)
+	a.lastEpoch = rec.Provenance.Epoch
 	if excess := len(a.records) - a.retain; excess > 0 {
 		a.records = append([]EpochRecord(nil), a.records[excess:]...)
 	}
-}
-
-// compactLocked folds the retained records into a fresh snapshot and
-// resets the journal; same commit-point ordering as the tenant store
-// (snapshot rename commits; stale journal records replay-skip by epoch).
-func (a *AuditLog) compactLocked() error {
-	if err := atomicio.WriteFile(filepath.Join(a.dir, auditSnapshotFile), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(auditDoc{Version: auditVersion, LastEpoch: a.lastEpoch, Records: a.records})
-	}); err != nil {
-		return err
-	}
-	if a.log != nil {
-		if err := a.log.Close(); err != nil {
-			return err
-		}
-		a.log = nil
-	}
-	jPath := filepath.Join(a.dir, auditJournalFile)
-	if err := os.Remove(jPath); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("service: %w", err)
-	}
-	log, err := atomicio.OpenLog(jPath)
-	if err != nil {
-		return err
-	}
-	a.log = log
-	a.logOps = 0
-	obs.Enabled().Counter(mAuditCompactions).Add(1)
-	return nil
 }
 
 // History returns the retained records with epoch > since, oldest first
@@ -242,38 +185,17 @@ func (a *AuditLog) LastEpoch() int64 {
 	return a.lastEpoch
 }
 
-// Len returns the number of retained records.
-func (a *AuditLog) Len() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.records)
-}
-
 // CanonicalBytes renders the retained records deterministically as
-// indented JSON. Two logs holding the same records produce identical
-// bytes regardless of snapshot/journal split; the chaos tests compare
-// these across crash/recover cycles.
+// indented JSON, independent of the snapshot/journal split.
 func (a *AuditLog) CanonicalBytes() ([]byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return json.MarshalIndent(auditDoc{Version: auditVersion, LastEpoch: a.lastEpoch, Records: a.records}, "", "  ")
 }
 
-// Compact forces a snapshot+journal-reset cycle.
-func (a *AuditLog) Compact() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.compactLocked()
-}
-
 // Close closes the journal. Further appends fail; reads keep working.
 func (a *AuditLog) Close() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.log == nil {
-		return nil
-	}
-	err := a.log.Close()
-	a.log = nil
-	return err
+	return a.j.Close()
 }

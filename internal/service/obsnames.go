@@ -60,15 +60,11 @@ const (
 	// Plan lifecycle (service.go, audit.go, feed.go; DESIGN.md §16).
 	// The epoch gauge and churn counters track the published plan as it
 	// evolves; the delta prefix is a bounded per-tenant ChildSet whose
-	// full names are mPlanDeltaPrefix + tenant + "." + the suffix below;
-	// the outcome counters split epochs by how the solve ran.
-	mPlanEpoch            = "service.plan.epoch"
-	mPlanUnitsMoved       = "service.plan.units_moved"
-	mPlanDeltaPrefix      = "service.plan.delta."
-	planDeltaUnitsSuffix  = "moved_units"
-	mPlanOutcomeWarm      = "service.plan.outcome.warm"
-	mPlanOutcomeCold      = "service.plan.outcome.cold"
-	mPlanOutcomeStaleFall = "service.plan.outcome.stale_fallback"
+	// full names are mPlanDeltaPrefix + tenant + "." + the suffix below.
+	mPlanEpoch           = "service.plan.epoch"
+	mPlanUnitsMoved      = "service.plan.units_moved"
+	mPlanDeltaPrefix     = "service.plan.delta."
+	planDeltaUnitsSuffix = "moved_units"
 
 	// Change feed (feed.go): fan-out volume, drop-oldest overflow, and
 	// the live subscriber gauge.
@@ -86,15 +82,11 @@ const (
 	mAuditCompactions    = "service.audit.compactions"
 
 	// Background re-optimization (service.go).
-	spanReoptEpoch   = "service.reopt.epoch"
-	mReoptEpochs     = "service.reopt.epochs"
-	mReoptWarmReused = "service.reopt.warm_reused"
-	mReoptFailures   = "service.reopt.failures"
-	mReoptRetries    = "service.reopt.retries"
-	mReoptWarm       = "service.reopt.warm"
-	mReoptWarmNS     = "service.reopt.warm_ns"
-	mReoptCold       = "service.reopt.cold"
-	mReoptColdNS     = "service.reopt.cold_ns"
+	spanReoptEpoch = "service.reopt.epoch"
+	mReoptEpochs   = "service.reopt.epochs"
+	mReoptFailures = "service.reopt.failures"
+	mReoptRetries  = "service.reopt.retries"
+	mReoptSolveNS  = "service.reopt.solve_ns"
 
 	// Durable tenant store (store.go).
 	mStoreReplayed      = "service.store.replayed"

@@ -220,10 +220,9 @@ func (s *Service) serveEpochsDebug(w http.ResponseWriter) {
 	fmt.Fprintf(w, "plan epochs (retained %d, last epoch %d)\n\n", len(events), s.audit.LastEpoch())
 	for _, ev := range events {
 		p := ev.Provenance
-		fmt.Fprintf(w, "epoch %d  %s  cause=%s solver=%s warm=%v reused=%d compute=%s digest=%s trace=%s\n",
+		fmt.Fprintf(w, "epoch %d  %s  cause=%s solver=%s compute=%s digest=%s trace=%s\n",
 			p.Epoch, time.Unix(0, p.UnixNS).UTC().Format(time.RFC3339Nano),
-			p.Cause, p.SolverPath, p.WarmStart, p.WarmReused,
-			time.Duration(p.ComputeNS), p.InputDigest, p.TraceID)
+			p.Cause, p.SolverPath, time.Duration(p.ComputeNS), p.InputDigest, p.TraceID)
 		d := ev.Diff
 		fmt.Fprintf(w, "  moved=%d units", d.UnitsMoved)
 		if len(d.Gained) > 0 {

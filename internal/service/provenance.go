@@ -13,8 +13,8 @@ import (
 // layer (DESIGN.md §16): every plan the service computes — epoch plans
 // from the background re-optimizer and ad-hoc plans from POST /v1/plan —
 // carries a PlanProvenance record saying exactly which inputs produced
-// it, which solver rung ran, whether the warm start paid off, how long
-// the solve took, and which request triggered it. The record is embedded
+// it, which solver rung ran, how long the solve took, and which request
+// triggered it. The record is embedded
 // in plan responses, epoch audit-log records, and change-feed events, so
 // any plan observed anywhere can be traced back to its inputs.
 
@@ -34,8 +34,6 @@ const (
 // log) or -1 for ad-hoc plans; InputDigest is the deterministic digest
 // of the solve's full input (tenant set, derived curves, cache size) —
 // two plans with equal digests were computed from bit-identical inputs;
-// WarmStart reports whether the incremental DP reused prior layers
-// (WarmReused of them) rather than falling back to a cold solve;
 // TraceID is the W3C trace ID of the triggering request, when one
 // carried a trace (for epochs: the last churn request before the solve).
 type PlanProvenance struct {
@@ -43,8 +41,6 @@ type PlanProvenance struct {
 	Cause       string `json:"cause"`
 	InputDigest string `json:"input_digest"`
 	SolverPath  string `json:"solver_path,omitempty"`
-	WarmStart   bool   `json:"warm_start"`
-	WarmReused  int    `json:"warm_reused_layers,omitempty"`
 	ComputeNS   int64  `json:"compute_ns"`
 	TraceID     string `json:"trace_id,omitempty"`
 	UnixNS      int64  `json:"unix_ns"`

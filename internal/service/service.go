@@ -63,12 +63,9 @@ type Config struct {
 	// records and sees a gap marker (feed.go). Non-positive means the
 	// default.
 	FeedBuffer int
-	// AuditRetain bounds how many epoch records the audit log keeps;
-	// AuditCompactEvery is how many appended records accumulate before
-	// the log folds them into a fresh snapshot. Non-positive means the
-	// defaults (audit.go).
-	AuditRetain       int
-	AuditCompactEvery int
+	// AuditRetain bounds how many epoch records the audit log keeps.
+	// Non-positive means the default (audit.go).
+	AuditRetain int
 	// Seed makes the backoff jitter deterministic for tests.
 	Seed uint64
 }
@@ -77,19 +74,18 @@ type Config struct {
 // directly comparable to offline solves.
 func DefaultConfig() Config {
 	return Config{
-		Units:             1024,
-		BlocksPerUnit:     4,
-		MaxInflight:       8,
-		QueueDepth:        64,
-		DefaultDeadline:   2 * time.Second,
-		ReoptDeadline:     10 * time.Second,
-		RetryMax:          3,
-		RetryBase:         50 * time.Millisecond,
-		TenantSeriesCap:   obs.DefaultChildSetCap,
-		FeedBuffer:        defaultFeedBuffer,
-		AuditRetain:       defaultAuditRetain,
-		AuditCompactEvery: defaultCompactEvery,
-		Seed:              1,
+		Units:           1024,
+		BlocksPerUnit:   4,
+		MaxInflight:     8,
+		QueueDepth:      64,
+		DefaultDeadline: 2 * time.Second,
+		ReoptDeadline:   10 * time.Second,
+		RetryMax:        3,
+		RetryBase:       50 * time.Millisecond,
+		TenantSeriesCap: obs.DefaultChildSetCap,
+		FeedBuffer:      defaultFeedBuffer,
+		AuditRetain:     defaultAuditRetain,
+		Seed:            1,
 	}
 }
 
@@ -128,15 +124,12 @@ func (c *Config) normalize() {
 	if c.AuditRetain <= 0 {
 		c.AuditRetain = d.AuditRetain
 	}
-	if c.AuditCompactEvery <= 0 {
-		c.AuditCompactEvery = d.AuditCompactEvery
-	}
 }
 
 // A Plan is a served partition decision: the co-run group, the optimal
-// allocation, and its objective, all bit-exact with what a cold
+// allocation, and its objective, all bit-exact with what
 // ReferenceOptimize of the same group computes (the differential tests
-// pin this for fresh, warm-started, and degraded-stale plans alike).
+// pin this for fresh and degraded-stale plans alike).
 type Plan struct {
 	Epoch          int64     `json:"epoch"`
 	Tenants        []string  `json:"tenants"`
@@ -146,10 +139,9 @@ type Plan struct {
 	GroupMissRatio float64   `json:"group_miss_ratio"`
 	MissRatios     []float64 `json:"miss_ratios"`
 	SolverPath     string    `json:"solver_path,omitempty"`
-	WarmReused     int       `json:"warm_reused_layers"`
 	// Provenance records where this plan came from: the input digest,
-	// solver path, warm/cold start, compute duration, triggering cause,
-	// and trace (provenance.go). Every served plan carries one.
+	// solver path, compute duration, triggering cause, and trace
+	// (provenance.go). Every served plan carries one.
 	Provenance *PlanProvenance `json:"provenance,omitempty"`
 	// Degraded marks a plan served while it no longer reflects the
 	// current tenant set — background re-optimization is failing or has
@@ -160,9 +152,8 @@ type Plan struct {
 
 // A Service owns the tenant registry, serves plan queries under
 // admission control with deadline propagation, and re-optimizes the
-// shared plan in the background as tenants churn, warm-starting from
-// the incremental DP and falling back cold when the warm start is
-// stale. Construct with New, then Start the background loop.
+// shared plan in the background as tenants churn, one solver-ladder
+// solve per epoch. Construct with New, then Start the background loop.
 type Service struct {
 	cfg     Config
 	store   *Store
@@ -175,12 +166,10 @@ type Service struct {
 
 	mu         sync.Mutex
 	curves     map[string]mrc.Curve // derived at cfg geometry
-	order      []string             // registration order: the warm start's stable prefix
+	order      []string             // registration order: the epoch group's tenant order
 	churnTrace string               // trace ID of the last churn request, for epoch provenance
 
-	// inc and rng are owned by the reopt goroutine exclusively.
-	inc *partition.Incremental
-	rng *rand.Rand
+	rng *rand.Rand // owned by the reopt goroutine exclusively
 
 	plan     atomic.Pointer[Plan]
 	epoch    atomic.Int64
@@ -199,7 +188,7 @@ type Service struct {
 // restarts, not just within one process.
 func New(cfg Config, store *Store) (*Service, error) {
 	cfg.normalize()
-	audit, err := OpenAuditLog(store.Dir(), cfg.AuditRetain, cfg.AuditCompactEvery)
+	audit, err := OpenAuditLog(store.Dir(), cfg.AuditRetain, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +199,6 @@ func New(cfg Config, store *Store) (*Service, error) {
 		audit:   audit,
 		feed:    NewChangeFeed(cfg.FeedBuffer),
 		curves:  make(map[string]mrc.Curve),
-		inc:     partition.NewIncremental(cfg.Units),
 		rng:     rand.New(rand.NewPCG(cfg.Seed, 0x9e3779b97f4a7c15)),
 		churn:   make(chan struct{}, 1),
 		stopped: make(chan struct{}),
@@ -230,9 +218,6 @@ func New(cfg Config, store *Store) (*Service, error) {
 
 // Audit returns the service's epoch audit log.
 func (s *Service) Audit() *AuditLog { return s.audit }
-
-// Feed returns the service's plan change feed.
-func (s *Service) Feed() *ChangeFeed { return s.feed }
 
 // Close releases the service's plan-lifecycle resources: the change
 // feed shuts down (waking every subscriber) and the audit journal
@@ -435,18 +420,29 @@ func (s *Service) PlanFor(ctx context.Context, names []string, units int) (Plan,
 	if err := sctx.Err(); err != nil {
 		return Plan{}, fmt.Errorf("service: solve: %w", err)
 	}
-	// workers=1 keeps the solve serial but cancellable: the kernel polls
-	// ctx between DP layers, so the request deadline reaches every solve.
-	solveStart := time.Now()
-	sol, err := partition.OptimizeParallel(sctx, partition.Problem{Curves: curves, Units: units}, 1)
+	plan, err := solvePlan(sctx, names, curves, units)
 	if err != nil {
 		return Plan{}, err
 	}
 	reg := obs.Enabled()
 	reg.Counter(mPlanRequests).Add(1)
 	reg.Histogram(mPlanLatencyNS, obs.DurationBuckets()).Observe(time.Since(start).Nanoseconds())
-	return Plan{
-		Epoch:          -1, // ad-hoc, not an epoch plan
+	plan.stamp(-1, CauseAdHoc, obs.TraceIDFrom(ctx)) // ad-hoc, not an epoch plan
+	return *plan, nil
+}
+
+// solvePlan is the one solve every plan comes from: the solver ladder,
+// bit-exact with ReferenceOptimize. workers=1 keeps it serial but
+// cancellable — the kernel polls ctx between DP layers, so the caller's
+// deadline reaches every solve. Callers stamp the result.
+func solvePlan(ctx context.Context, names []string, curves []mrc.Curve, units int) (*Plan, error) {
+	start := time.Now()
+	sol, err := partition.OptimizeParallel(ctx, partition.Problem{Curves: curves, Units: units}, 1)
+	if err != nil {
+		return nil, err
+	}
+	computeNS := time.Since(start).Nanoseconds()
+	return &Plan{
 		Tenants:        append([]string(nil), names...),
 		Units:          units,
 		Alloc:          append([]int(nil), sol.Alloc...),
@@ -455,15 +451,19 @@ func (s *Service) PlanFor(ctx context.Context, names []string, units int) (Plan,
 		MissRatios:     append([]float64(nil), sol.MissRatios...),
 		SolverPath:     sol.SolverPath,
 		Provenance: &PlanProvenance{
-			Epoch:       -1,
-			Cause:       CauseAdHoc,
 			InputDigest: InputDigest(names, curves, units),
 			SolverPath:  sol.SolverPath,
-			ComputeNS:   time.Since(solveStart).Nanoseconds(),
-			TraceID:     obs.TraceIDFrom(ctx),
-			UnixNS:      time.Now().UnixNano(),
+			ComputeNS:   computeNS,
 		},
 	}, nil
+}
+
+// stamp fills in what is known only once a solved plan is served: its
+// epoch (-1 for ad-hoc plans), cause, triggering trace, and time.
+func (p *Plan) stamp(epoch int64, cause, traceID string) {
+	p.Epoch = epoch
+	pv := p.Provenance
+	pv.Epoch, pv.Cause, pv.TraceID, pv.UnixNS = epoch, cause, traceID, time.Now().UnixNano()
 }
 
 // CurrentPlan returns the latest background epoch plan. ok=false means
@@ -505,8 +505,7 @@ func (s *Service) signalChurn() {
 	}
 }
 
-// snapshotGroup copies the current co-run group in registration order —
-// the order the warm start's prefix reuse keys off.
+// snapshotGroup copies the current co-run group in registration order.
 func (s *Service) snapshotGroup() ([]string, []mrc.Curve) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -547,7 +546,6 @@ func (s *Service) reoptimize(ctx context.Context) {
 		if err == nil {
 			s.publishEpoch(plan)
 			reg.Counter(mReoptEpochs).Add(1)
-			reg.Gauge(mReoptWarmReused).Set(int64(plan.WarmReused))
 			return
 		}
 		if ctx.Err() != nil {
@@ -578,12 +576,11 @@ func (s *Service) publishEpoch(plan *Plan) {
 	if s.degraded.Load() {
 		cause = CauseRecovery
 	}
-	plan.Epoch = s.epoch.Add(1)
-	plan.Provenance.Epoch = plan.Epoch
-	plan.Provenance.Cause = cause
-	plan.Provenance.TraceID = s.takeChurnTrace()
-	plan.Provenance.UnixNS = time.Now().UnixNano()
+	plan.stamp(s.epoch.Add(1), cause, s.takeChurnTrace())
 	diff := ComputePlanDiff(prev, plan)
+	// Gauge first: a reader that sees the new plan never sees an older epoch.
+	reg := obs.Enabled()
+	reg.Gauge(mPlanEpoch).Set(plan.Epoch)
 	s.plan.Store(plan)
 	s.degraded.Store(false)
 
@@ -596,8 +593,6 @@ func (s *Service) publishEpoch(plan *Plan) {
 	}
 	s.auditAppend(rec)
 
-	reg := obs.Enabled()
-	reg.Gauge(mPlanEpoch).Set(plan.Epoch)
 	reg.Counter(mPlanUnitsMoved).Add(int64(diff.UnitsMoved))
 	cs := reg.ChildSet(mPlanDeltaPrefix, s.cfg.TenantSeriesCap)
 	for _, td := range diff.Deltas {
@@ -663,10 +658,8 @@ func (s *Service) sleepBackoff(ctx context.Context, attempt int) bool {
 	}
 }
 
-// solveEpoch runs one warm-started solve of the full group under the
-// epoch deadline, falling back to a cold solve when the warm start is
-// stale. Both paths produce the identical bit-exact solution; only the
-// work differs.
+// solveEpoch solves the full group under the epoch deadline;
+// publishEpoch stamps the result.
 func (s *Service) solveEpoch(ctx context.Context, names []string, curves []mrc.Curve) (*Plan, error) {
 	dctx, cancel := context.WithTimeout(ctx, s.cfg.ReoptDeadline)
 	defer cancel()
@@ -678,65 +671,10 @@ func (s *Service) solveEpoch(ctx context.Context, names []string, curves []mrc.C
 	if err := sctx.Err(); err != nil {
 		return nil, fmt.Errorf("service: reopt: %w", err)
 	}
-
-	reg := obs.Enabled()
-	digest := InputDigest(names, curves, s.cfg.Units)
-	start := time.Now()
-	warm := true
-	var sol partition.Solution
-	reused, err := s.inc.Rebase(sctx, curves)
-	if err == nil {
-		sol, err = s.inc.Solve()
-		if err == nil {
-			reg.Counter(mReoptWarm).Add(1)
-			reg.Histogram(mReoptWarmNS, obs.DurationBuckets()).Observe(time.Since(start).Nanoseconds())
-			// Outcome split for the churn dashboards: "warm" means prior
-			// layers were actually reused; a fresh full push (first epoch,
-			// wholesale group swap) is a cold solve that happened to run
-			// through the incremental cache.
-			if reused > 0 {
-				reg.Counter(mPlanOutcomeWarm).Add(1)
-			} else {
-				reg.Counter(mPlanOutcomeCold).Add(1)
-				warm = false
-			}
-		}
-	}
+	plan, err := solvePlan(sctx, names, curves, s.cfg.Units)
 	if err != nil {
-		if !errors.Is(err, partition.ErrWarmStartStale) {
-			return nil, err
-		}
-		// The warm start was rejected (stale layers, cancelled mid-push,
-		// inconsistent cache); fall back to the cold path, which the
-		// differential tests pin bit-exact vs the warm one.
-		reg.Counter(mReoptCold).Add(1)
-		reg.Counter(mPlanOutcomeStaleFall).Add(1)
-		warm = false
-		reused = 0
-		start = time.Now()
-		sol, err = partition.OptimizeParallel(sctx, partition.Problem{Curves: curves, Units: s.cfg.Units}, 1)
-		if err != nil {
-			return nil, err
-		}
-		reg.Histogram(mReoptColdNS, obs.DurationBuckets()).Observe(time.Since(start).Nanoseconds())
+		return nil, err
 	}
-	return &Plan{
-		Tenants:        names,
-		Units:          s.cfg.Units,
-		Alloc:          append([]int(nil), sol.Alloc...),
-		Objective:      sol.Objective,
-		GroupMissRatio: sol.GroupMissRatio,
-		MissRatios:     append([]float64(nil), sol.MissRatios...),
-		SolverPath:     sol.SolverPath,
-		WarmReused:     reused,
-		// Epoch, Cause, TraceID, and UnixNS are stamped at publish time
-		// (publishEpoch); the solve fills what only it knows.
-		Provenance: &PlanProvenance{
-			InputDigest: digest,
-			SolverPath:  sol.SolverPath,
-			WarmStart:   warm,
-			WarmReused:  reused,
-			ComputeNS:   time.Since(start).Nanoseconds(),
-		},
-	}, nil
+	obs.Enabled().Histogram(mReoptSolveNS, obs.DurationBuckets()).Observe(plan.Provenance.ComputeNS)
+	return plan, nil
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -132,14 +134,20 @@ func TestPlanForBitExact(t *testing.T) {
 	}
 }
 
-// TestEpochChurnWarmStartBitExact drives tenant churn through the
-// background loop: every published epoch plan must be bit-exact vs the
-// reference, and later epochs must actually reuse warm-start layers.
-func TestEpochChurnWarmStartBitExact(t *testing.T) {
-	svc := newTestService(t, testConfig())
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	svc.Start(ctx)
+// TestEpochChurnBitExact drives tenant churn through the background
+// loop: every published epoch plan, including after a mid-list
+// departure, must be bit-exact vs the reference, and neither the served
+// plan JSON nor the history records carry the removed warm_* fields.
+func TestEpochChurnBitExact(t *testing.T) {
+	srv, svc := startTestServer(t, testConfig())
+	base := "http://" + srv.Addr()
+	assertNoWarmKeys := func(path string) {
+		t.Helper()
+		status, body := doReq(t, "GET", base+path, nil)
+		if status != http.StatusOK || strings.Contains(string(body), `"warm_`) {
+			t.Fatalf("GET %s = %d %s", path, status, body)
+		}
+	}
 
 	var group []string
 	for i := uint64(1); i <= 4; i++ {
@@ -148,22 +156,17 @@ func TestEpochChurnWarmStartBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		group = append(group, name)
-		p := waitForEpoch(t, svc, group)
-		assertPlanBitExact(t, svc, p)
-		if i > 1 && p.WarmReused == 0 {
-			t.Fatalf("epoch %d reused no warm layers", p.Epoch)
-		}
+		assertPlanBitExact(t, svc, waitForEpoch(t, svc, group))
+		assertNoWarmKeys("/v1/plan")
 	}
 
-	// Departure mid-list: prefix reuse shrinks but exactness holds.
+	// Departure mid-list: exactness holds for the shrunken group.
 	if err := svc.Unregister(nil, "t2"); err != nil {
 		t.Fatal(err)
 	}
-	p := waitForEpoch(t, svc, []string{"t1", "t3", "t4"})
-	assertPlanBitExact(t, svc, p)
-	if p.WarmReused != 1 {
-		t.Fatalf("after t2 left: reused %d layers, want 1 (the t1 prefix)", p.WarmReused)
-	}
+	assertPlanBitExact(t, svc, waitForEpoch(t, svc, []string{"t1", "t3", "t4"}))
+	assertNoWarmKeys("/v1/plan")
+	assertNoWarmKeys("/v1/plan/history")
 
 	// Last tenant gone: the plan clears.
 	for _, n := range []string{"t1", "t3", "t4"} {

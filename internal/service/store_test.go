@@ -5,13 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
 
 	"partitionshare/internal/atomicio"
 	"partitionshare/internal/faultinject"
@@ -28,7 +24,8 @@ func testProfile(t testing.TB, seed uint64) profileio.Profile {
 	return profileio.Profile{Name: fmt.Sprintf("tenant-%d", seed), Rate: 1.0, Reuse: rp}
 }
 
-func canonical(t *testing.T, s *Store) []byte {
+// canonical returns a store's or audit log's canonical bytes.
+func canonical(t *testing.T, s interface{ CanonicalBytes() ([]byte, error) }) []byte {
 	t.Helper()
 	b, err := s.CanonicalBytes()
 	if err != nil {
@@ -119,8 +116,8 @@ func TestStoreCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.logOps >= 4 {
-		t.Fatalf("compaction never ran: logOps=%d", s.logOps)
+	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil {
+		t.Fatalf("compaction never ran: %v", err)
 	}
 	want := canonical(t, s)
 	s.Close()
@@ -191,143 +188,5 @@ func TestStoreInjectedPutFault(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Fatalf("failed Put registered a tenant")
-	}
-}
-
-// TestStoreTornJournalTail simulates a crash mid-append by truncating
-// the journal file: reopen must keep every fully-appended record, flag
-// the recovery, and leave a compacted clean store behind.
-func TestStoreTornJournalTail(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("keep", testProfile(t, 1)); err != nil {
-		t.Fatal(err)
-	}
-	want := canonical(t, s)
-	if err := s.Put("torn", testProfile(t, 2)); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	jPath := filepath.Join(dir, journalFile)
-	fi, err := os.Stat(jPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(jPath, fi.Size()-7); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenStore(dir, 0)
-	if err != nil {
-		t.Fatalf("reopen with torn tail: %v", err)
-	}
-	if got := canonical(t, re); !bytes.Equal(got, want) {
-		t.Fatalf("torn-tail recovery state:\n%s\nwant\n%s", got, want)
-	}
-	// Recovery compacted: the journal is fresh and the store writable.
-	if err := re.Put("after", testProfile(t, 3)); err != nil {
-		t.Fatalf("Put after torn recovery: %v", err)
-	}
-	after := canonical(t, re)
-	re.Close()
-	re2, err := OpenStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Close()
-	if got := canonical(t, re2); !bytes.Equal(got, after) {
-		t.Fatalf("second reopen diverges after torn recovery")
-	}
-}
-
-// TestStoreKill9ByteIdentical is the crash-safety differential: a child
-// process registers tenants, acking each durable Put on stdout; the
-// parent SIGKILLs it mid-stream, reopens the store twice, and requires
-// (a) every acked tenant survived and (b) the two recoveries are
-// byte-identical.
-func TestStoreKill9ByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test")
-	}
-	dir := t.TempDir()
-	cmd := exec.Command(os.Args[0], "-test.run", "TestStoreKill9Helper", "-test.v")
-	cmd.Env = append(os.Environ(), "SERVICE_STORE_KILL9_DIR="+dir)
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-
-	// Read acks until we have a few, then kill -9 mid-write-loop.
-	acked := 0
-	buf := make([]byte, 1)
-	var line strings.Builder
-	for acked < 5 {
-		if _, err := out.Read(buf); err != nil {
-			t.Fatalf("child exited early after %d acks: %v", acked, err)
-		}
-		if buf[0] != '\n' {
-			line.WriteByte(buf[0])
-			continue
-		}
-		if strings.HasPrefix(line.String(), "ack ") {
-			acked++
-		}
-		line.Reset()
-	}
-	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
-		t.Fatal(err)
-	}
-	cmd.Wait()
-
-	s1, err := OpenStore(dir, 0)
-	if err != nil {
-		t.Fatalf("recovery open 1: %v", err)
-	}
-	for i := 1; i <= acked; i++ {
-		if _, err := s1.Get("t" + strconv.Itoa(i)); err != nil {
-			t.Fatalf("acked tenant t%d lost after kill -9: %v", i, err)
-		}
-	}
-	c1 := canonical(t, s1)
-	s1.Close()
-
-	s2, err := OpenStore(dir, 0)
-	if err != nil {
-		t.Fatalf("recovery open 2: %v", err)
-	}
-	c2 := canonical(t, s2)
-	s2.Close()
-	if !bytes.Equal(c1, c2) {
-		t.Fatalf("recovery is not deterministic:\n%s\nvs\n%s", c1, c2)
-	}
-}
-
-// TestStoreKill9Helper is the child half of the kill -9 test; it only
-// runs when re-exec'd with the env var set.
-func TestStoreKill9Helper(t *testing.T) {
-	dir := os.Getenv("SERVICE_STORE_KILL9_DIR")
-	if dir == "" {
-		t.Skip("helper process only")
-	}
-	s, err := OpenStore(dir, 3) // small compactEvery: the kill races compaction too
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 10000; i++ {
-		if err := s.Put("t"+strconv.Itoa(i), testProfile(t, uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-		fmt.Printf("ack %d\n", i)
-		os.Stdout.Sync()
-		time.Sleep(time.Millisecond)
 	}
 }

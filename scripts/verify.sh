@@ -31,6 +31,12 @@ go test -shuffle=on ./...
 echo "== tier-1: go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
+# perfbench is its own module (it imports this one through a replace
+# directive), so the root ./... never compiles it: a service or partition
+# API change could break the benchmark while everything above stays green.
+echo "== perfbench module: build, vet, short tests"
+(cd perfbench && go build ./... && go vet ./... && go test -short ./...)
+
 # Fuzz smoke: each target runs for a few seconds so input-hardening
 # regressions (parser panics, reference divergence) surface in CI-sized
 # time. Targets are pinned here, not discovered, so a renamed target
