@@ -192,7 +192,7 @@ func main() {
 	start := time.Now()
 	obs.Progressf("profiling %d programs (units=%d, blocks/unit=%d, trace=%d)...\n",
 		len(workload.Specs()), cfg.Units, cfg.BlocksPerUnit, cfg.TraceLen)
-	profileCtx, profileSpan := obs.Enabled().StartSpan(ctx, "profile")
+	profileCtx, profileSpan := obs.Start(ctx, "profile", obs.CatStage)
 	progs, err := workload.ProfileAll(profileCtx, workload.Specs(), cfg)
 	if err != nil {
 		fatal(err)
@@ -222,7 +222,7 @@ func main() {
 	}
 
 	start = time.Now()
-	sweepCtx, sweepSpan := obs.Enabled().StartSpan(ctx, "sweep")
+	sweepCtx, sweepSpan := obs.Start(ctx, "sweep", obs.CatStage)
 	res, err := experiment.Run(sweepCtx, progs, *groupSize, cfg.Units, cfg.BlocksPerUnit, opts)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
@@ -242,7 +242,7 @@ func main() {
 		len(res.Groups), time.Since(start).Round(time.Millisecond),
 		float64(time.Since(start).Milliseconds())/float64(len(res.Groups)))
 
-	_, reportsSpan := obs.Enabled().StartSpan(ctx, "reports")
+	_, reportsSpan := obs.Start(ctx, "reports", obs.CatStage)
 
 	// ---- Table I ----
 	rows := experiment.TableI(res)
@@ -318,27 +318,27 @@ func main() {
 	reportsSpan.End()
 
 	if *validate {
-		vctx, span := obs.Enabled().StartSpan(ctx, "validate")
+		vctx, span := obs.Start(ctx, "validate", obs.CatStage)
 		runValidation(vctx, cfg, *outDir)
 		span.End()
 	}
 	if *correlate {
-		cctx, span := obs.Enabled().StartSpan(ctx, "correlate")
+		cctx, span := obs.Start(ctx, "correlate", obs.CatStage)
 		runCorrelation(cctx, cfg, *outDir)
 		span.End()
 	}
 	if *granularity {
-		_, span := obs.Enabled().StartSpan(ctx, "granularity")
+		_, span := obs.Start(ctx, "granularity", obs.CatStage)
 		runGranularity(res.Programs, cfg)
 		span.End()
 	}
 	if *policy {
-		pctx, span := obs.Enabled().StartSpan(ctx, "policy")
+		pctx, span := obs.Start(ctx, "policy", obs.CatStage)
 		runPolicy(pctx, cfg)
 		span.End()
 	}
 	if *epochFlag {
-		ectx, span := obs.Enabled().StartSpan(ctx, "epoch")
+		ectx, span := obs.Start(ctx, "epoch", obs.CatStage)
 		runEpochStudy(ectx, cfg)
 		span.End()
 	}

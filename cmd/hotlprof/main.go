@@ -142,7 +142,7 @@ func main() {
 	}
 	defer finish()
 
-	_, readSpan := obs.Enabled().StartSpan(ctx, "read")
+	_, readSpan := obs.Start(ctx, "read", obs.CatStage)
 	var tr trace.Trace
 	switch {
 	case *in != "" && *wl != "":
@@ -191,14 +191,14 @@ func main() {
 	}
 	readSpan.End()
 
-	collectCtx, collectSpan := obs.Enabled().StartSpan(ctx, "collect")
+	collectCtx, collectSpan := obs.Start(ctx, "collect", obs.CatStage)
 	rp, err := reuse.CollectParallel(collectCtx, tr, *workers)
 	if err != nil {
 		fatal(err)
 	}
 	collectSpan.End()
 
-	_, writeSpan := obs.Enabled().StartSpan(ctx, "write")
+	_, writeSpan := obs.Start(ctx, "write", obs.CatStage)
 	prof := profileio.Profile{Name: *name, Rate: *rate, Reuse: rp}
 	path := *out
 	if path == "" {

@@ -8,13 +8,13 @@
 // two packages really do claim the same name, which the cross-package
 // fact check then flags.
 //
-// Checked call shapes (by name and receiver type, so fixtures can model
-// them without importing internal/obs):
+// Checked call shapes (by name and receiver/result type, so fixtures
+// can model them without importing internal/obs):
 //
 //	reg.Counter(name) / reg.Gauge(name) / reg.Histogram(name)   — receiver type named Registry
 //	reg.ChildSet(prefix, cap)                                    — receiver type named Registry
-//	child.Counter(suffix) / child.Histogram(suffix, bounds)      — receiver type named Child
-//	StartTraceSpan(ctx, name, category)                          — any package-level function of that name
+//	cs.Add(label, suffix, n) / cs.Observe(label, suffix, b, v)   — receiver type named ChildSet
+//	Start(ctx, name, cat) / StartRequest(ctx, name, cat, tc)     — package-level functions returning a Span
 //
 // The name argument must be a use of a named string constant, or
 // `constPrefix + expr` where constPrefix is a named constant ending in
@@ -30,9 +30,10 @@
 // dotted.snake without the namespace requirement, as a plain constant
 // ("queue_wait_ns") or a constant prefix + expr ("requests." + route).
 //
-// Registry.StartSpan is exempt: its stage names label manifest Stages
-// ("profile", "sweep"), a different namespace pinned by goldens. The
-// internal/obs package itself and _test.go files are exempt.
+// Spans whose category is the constant "stage" (obs.CatStage) are
+// exempt: their names label manifest Stages ("profile", "sweep"), a
+// different namespace pinned by goldens. The internal/obs package
+// itself and _test.go files are exempt.
 package obsname
 
 import (
@@ -162,44 +163,77 @@ const (
 // nameArg extracts the name argument of a checked registration call,
 // or ok=false if call is not one.
 func nameArg(pass *analysis.Pass, call *ast.CallExpr) (ast.Expr, nameKind, bool) {
+	if isSpanStart(pass, call) {
+		if len(call.Args) < 3 || isStageCategory(pass, call.Args[2]) {
+			return nil, 0, false
+		}
+		return call.Args[1], kindFull, true
+	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		// Unqualified call: a package-local StartTraceSpan helper.
-		if id, isIdent := call.Fun.(*ast.Ident); isIdent && id.Name == "StartTraceSpan" && len(call.Args) >= 2 {
-			return call.Args[1], kindFull, true
-		}
 		return nil, 0, false
+	}
+	// Receiver type names distinguish the APIs, so fixtures can model
+	// them without importing internal/obs.
+	recv := func(name string) bool {
+		tv, ok := pass.TypesInfo.Types[sel.X]
+		return ok && isNamedType(tv.Type, name)
 	}
 	switch sel.Sel.Name {
 	case "Counter", "Gauge", "Histogram":
-		if len(call.Args) < 1 {
-			return nil, 0, false
-		}
-		// Receiver type names distinguish the two APIs, so fixtures can
-		// model them without importing internal/obs.
-		tv, ok := pass.TypesInfo.Types[sel.X]
-		if !ok {
-			return nil, 0, false
-		}
-		if isNamedType(tv.Type, "Registry") {
+		if len(call.Args) >= 1 && recv("Registry") {
 			return call.Args[0], kindFull, true
 		}
-		if isNamedType(tv.Type, "Child") {
-			return call.Args[0], kindChildSuffix, true
-		}
 	case "ChildSet":
-		if len(call.Args) < 1 {
-			return nil, 0, false
-		}
-		if tv, ok := pass.TypesInfo.Types[sel.X]; ok && isNamedType(tv.Type, "Registry") {
+		if len(call.Args) >= 1 && recv("Registry") {
 			return call.Args[0], kindSetPrefix, true
 		}
-	case "StartTraceSpan":
-		if len(call.Args) >= 2 {
-			return call.Args[1], kindFull, true
+	case "Add", "Observe":
+		if len(call.Args) >= 2 && recv("ChildSet") {
+			return call.Args[1], kindChildSuffix, true
 		}
 	}
 	return nil, 0, false
+}
+
+// isSpanStart reports whether call opens a span: a package-level
+// function named Start or StartRequest whose results include a Span
+// (obs.Start and obs.StartRequest, or a fixture's model of them).
+func isSpanStart(pass *analysis.Pass, call *ast.CallExpr) bool {
+	var id *ast.Ident
+	switch fn := call.Fun.(type) {
+	case *ast.Ident:
+		id = fn
+	case *ast.SelectorExpr:
+		id = fn.Sel
+	default:
+		return false
+	}
+	if id.Name != "Start" && id.Name != "StartRequest" {
+		return false
+	}
+	fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
+	if !ok {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	if sig.Recv() != nil {
+		return false
+	}
+	for i := 0; i < sig.Results().Len(); i++ {
+		if isNamedType(sig.Results().At(i).Type(), "Span") {
+			return true
+		}
+	}
+	return false
+}
+
+// isStageCategory reports whether a span's category argument is the
+// constant "stage" — manifest stages, exempt from the span namespace.
+func isStageCategory(pass *analysis.Pass, arg ast.Expr) bool {
+	tv, ok := pass.TypesInfo.Types[arg]
+	return ok && tv.Value != nil && tv.Value.Kind() == constant.String &&
+		constant.StringVal(tv.Value) == "stage"
 }
 
 func isNamedType(t types.Type, name string) bool {
@@ -210,20 +244,29 @@ func isNamedType(t types.Type, name string) bool {
 	return ok && named.Obj().Name() == name
 }
 
-// checkName validates one name argument and records full-name constant
-// registrations for duplicate detection.
-func checkName(pass *analysis.Pass, arg ast.Expr, kind nameKind, registered map[string]registration) {
-	switch kind {
-	case kindSetPrefix:
-		checkSetPrefix(pass, arg)
-		return
-	case kindChildSuffix:
-		checkChildSuffix(pass, arg)
-		return
-	}
+// rules holds, per nameKind, what the argument is called in
+// diagnostics, the shape a plain constant must match, and whether its
+// first segment must be the package namespace (full names and set
+// prefixes) or must not repeat it (child suffixes — the set's prefix
+// already carries it, and a repeat would render
+// pkg.family.label.pkg.metric).
+var rules = [...]struct {
+	what, shape string
+	re          *regexp.Regexp
+	ownNS       bool
+}{
+	kindFull:        {"metric/span name", "package-prefixed dotted.snake", nameRE, true},
+	kindSetPrefix:   {"child-set prefix", `dotted.snake ending in "."`, prefixRE, true},
+	kindChildSuffix: {"child metric suffix", "dotted.snake", suffixRE, false},
+}
 
-	// Dynamic family: constPrefix + expr, validated on the prefix only.
-	if be, ok := arg.(*ast.BinaryExpr); ok && be.Op == token.ADD {
+// checkName validates one name argument and records full-name constant
+// registrations for duplicate detection. Full names and child suffixes
+// may also be dynamic — constPrefix + expr, validated on the prefix
+// only — while a child-set prefix is always one constant.
+func checkName(pass *analysis.Pass, arg ast.Expr, kind nameKind, registered map[string]registration) {
+	r := rules[kind]
+	if be, ok := arg.(*ast.BinaryExpr); ok && be.Op == token.ADD && kind != kindSetPrefix {
 		left := be.X
 		for {
 			inner, ok := left.(*ast.BinaryExpr)
@@ -235,32 +278,34 @@ func checkName(pass *analysis.Pass, arg ast.Expr, kind nameKind, registered map[
 		obj := constOf(pass, left)
 		if obj == nil {
 			pass.Reportf(arg.Pos(),
-				"dynamic metric name must start with a named constant prefix ending in \".\"")
+				"dynamic %s must start with a named constant prefix ending in \".\"", r.what)
 			return
 		}
 		val := constant.StringVal(obj.Val())
 		if !prefixRE.MatchString(val) {
 			pass.Reportf(arg.Pos(),
-				"metric name prefix %q must be dotted.snake ending in \".\"", val)
+				"%s prefix %q must be dotted.snake ending in \".\"", r.what, val)
 			return
 		}
-		checkPkgPrefix(pass, arg, obj, val)
+		checkNamespace(pass, arg, obj, val, r.ownNS)
 		return
 	}
 
 	obj := constOf(pass, arg)
 	if obj == nil {
 		pass.Reportf(arg.Pos(),
-			"metric/span name must be a named constant, not an inline or computed string")
+			"%s must be a named constant, not an inline or computed string", r.what)
 		return
 	}
 	val := constant.StringVal(obj.Val())
-	if !nameRE.MatchString(val) {
-		pass.Reportf(arg.Pos(),
-			"metric name %q must be package-prefixed dotted.snake (e.g. %q)", val, "pkg.some_metric")
+	if !r.re.MatchString(val) {
+		pass.Reportf(arg.Pos(), "%s %q must be %s", r.what, val, r.shape)
 		return
 	}
-	checkPkgPrefix(pass, arg, obj, val)
+	checkNamespace(pass, arg, obj, val, r.ownNS)
+	if kind != kindFull {
+		return
+	}
 
 	if prior, ok := registered[val]; ok {
 		if prior.obj != obj {
@@ -276,102 +321,23 @@ func checkName(pass *analysis.Pass, arg ast.Expr, kind nameKind, registered map[
 	}
 }
 
-// checkSetPrefix validates the family prefix handed to
-// Registry.ChildSet: a named constant, dotted.snake ending in ".",
-// carrying the defining package's namespace (the one place the child
-// set's namespace is established).
-func checkSetPrefix(pass *analysis.Pass, arg ast.Expr) {
-	obj := constOf(pass, arg)
-	if obj == nil {
-		pass.Reportf(arg.Pos(),
-			"child-set prefix must be a named constant ending in \".\", not an inline or computed string")
-		return
-	}
-	val := constant.StringVal(obj.Val())
-	if !prefixRE.MatchString(val) {
-		pass.Reportf(arg.Pos(),
-			"child-set prefix %q must be dotted.snake ending in \".\"", val)
-		return
-	}
-	checkPkgPrefix(pass, arg, obj, val)
-}
-
-// checkChildSuffix validates the per-child metric suffix: the part of
-// the series name after the runtime label. The set's prefix already
-// carries the package namespace, so the suffix must NOT repeat it —
-// otherwise it follows the same named-constant discipline, either a
-// plain constant ("queue_wait_ns") or constant-prefix + expr
-// ("requests." + route).
-func checkChildSuffix(pass *analysis.Pass, arg ast.Expr) {
-	if be, ok := arg.(*ast.BinaryExpr); ok && be.Op == token.ADD {
-		left := be.X
-		for {
-			inner, ok := left.(*ast.BinaryExpr)
-			if !ok || inner.Op != token.ADD {
-				break
-			}
-			left = inner.X
-		}
-		obj := constOf(pass, left)
-		if obj == nil {
-			pass.Reportf(arg.Pos(),
-				"dynamic child metric suffix must start with a named constant prefix ending in \".\"")
-			return
-		}
-		val := constant.StringVal(obj.Val())
-		if !prefixRE.MatchString(val) {
-			pass.Reportf(arg.Pos(),
-				"child metric suffix prefix %q must be dotted.snake ending in \".\"", val)
-			return
-		}
-		checkNoPkgPrefix(pass, arg, obj, val)
-		return
-	}
-
-	obj := constOf(pass, arg)
-	if obj == nil {
-		pass.Reportf(arg.Pos(),
-			"child metric suffix must be a named constant, not an inline or computed string")
-		return
-	}
-	val := constant.StringVal(obj.Val())
-	if !suffixRE.MatchString(val) {
-		pass.Reportf(arg.Pos(),
-			"child metric suffix %q must be dotted.snake", val)
-		return
-	}
-	checkNoPkgPrefix(pass, arg, obj, val)
-}
-
-// checkNoPkgPrefix is the dual of checkPkgPrefix: a child suffix that
-// repeats the package namespace would render doubled series names
-// (pkg.family.label.pkg.metric), so the first segment must differ from
-// the defining package's name.
-func checkNoPkgPrefix(pass *analysis.Pass, arg ast.Expr, obj *types.Const, val string) {
+// checkNamespace requires the name's first segment to be the defining
+// package's name (own), so every package owns a distinct namespace — or,
+// for a child suffix, requires that it is not.
+func checkNamespace(pass *analysis.Pass, arg ast.Expr, obj *types.Const, val string, own bool) {
 	pkg := obj.Pkg()
 	if pkg == nil {
 		pkg = pass.Pkg
 	}
-	have := pathBase(pkg.Path())
+	ns := pathBase(pkg.Path())
 	seg, _, _ := strings.Cut(val, ".")
-	if seg == have {
+	switch {
+	case own && seg != ns:
 		pass.Reportf(arg.Pos(),
-			"child metric suffix %q must not repeat the package namespace %q — the child set's prefix already carries it", val, have+".")
-	}
-}
-
-// checkPkgPrefix requires the name's first segment to be the defining
-// package's name, so every package owns a distinct namespace.
-func checkPkgPrefix(pass *analysis.Pass, arg ast.Expr, obj *types.Const, val string) {
-	pkg := obj.Pkg()
-	if pkg == nil {
-		pkg = pass.Pkg
-	}
-	want := pathBase(pkg.Path())
-	seg, _, _ := strings.Cut(val, ".")
-	if seg != want {
+			"metric name %q must be prefixed with its package's namespace %q", val, ns+".")
+	case !own && seg == ns:
 		pass.Reportf(arg.Pos(),
-			"metric name %q must be prefixed with its package's namespace %q", val, want+".")
+			"child metric suffix %q must not repeat the package namespace %q — the child set's prefix already carries it", val, ns+".")
 	}
 }
 

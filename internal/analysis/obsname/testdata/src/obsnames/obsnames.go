@@ -1,7 +1,7 @@
 // Fixture: metric/span names must be package-prefixed dotted.snake
-// named constants registered once. The Registry type and StartTraceSpan
-// function model internal/obs's surface by shape (the source importer
-// cannot load other fixture packages). The inline-literal and legacy
+// named constants registered once. The Registry and ChildSet types and
+// the Start/StartRequest span constructors model internal/obs's surface
+// by shape (the source importer cannot load other fixture packages). The inline-literal and legacy
 // underscore cases reproduce real pre-PR8 violations: internal/service
 // passed "service.plan.requests" inline, and internal/partition used
 // undotted names like "partition_solves_total".
@@ -17,19 +17,27 @@ func (r *Registry) Counter(name string) *Metric   { return nil }
 func (r *Registry) Gauge(name string) *Metric     { return nil }
 func (r *Registry) Histogram(name string) *Metric { return nil }
 
-// ChildSet/Child model the bounded per-label family API: the set's
-// prefix carries the package namespace, each child completes series as
+// ChildSet models the bounded per-label family API: the set's prefix
+// carries the package namespace, each update completes a series as
 // prefix + label + "." + suffix.
 type ChildSet struct{}
 
-type Child struct{}
+func (r *Registry) ChildSet(prefix string, capacity int) *ChildSet         { return nil }
+func (cs *ChildSet) Add(label, suffix string, n int64)                     {}
+func (cs *ChildSet) Observe(label, suffix string, bounds []int64, v int64) {}
 
-func (r *Registry) ChildSet(prefix string, capacity int) *ChildSet { return nil }
-func (cs *ChildSet) Child(label string) *Child                     { return nil }
-func (c *Child) Counter(suffix string) *Metric                     { return nil }
-func (c *Child) Histogram(suffix string, bounds []int64) *Metric   { return nil }
+// Span, Start, and StartRequest model the one span entry point; spans
+// in the "stage" category name manifest stages and are exempt.
+type Span struct{}
 
-func StartTraceSpan(ctx context.Context, name, category string) func() { return func() {} }
+type TraceContext struct{}
+
+const CatStage = "stage"
+
+func Start(ctx context.Context, name, cat string) (context.Context, *Span) { return ctx, nil }
+func StartRequest(ctx context.Context, name, cat string, tc TraceContext) (context.Context, *Span) {
+	return ctx, nil
+}
 
 const (
 	mSolves     = "obsnames.solves"
@@ -40,6 +48,7 @@ const (
 	mHTTPPrefix = "obsnames.http.errors."
 	mBadPrefix  = "obsnames.http_errors" // prefix must end in "."
 	sSpan       = "obsnames.profile"
+	sReq        = "obsnames.req"
 
 	// Child-set constants: the set prefix is package-prefixed; the
 	// per-child suffixes deliberately are not (the prefix carries the
@@ -71,21 +80,23 @@ func Good(ctx context.Context, code string) {
 	reg.Counter(mSolves)
 	reg.Counter(mSolves) // same constant again: one registration, fine
 	reg.Histogram(mHTTPPrefix + code)
-	done := StartTraceSpan(ctx, sSpan, "pipeline")
-	done()
+	ctx, _ = StartRequest(ctx, sReq, "pipeline", TraceContext{})
+	Start(ctx, sSpan, "pipeline")
+	Start(ctx, "profile", CatStage) // manifest stage: exempt by category
+	Start(ctx, "sweep", "stage")
 }
 
 func GoodChildren(label, route string) {
-	child := reg.ChildSet(mTenantPrefix, 64).Child(label)
-	child.Counter(suffixRequests)
-	child.Counter(suffixReqPrefix + route) // dynamic suffix: const prefix + expr
-	child.Histogram(suffixLatency, nil)
+	cs := reg.ChildSet(mTenantPrefix, 64)
+	cs.Add(label, suffixRequests, 1)
+	cs.Add(label, suffixReqPrefix+route, 1) // dynamic suffix: const prefix + expr
+	cs.Observe(label, suffixLatency, nil, 1)
 }
 
 func GoodPlanLifecycle(tenant string) {
 	reg.Gauge(mPlanEpoch)
 	reg.Counter(mPlanUnitsMoved)
-	reg.ChildSet(mPlanDeltaPrefix, 64).Child(tenant).Counter(suffixDeltaUnits)
+	reg.ChildSet(mPlanDeltaPrefix, 64).Add(tenant, suffixDeltaUnits, 1)
 }
 
 func BadPlanLifecycle(tenant string) {
@@ -95,25 +106,27 @@ func BadPlanLifecycle(tenant string) {
 }
 
 func Bad(ctx context.Context, code string) {
-	reg.Counter("obsnames.plan.requests")        // want `named constant`
-	reg.Gauge(mBadCase)                          // want `dotted.snake`
-	reg.Counter(mLegacy)                         // want `dotted.snake`
-	reg.Histogram(mOtherNS)                      // want `namespace`
-	reg.Counter(mSolvesDup)                      // want `use one constant`
-	reg.Counter(mBadPrefix + code)               // want `ending in`
-	StartTraceSpan(ctx, "obsnames.span", "line") // want `named constant`
+	reg.Counter("obsnames.plan.requests")                     // want `named constant`
+	reg.Gauge(mBadCase)                                       // want `dotted.snake`
+	reg.Counter(mLegacy)                                      // want `dotted.snake`
+	reg.Histogram(mOtherNS)                                   // want `namespace`
+	reg.Counter(mSolvesDup)                                   // want `use one constant`
+	reg.Counter(mBadPrefix + code)                            // want `ending in`
+	Start(ctx, "obsnames.span", "line")                       // want `named constant`
+	StartRequest(ctx, "obsnames.req", "line", TraceContext{}) // want `named constant`
+	Start(ctx, mOtherNS, "line")                              // want `namespace`
 }
 
 func BadChildren(label, route string) {
 	reg.ChildSet("obsnames.tenant.", 64) // want `named constant`
 	reg.ChildSet(mBadPrefix, 64)         // want `ending in`
 	reg.ChildSet(mTenantOtherNS, 64)     // want `namespace`
-	child := reg.ChildSet(mTenantPrefix, 64).Child(label)
-	child.Counter("requests")              // want `named constant`
-	child.Counter(suffixBadCase)           // want `dotted.snake`
-	child.Counter(suffixBadPrefix + route) // want `ending in`
-	child.Counter(suffixPkgDoubled)        // want `must not repeat the package namespace`
-	child.Histogram(suffixBadCase, nil)    // want `dotted.snake`
+	cs := reg.ChildSet(mTenantPrefix, 64)
+	cs.Add(label, "requests", 1)             // want `named constant`
+	cs.Add(label, suffixBadCase, 1)          // want `dotted.snake`
+	cs.Add(label, suffixBadPrefix+route, 1)  // want `ending in`
+	cs.Add(label, suffixPkgDoubled, 1)       // want `must not repeat the package namespace`
+	cs.Observe(label, suffixBadCase, nil, 1) // want `dotted.snake`
 }
 
 // Suppressed carries a name through a parameter — not provable as a

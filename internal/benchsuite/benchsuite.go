@@ -171,10 +171,11 @@ const spanBenchPlan = "benchsuite.plan_request"
 // ServicePlanBench returns the daemon's plan-request benchmark —
 // admission, curve gather, and the cancellable DP. With traced=true
 // each iteration additionally carries the request-telemetry envelope
-// the HTTP middleware applies: a fresh W3C trace context, a stage
-// collector, a root span, and one flight-recorder entry. Run it under
-// both global telemetry states to measure the observability tax on the
-// full request path (the ObsOverheadService gate in cmd/benchsnap).
+// the HTTP middleware applies: a fresh W3C trace context and the same
+// obs.StartRequest root, whose End files one flight-recorder entry.
+// Run it under both global telemetry states to measure the
+// observability tax on the full request path (the ObsOverheadService
+// gate in cmd/benchsnap).
 func (s *Suite) ServicePlanBench(traced bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		base := context.Background()
@@ -186,21 +187,14 @@ func (s *Suite) ServicePlanBench(traced bool) func(b *testing.B) {
 				continue
 			}
 			tc, _ := obs.EnsureTraceContext("")
-			ctx := obs.WithTraceContext(base, tc)
-			ctx, stages := obs.WithReqStages(ctx)
-			ctx, root := obs.StartTraceSpan(ctx, spanBenchPlan, "benchsuite")
+			ctx, root := obs.StartRequest(base, spanBenchPlan, "benchsuite", tc)
+			root.SetRoute("", "plan_bench")
 			_, err := s.svc.PlanFor(ctx, s.tenants, 1024)
-			root.End()
+			root.SetStatus(200)
+			root.End() // files the flight record, as the middleware's root does
 			if err != nil {
 				b.Fatal(err)
 			}
-			fr := obs.ActiveFlightRecorder()
-			fr.Record(obs.RequestRecord{
-				Route:   "plan_bench",
-				Status:  200,
-				TraceID: tc.TraceIDString(),
-				Stages:  stages.Stages(),
-			})
 		}
 	}
 }

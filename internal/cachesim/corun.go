@@ -25,8 +25,8 @@ const (
 // take no context (they are pure CPU loops called from study helpers),
 // so their spans are parentless — they still land on the caller
 // goroutine's default lane and show where co-run simulation time goes.
-func simSpan(name string) *obs.TraceSpan {
-	_, ts := obs.StartTraceSpan(context.Background(), name, "sim") //vetkit:ignore(obsname): name is forwarded verbatim from the span constants above
+func simSpan(name string) *obs.Span {
+	_, ts := obs.Start(context.Background(), name, "sim") //vetkit:ignore(obsname): name is forwarded verbatim from the span constants above
 	return ts
 }
 

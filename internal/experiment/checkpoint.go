@@ -94,7 +94,7 @@ func (c *Checkpoint) validate() error {
 func ReadCheckpoint(path string) (*Checkpoint, error) {
 	// A root span: loads happen at command startup, before any stage
 	// context exists.
-	_, ts := obs.StartTraceSpan(context.Background(), spanCheckpointLoad, "checkpoint")
+	_, ts := obs.Start(context.Background(), spanCheckpointLoad, "checkpoint")
 	defer ts.End()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -220,7 +220,7 @@ func (c *checkpointer) run() {
 // lexicographic group order, which makes checkpoint bytes deterministic
 // for a given completion set.
 func (c *checkpointer) flush() error {
-	_, ts := obs.StartTraceSpan(c.ctx, spanCheckpointFlush, "checkpoint")
+	_, ts := obs.Start(c.ctx, spanCheckpointFlush, "checkpoint")
 	defer ts.End()
 	snap := &Checkpoint{
 		Version:       CheckpointVersion,

@@ -237,8 +237,8 @@ func evaluateGroup(ctx context.Context, progs []workload.Program, members []int,
 
 	// solveSpan traces one scheme's DP solve; a nil tracer makes this an
 	// atomic load per scheme, nothing more.
-	solveSpan := func(s Scheme) *obs.TraceSpan {
-		_, ts := obs.StartTraceSpan(ctx, spanDPSolve, "dp")
+	solveSpan := func(s Scheme) *obs.Span {
+		_, ts := obs.Start(ctx, spanDPSolve, "dp")
 		return ts.Arg("scheme", int64(s))
 	}
 
@@ -476,7 +476,7 @@ func Run(ctx context.Context, progs []workload.Program, groupSize, units int, bl
 				if reg != nil {
 					start = time.Now()
 				}
-				gctx, gspan := obs.StartTraceSpan(laneCtx, spanGroup, "sweep")
+				gctx, gspan := obs.Start(laneCtx, spanGroup, "sweep")
 				gr, err := evaluateGroupSafe(gctx, progs, groups[g], units, blocksPerUnit, costTab, opts.Solver)
 				gspan.Arg("group", int64(g)).End()
 				if reg != nil {

@@ -31,9 +31,12 @@ const maxLabelLen = 48
 
 // A ChildSet is a bounded family of per-label children under one name
 // prefix (which must end in "."; the obsname analyzer enforces that the
-// prefix is a named constant). Obtain via Registry.ChildSet; all
+// prefix is a named constant). Obtain via Registry.ChildSet. Every
+// update goes through the set — Add and Observe name the label and the
+// series suffix — and runs under the set's one lock, so an eviction
+// can never race an update into a child it has already absorbed. All
 // methods are safe for concurrent use and nil-safe end to end, so
-// instrumentation chains reg.ChildSet(p, n).Child(l).Counter(s).Inc()
+// instrumentation chains reg.ChildSet(p, n).Add(label, suffix, 1)
 // without guarding.
 type ChildSet struct {
 	prefix string
@@ -42,28 +45,27 @@ type ChildSet struct {
 	mu       sync.Mutex
 	children map[string]*childEntry
 	lru      *list.List // Front = most recently used; values are labels
-	other    *Child
+	other    *child
 	evicted  int64 // labels absorbed into the overflow child
 }
 
 // childEntry pairs a child with its LRU element so a map hit refreshes
 // recency in O(1).
 type childEntry struct {
-	child *Child
+	child *child
 	elem  *list.Element
 }
 
-// A Child is one label's metric family: counters and histograms whose
-// full names are prefix + label + "." + suffix. A nil Child (from a nil
-// set) hands out nil no-op handles.
-type Child struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
+// A child is one label's metric family: counters and histograms whose
+// full names are prefix + label + "." + suffix. Guarded by its set's
+// lock.
+type child struct {
+	counters map[string]int64
 	hists    map[string]*Histogram
 }
 
-func newChild() *Child {
-	return &Child{counters: make(map[string]*Counter), hists: make(map[string]*Histogram)}
+func newChild() *child {
+	return &child{counters: make(map[string]int64), hists: make(map[string]*Histogram)}
 }
 
 // ChildSet returns the child set registered under prefix, creating it
@@ -93,18 +95,36 @@ func (r *Registry) ChildSet(prefix string, capacity int) *ChildSet {
 	return cs
 }
 
-// Child returns the metric family for label, creating it on first use.
-// The label is sanitized into a metric-name segment. When the set is at
-// capacity, the least-recently-used label is absorbed into the overflow
-// child to make room, so the live index never exceeds cap entries; the
-// reserved OverflowLabel addresses the overflow child directly.
-func (cs *ChildSet) Child(label string) *Child {
+// Add increments label's counter for suffix by n.
+func (cs *ChildSet) Add(label, suffix string, n int64) {
 	if cs == nil {
-		return nil
+		return
 	}
 	label = sanitizeLabel(label)
 	cs.mu.Lock()
-	defer cs.mu.Unlock()
+	cs.childLocked(label).counters[suffix] += n
+	cs.mu.Unlock()
+}
+
+// Observe records v into label's histogram for suffix, created on first
+// use with the given bounds (later calls reuse the first creation's
+// bounds).
+func (cs *ChildSet) Observe(label, suffix string, bounds []int64, v int64) {
+	if cs == nil {
+		return
+	}
+	label = sanitizeLabel(label)
+	cs.mu.Lock()
+	cs.childLocked(label).histogram(suffix, bounds).Observe(v)
+	cs.mu.Unlock()
+}
+
+// childLocked returns the metric family for a sanitized label, creating
+// it on first use. When the set is at capacity, the least-recently-used
+// label is absorbed into the overflow child to make room, so the live
+// index never exceeds cap entries; the reserved OverflowLabel addresses
+// the overflow child directly. Callers hold cs.mu.
+func (cs *ChildSet) childLocked(label string) *child {
 	if label == OverflowLabel {
 		return cs.other
 	}
@@ -136,31 +156,7 @@ func (cs *ChildSet) Labels() (live int, evicted int64) {
 	return len(cs.children), cs.evicted
 }
 
-// Counter returns the child's counter for suffix, creating it on first
-// use. Nil-safe.
-func (c *Child) Counter(suffix string) *Counter {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ctr := c.counters[suffix]
-	if ctr == nil {
-		ctr = &Counter{}
-		c.counters[suffix] = ctr
-	}
-	return ctr
-}
-
-// Histogram returns the child's histogram for suffix, creating it on
-// first use with the given bounds (later calls reuse the first
-// creation's bounds). Nil-safe.
-func (c *Child) Histogram(suffix string, bounds []int64) *Histogram {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *child) histogram(suffix string, bounds []int64) *Histogram {
 	h := c.hists[suffix]
 	if h == nil {
 		h = newHistogram(bounds)
@@ -172,25 +168,13 @@ func (c *Child) Histogram(suffix string, bounds []int64) *Histogram {
 // absorb folds src's counts into c — the eviction path. Histograms
 // merge bucket-by-bucket when the bounds agree (they always do for one
 // suffix created through one call site); on a mismatch the counts fold
-// into the receiver's +Inf bucket rather than being dropped. src's
-// state is copied out under its lock before the receiver's handles are
-// touched, so two Child locks are never held at once.
-func (c *Child) absorb(src *Child) {
-	src.mu.Lock()
-	counters := make(map[string]int64, len(src.counters))
-	for sfx, ctr := range src.counters {
-		counters[sfx] = ctr.Value()
+// into the receiver's +Inf bucket rather than being dropped.
+func (c *child) absorb(src *child) {
+	for sfx, v := range src.counters {
+		c.counters[sfx] += v
 	}
-	hists := make(map[string]*Histogram, len(src.hists))
 	for sfx, h := range src.hists {
-		hists[sfx] = h
-	}
-	src.mu.Unlock()
-	for sfx, v := range counters {
-		c.Counter(sfx).Add(v)
-	}
-	for sfx, h := range hists {
-		c.Histogram(sfx, h.bounds).merge(h)
+		c.histogram(sfx, h.bounds).merge(h)
 	}
 }
 
@@ -201,12 +185,10 @@ func (c *Child) absorb(src *Child) {
 func (cs *ChildSet) snapshotInto(snap *Snapshot) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	fold := func(label string, c *Child) {
-		c.mu.Lock()
-		defer c.mu.Unlock()
+	fold := func(label string, c *child) {
 		base := cs.prefix + label + "."
-		for sfx, ctr := range c.counters {
-			snap.Counters[base+sfx] = ctr.Value()
+		for sfx, v := range c.counters {
+			snap.Counters[base+sfx] = v
 		}
 		for sfx, h := range c.hists {
 			snap.Histograms[base+sfx] = h.summary()

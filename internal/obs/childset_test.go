@@ -10,9 +10,9 @@ import (
 func TestChildSetBasic(t *testing.T) {
 	reg := NewRegistry()
 	cs := reg.ChildSet("svc.tenant.", 4)
-	cs.Child("acme").Counter("requests").Inc()
-	cs.Child("acme").Counter("requests").Inc()
-	cs.Child("beta").Counter("requests").Inc()
+	cs.Add("acme", "requests", 1)
+	cs.Add("acme", "requests", 1)
+	cs.Add("beta", "requests", 1)
 
 	snap := reg.Snapshot()
 	if got := snap.Counters["svc.tenant.acme.requests"]; got != 2 {
@@ -43,7 +43,7 @@ func TestChildSetFloodStaysCapped(t *testing.T) {
 	reg := NewRegistry()
 	cs := reg.ChildSet("svc.tenant.", capN)
 	for i := 0; i < flood; i++ {
-		cs.Child(fmt.Sprintf("tenant%05d", i)).Counter("requests").Inc()
+		cs.Add(fmt.Sprintf("tenant%05d", i), "requests", 1)
 	}
 	live, evicted := cs.Labels()
 	if live > capN {
@@ -80,10 +80,10 @@ func TestChildSetFloodStaysCapped(t *testing.T) {
 func TestChildSetLRURecency(t *testing.T) {
 	reg := NewRegistry()
 	cs := reg.ChildSet("svc.tenant.", 2)
-	cs.Child("a").Counter("requests").Inc()
-	cs.Child("b").Counter("requests").Inc()
-	cs.Child("a").Counter("requests").Inc() // refresh a; b is now LRU
-	cs.Child("c").Counter("requests").Inc() // evicts b
+	cs.Add("a", "requests", 1)
+	cs.Add("b", "requests", 1)
+	cs.Add("a", "requests", 1) // refresh a; b is now LRU
+	cs.Add("c", "requests", 1) // evicts b
 
 	snap := reg.Snapshot()
 	if _, ok := snap.Counters["svc.tenant.b.requests"]; ok {
@@ -101,9 +101,9 @@ func TestChildSetHistogramAbsorb(t *testing.T) {
 	reg := NewRegistry()
 	cs := reg.ChildSet("svc.tenant.", 1)
 	bounds := []int64{10, 100}
-	cs.Child("a").Histogram("latency_ns", bounds).Observe(5)
-	cs.Child("a").Histogram("latency_ns", bounds).Observe(50)
-	cs.Child("b").Histogram("latency_ns", bounds).Observe(500) // evicts a
+	cs.Observe("a", "latency_ns", bounds, 5)
+	cs.Observe("a", "latency_ns", bounds, 50)
+	cs.Observe("b", "latency_ns", bounds, 500) // evicts a
 
 	snap := reg.Snapshot()
 	oh := snap.Histograms["svc.tenant.other.latency_ns"]
@@ -119,13 +119,13 @@ func TestChildSetHistogramAbsorb(t *testing.T) {
 func TestChildSetSanitizeAndOverflowLabel(t *testing.T) {
 	reg := NewRegistry()
 	cs := reg.ChildSet("svc.tenant.", 8)
-	cs.Child("Team/Alpha!").Counter("requests").Inc()
-	cs.Child("").Counter("requests").Inc()
-	cs.Child(strings.Repeat("x", 500)).Counter("requests").Inc()
+	cs.Add("Team/Alpha!", "requests", 1)
+	cs.Add("", "requests", 1)
+	cs.Add(strings.Repeat("x", 500), "requests", 1)
 	// The reserved label addresses the overflow child directly and never
 	// occupies a live slot.
-	cs.Child(OverflowLabel).Counter("requests").Inc()
-	cs.Child("OTHER").Counter("requests").Inc() // sanitizes to the reserved label
+	cs.Add(OverflowLabel, "requests", 1)
+	cs.Add("OTHER", "requests", 1) // sanitizes to the reserved label
 
 	snap := reg.Snapshot()
 	if got := snap.Counters["svc.tenant.team_alpha_.requests"]; got != 1 {
@@ -152,15 +152,12 @@ func TestChildSetNilSafety(t *testing.T) {
 	if cs != nil {
 		t.Fatal("nil registry must hand out a nil set")
 	}
-	// The full chain must be callable without guards.
-	cs.Child("a").Counter("requests").Inc()
-	cs.Child("a").Histogram("latency_ns", DurationBuckets()).Observe(1)
+	// Every update must be callable without guards.
+	cs.Add("a", "requests", 1)
+	cs.Observe("a", "latency_ns", DurationBuckets(), 1)
 	if live, evicted := cs.Labels(); live != 0 || evicted != 0 {
 		t.Fatal("nil set reported labels")
 	}
-	var c *Child
-	c.Counter("x").Inc()
-	c.Histogram("y", nil).Observe(1)
 }
 
 func TestChildSetConcurrent(t *testing.T) {
@@ -176,7 +173,7 @@ func TestChildSetConcurrent(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				// 32 distinct labels across 8 live slots forces constant
 				// eviction under contention.
-				cs.Child(fmt.Sprintf("t%d", (g*perG+i)%32)).Counter("requests").Inc()
+				cs.Add(fmt.Sprintf("t%d", (g*perG+i)%32), "requests", 1)
 			}
 		}(g)
 	}

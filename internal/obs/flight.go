@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,16 +12,20 @@ import (
 // — which request, which tenant, which trace ID, where the time went
 // stage by stage — without any external tracing backend. It serves at
 // /debug/requests on both the daemon's API listener and the -debug-addr
-// server. Like the registry, tracer, and sampler, it is process-global
-// behind an Enable/Active pair and nil-safe end to end.
+// server. Records come from the span model (span.go): a request root
+// started by StartRequest owns its in-progress RequestRecord, each
+// direct child span appends its stage timing on End, and the root's End
+// files the finished record here. Like the registry, tracer, and
+// sampler, the recorder is process-global behind an Enable/Active pair
+// and nil-safe end to end.
 
 // DefaultFlightCap is the per-ring capacity when a caller passes a
 // non-positive one. Three rings × 64 records × ~300 B is well under
 // 100 KiB — always-on territory.
 const DefaultFlightCap = 64
 
-// A StageTiming is one named request stage and the time it consumed,
-// as recorded by the per-request stage collector (WithReqStages).
+// A StageTiming is one named request stage and the time it consumed:
+// the End of a span started directly under a request root (span.go).
 type StageTiming struct {
 	Name  string `json:"name"`
 	DurNS int64  `json:"dur_ns"`
@@ -77,7 +80,7 @@ func (r *recordRing) ordered() []RequestRecord {
 // usable; call NewFlightRecorder. All methods are safe for concurrent
 // use and no-ops on a nil receiver.
 type FlightRecorder struct {
-	start time.Time
+	start time.Time // zero point of record StartNS offsets
 
 	mu      sync.Mutex
 	recent  recordRing
@@ -100,15 +103,6 @@ func NewFlightRecorder(capN int) *FlightRecorder {
 		errored: recordRing{buf: make([]RequestRecord, capN)},
 		cap:     capN,
 	}
-}
-
-// Start returns the recorder's epoch, the zero point of record
-// StartNS offsets (the zero time on nil).
-func (fr *FlightRecorder) Start() time.Time {
-	if fr == nil {
-		return time.Time{}
-	}
-	return fr.start
 }
 
 // Record files one completed request into the recent ring, the errored
@@ -178,55 +172,3 @@ func EnableFlightRecorder(fr *FlightRecorder) { activeFlight.Store(fr) }
 
 // ActiveFlightRecorder returns the process-global recorder, or nil.
 func ActiveFlightRecorder() *FlightRecorder { return activeFlight.Load() }
-
-// ReqStages is a per-request stage-timing collector, threaded through
-// context so instrumented layers (admission, solve, store) report where
-// a request's time went without any global state. A nil collector is a
-// no-op, so instrumentation never branches on whether a request is
-// being recorded.
-type ReqStages struct {
-	mu     sync.Mutex
-	stages []StageTiming
-}
-
-type reqStagesKey struct{}
-
-// WithReqStages attaches a fresh stage collector to ctx and returns
-// both. A nil ctx starts from context.Background.
-func WithReqStages(ctx context.Context) (context.Context, *ReqStages) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rs := &ReqStages{}
-	return context.WithValue(ctx, reqStagesKey{}, rs), rs
-}
-
-// ReqStagesFrom returns the collector carried by ctx, or nil.
-func ReqStagesFrom(ctx context.Context) *ReqStages {
-	if ctx == nil {
-		return nil
-	}
-	rs, _ := ctx.Value(reqStagesKey{}).(*ReqStages)
-	return rs
-}
-
-// Add records one completed stage. Nil-safe and concurrent-safe (a
-// request's stages may end on different goroutines).
-func (rs *ReqStages) Add(name string, d time.Duration) {
-	if rs == nil {
-		return
-	}
-	rs.mu.Lock()
-	rs.stages = append(rs.stages, StageTiming{Name: name, DurNS: d.Nanoseconds()})
-	rs.mu.Unlock()
-}
-
-// Stages returns the recorded stages in completion order (a copy).
-func (rs *ReqStages) Stages() []StageTiming {
-	if rs == nil {
-		return nil
-	}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return append([]StageTiming(nil), rs.stages...)
-}

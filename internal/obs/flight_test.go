@@ -1,10 +1,11 @@
 package obs
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestFlightRecorderRings(t *testing.T) {
@@ -74,9 +75,6 @@ func TestFlightRecorderNilAndGlobal(t *testing.T) {
 	if snap := fr.Snapshot(); snap.Total != 0 {
 		t.Fatal("nil recorder reported records")
 	}
-	if !fr.Start().IsZero() {
-		t.Fatal("nil recorder reported a start time")
-	}
 
 	prev := ActiveFlightRecorder()
 	defer EnableFlightRecorder(prev)
@@ -115,24 +113,60 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	}
 }
 
-func TestReqStages(t *testing.T) {
-	ctx, rs := WithReqStages(nil)
-	if ReqStagesFrom(ctx) != rs {
-		t.Fatal("collector not retrievable from context")
+// A request root owns its flight record: direct children append their
+// stage timings in completion order, grandchildren do not, and the
+// root's End files the record into the active recorder. Outside a
+// request every entry point is inert, so instrumentation never branches.
+func TestRequestSpanStages(t *testing.T) {
+	prev := ActiveFlightRecorder()
+	defer EnableFlightRecorder(prev)
+	fr := NewFlightRecorder(0)
+	EnableFlightRecorder(fr)
+
+	tc := NewTraceContext()
+	ctx, root := StartRequest(nil, "obs.req", "test", tc)
+	actx, admission := Start(ctx, "admission", "test")
+	_, queue := Start(actx, "queue", "test") // grandchild: not a stage
+	queue.End()
+	if RequestFrom(actx) != root || TraceIDFrom(actx) != tc.TraceIDString() {
+		t.Fatal("request root not retrievable under a child span")
 	}
-	if ReqStagesFrom(nil) != nil {
-		t.Fatal("nil context produced a collector")
+	admission.End()
+	_, solve := Start(WithTraceLane(ctx, 3), "solve", "test")
+	solve.End()
+	RequestFrom(actx).SetTenant("acme")
+	root.SetRoute("POST", "plan")
+	root.SetOutcome("admitted")
+	root.SetEpoch(7)
+	root.SetCode("deadline")
+	root.SetStatus(504)
+	root.End()
+
+	snap := fr.Snapshot()
+	if snap.Total != 1 || len(snap.Errored) != 1 {
+		t.Fatalf("filed %d records (%d errored), want 1/1", snap.Total, len(snap.Errored))
 	}
-	rs.Add("admission", 5*time.Millisecond)
-	rs.Add("solve", 7*time.Millisecond)
-	got := rs.Stages()
-	if len(got) != 2 || got[0].Name != "admission" || got[1].DurNS != (7*time.Millisecond).Nanoseconds() {
-		t.Fatalf("stages = %+v", got)
+	got := snap.Recent[0]
+	want := RequestRecord{Method: "POST", Route: "plan", Tenant: "acme", Status: 504, Code: "deadline",
+		Outcome: "admitted", TraceID: tc.TraceIDString(), Epoch: 7, StartNS: got.StartNS, DurNS: got.DurNS}
+	if got.DurNS <= 0 || len(got.Stages) != 2 || got.Stages[0].Name != "admission" || got.Stages[1].Name != "solve" {
+		t.Fatalf("record timing/stages = %d ns %+v, want [admission solve]", got.DurNS, got.Stages)
 	}
-	// Nil collector: the instrumented path never branches.
-	var nilRS *ReqStages
-	nilRS.Add("x", time.Second)
-	if nilRS.Stages() != nil {
-		t.Fatal("nil collector returned stages")
+	if got.Stages = nil; !reflect.DeepEqual(got, want) {
+		t.Fatalf("record = %+v, want %+v", got, want)
+	}
+
+	// Outside a request: no root, no trace ID, inert setters, no span.
+	if RequestFrom(nil) != nil || TraceIDFrom(context.Background()) != "" {
+		t.Fatal("request lookup outside a request is not empty")
+	}
+	var nilSpan *Span
+	nilSpan.SetTenant("x")
+	nilSpan.End()
+	if rec := nilSpan.Record(); rec.Status != 0 || rec.Stages != nil {
+		t.Fatal("nil span returned a record")
+	}
+	if _, plain := Start(context.Background(), "plain", "test"); plain != nil || fr.Snapshot().Total != 1 {
+		t.Fatal("a span with no sink was allocated or filed")
 	}
 }

@@ -26,10 +26,13 @@ func fixedManifest() *Manifest {
 	for i := 0; i < 1820; i++ {
 		h.Observe(int64(i%7) * 1_000_000)
 	}
+	prev := Enabled()
+	Enable(reg)
 	for _, stage := range []string{"profile", "sweep", "reports"} {
-		_, s := reg.StartSpan(context.Background(), stage)
+		_, s := Start(context.Background(), stage, CatStage)
 		s.End()
 	}
+	Enable(prev)
 
 	b := NewManifest("experiments", map[string]any{
 		"small":     true,

@@ -94,9 +94,9 @@ func TestNilSafety(t *testing.T) {
 	reg.Gauge("g").Set(1)
 	reg.Gauge("g").Add(-1)
 	reg.Histogram("h", DurationBuckets()).Observe(7)
-	_, sp := reg.StartSpan(context.Background(), "stage")
+	_, sp := Start(context.Background(), "stage", CatStage) // registry disabled: no sink
 	sp.End()
-	_, sp = reg.StartSpan(nil, "stage")
+	_, sp = Start(nil, "stage", CatStage)
 	sp.End()
 	if got := reg.Counter("c").Value(); got != 0 {
 		t.Errorf("nil counter value = %d, want 0", got)
@@ -137,9 +137,11 @@ func TestEnableDisable(t *testing.T) {
 // Spans record in completion order and measure non-negative durations.
 func TestSpans(t *testing.T) {
 	reg := NewRegistry()
-	_, s1 := reg.StartSpan(context.Background(), "profile")
+	Enable(reg)
+	defer Enable(nil)
+	_, s1 := Start(context.Background(), "profile", CatStage)
 	s1.End()
-	_, s2 := reg.StartSpan(context.Background(), "sweep")
+	_, s2 := Start(context.Background(), "sweep", CatStage)
 	s2.End()
 	spans := reg.Snapshot().Spans
 	if len(spans) != 2 || spans[0].Name != "profile" || spans[1].Name != "sweep" {

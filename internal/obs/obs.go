@@ -26,6 +26,10 @@
 //     per-stage wall/CPU time, counters, histogram summaries, sampled
 //     time-series reductions — written atomically so a crash never
 //     leaves a torn manifest.
+//   - Span (span.go): the one span model. Start opens a span and
+//     StartRequest a served request's root; End measures once and feeds
+//     every sink that applies — the tracer, the request's flight record,
+//     and the manifest's stages.
 //   - Tracer (tracer.go): hierarchical trace events — fine-grained
 //     parent/child spans with goroutine lanes, exported as Chrome
 //     trace_event JSON (-trace-events) for Perfetto. EnableTracer

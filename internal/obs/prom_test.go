@@ -23,8 +23,8 @@ func promFixture() *Registry {
 	h.Observe(5_500)
 	h.Observe(2_000_000) // +Inf bucket
 	cs := reg.ChildSet("service.tenant.", 4)
-	cs.Child("acme").Counter("requests.plan").Add(9)
-	cs.Child("acme").Counter("errors.5xx").Add(1)
+	cs.Add("acme", "requests.plan", 9)
+	cs.Add("acme", "errors.5xx", 1)
 	return reg
 }
 

@@ -128,7 +128,7 @@ func TestSamplerNil(t *testing.T) {
 func TestSamplerHistoryIncludesChildSeries(t *testing.T) {
 	reg := NewRegistry()
 	cs := reg.ChildSet("svc.tenant.", 4)
-	cs.Child("acme").Counter("requests").Add(5)
+	cs.Add("acme", "requests", 5)
 	s := StartSampler(context.Background(), reg, time.Millisecond, 16)
 	deadline := time.Now().Add(5 * time.Second)
 	for len(s.History()) == 0 && time.Now().Before(deadline) {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -149,37 +148,4 @@ func EnsureTraceContext(header string) (tc TraceContext, fresh bool) {
 		}
 	}
 	return NewTraceContext(), true
-}
-
-// tcKey carries a TraceContext through a context.Context.
-type tcKey struct{}
-
-// WithTraceContext attaches the trace context to ctx. A nil ctx starts
-// from context.Background, mirroring the tracer's lenience.
-func WithTraceContext(ctx context.Context, tc TraceContext) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, tcKey{}, tc)
-}
-
-// TraceContextFrom returns the trace context carried by ctx, ok=false
-// when none is attached (the request is untraced).
-func TraceContextFrom(ctx context.Context) (TraceContext, bool) {
-	if ctx == nil {
-		return TraceContext{}, false
-	}
-	tc, ok := ctx.Value(tcKey{}).(TraceContext)
-	return tc, ok
-}
-
-// TraceIDFrom returns the 32-hex trace ID carried by ctx, or "" when
-// the request is untraced — the form instrumentation wants for
-// exemplars and flight-recorder entries.
-func TraceIDFrom(ctx context.Context) string {
-	tc, ok := TraceContextFrom(ctx)
-	if !ok {
-		return ""
-	}
-	return tc.TraceIDString()
 }

@@ -109,18 +109,15 @@ func TestEnsureTraceContext(t *testing.T) {
 }
 
 func TestTraceContextPlumbing(t *testing.T) {
-	if _, ok := TraceContextFrom(context.Background()); ok {
-		t.Fatal("empty context reported a trace context")
-	}
 	if id := TraceIDFrom(nil); id != "" {
 		t.Fatalf("TraceIDFrom(nil) = %q, want empty", id)
 	}
-	tc := NewTraceContext()
-	ctx := WithTraceContext(nil, tc)
-	got, ok := TraceContextFrom(ctx)
-	if !ok || got != tc {
-		t.Fatalf("TraceContextFrom = (%+v, %v), want the attached context", got, ok)
+	if id := TraceIDFrom(context.Background()); id != "" {
+		t.Fatalf("untraced context reported trace ID %q", id)
 	}
+	tc := NewTraceContext()
+	ctx, root := StartRequest(nil, "obs.req", "test", tc)
+	defer root.End()
 	if TraceIDFrom(ctx) != tc.TraceIDString() {
 		t.Fatal("TraceIDFrom mismatch")
 	}

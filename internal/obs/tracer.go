@@ -1,29 +1,26 @@
 package obs
 
 import (
-	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// This file is the second-generation span layer: a hierarchical,
-// time-resolved trace collector. Where the Registry's stage spans
-// (span.go) produce the manifest's flat per-stage totals, the Tracer
-// records every instrumented operation — per-group DP solves, DP pool
-// layers, reuse shards, cache simulations, workload profiling passes,
-// checkpoint flushes — as a TraceEvent carrying a span ID, its parent's
-// ID (threaded through context.Context), a lane (worker/goroutine row),
-// and wall-clock start/duration relative to the tracer's epoch. The
-// whole set exports as Chrome trace_event JSON (traceexport.go) that
-// loads directly in Perfetto or chrome://tracing.
+// This file is the tracer sink of the span model (span.go): a
+// hierarchical, time-resolved trace collector. Every traced span —
+// per-group DP solves, DP pool layers, reuse shards, cache simulations,
+// workload profiling passes, checkpoint flushes, request stages, and
+// the manifest's stages — ends as a TraceEvent carrying its span ID,
+// its parent's ID, a lane (worker/goroutine row), and wall-clock
+// start/duration relative to the tracer's epoch. The whole set exports
+// as Chrome trace_event JSON (traceexport.go) that loads directly in
+// Perfetto or chrome://tracing.
 //
-// Like the Registry, the Tracer is nil-safe end to end: with no tracer
-// enabled, StartTraceSpan is one atomic load plus a nil check and every
-// span method is a no-op, so the instrumented hot paths cost nothing in
-// the default configuration (the benchsnap ObsOverhead gate covers
-// this).
+// The tracer is nil-safe end to end: with no tracer enabled, Start
+// allocates nothing unless another sink wants the span, so the
+// instrumented hot paths cost nothing in the default configuration
+// (the benchsnap ObsOverhead gate covers this).
 
 // numTraceShards is the number of lock shards in the tracer's event
 // buffer. Completed spans append under one shard mutex chosen by span
@@ -59,7 +56,7 @@ type traceShard struct {
 
 // A Tracer collects TraceEvents. The zero value is not usable; call
 // NewTracer. All methods are safe for concurrent use, and all methods
-// on a nil *Tracer (and the nil spans it hands out) are no-ops.
+// on a nil *Tracer are no-ops.
 type Tracer struct {
 	epoch   time.Time
 	nextID  atomic.Int64
@@ -94,120 +91,12 @@ func EnableTracer(t *Tracer) { activeTracer.Store(t) }
 // is disabled.
 func ActiveTracer() *Tracer { return activeTracer.Load() }
 
-// traceRef is the context payload: the current span's ID (parent for
-// children) and the lane assigned to this goroutine's work.
-type traceRef struct {
-	id   int64
-	lane int64
-}
-
-type traceRefKey struct{}
-
-// WithTraceLane tags ctx with a lane number: spans started under the
-// returned context (and their descendants) render on that row of the
-// trace timeline. Lane numbers are caller-chosen labels — sweep workers
-// use their worker index, reuse shards their shard index — and need not
-// be unique across pipeline phases.
-func WithTraceLane(ctx context.Context, lane int64) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ref, _ := ctx.Value(traceRefKey{}).(traceRef)
-	ref.lane = lane
-	return context.WithValue(ctx, traceRefKey{}, ref)
-}
-
-// TraceParent returns the span ID and lane the given context carries
-// (zero values when untraced).
-func TraceParent(ctx context.Context) (id, lane int64) {
-	if ctx == nil {
-		return 0, 0
-	}
-	ref, _ := ctx.Value(traceRefKey{}).(traceRef)
-	return ref.id, ref.lane
-}
-
-// A TraceSpan is one in-flight traced operation. End records it. A nil
-// span (tracing disabled) is a no-op, so call sites never branch.
-type TraceSpan struct {
-	tr     *Tracer
-	id     int64
-	parent int64
-	lane   int64
-	name   string
-	cat    string
-	start  time.Time
-	args   map[string]int64
-}
-
-// StartTraceSpan begins a span on the process-global tracer, parented
-// under the span carried by ctx (none = a root span). The returned
-// context carries the new span, so operations started under it become
-// children. With tracing disabled this is one atomic load plus a nil
-// check, and ctx is returned unchanged.
-func StartTraceSpan(ctx context.Context, name, cat string) (context.Context, *TraceSpan) {
-	t := ActiveTracer()
-	if t == nil {
-		return ctx, nil
-	}
-	return t.Start(ctx, name, cat)
-}
-
-// Start is StartTraceSpan on an explicit tracer.
-func (t *Tracer) Start(ctx context.Context, name, cat string) (context.Context, *TraceSpan) {
-	if t == nil {
-		return ctx, nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ref, _ := ctx.Value(traceRefKey{}).(traceRef)
-	s := &TraceSpan{
-		tr:     t,
-		id:     t.nextID.Add(1),
-		parent: ref.id,
-		lane:   ref.lane,
-		name:   name,
-		cat:    cat,
-		start:  time.Now(),
-	}
-	return context.WithValue(ctx, traceRefKey{}, traceRef{id: s.id, lane: ref.lane}), s
-}
-
-// Arg attaches a small numeric argument to the span (visible in the
-// exported trace's args). Returns the span for chaining. Must not be
-// called concurrently with End.
-func (s *TraceSpan) Arg(key string, v int64) *TraceSpan {
-	if s == nil {
-		return nil
-	}
-	if s.args == nil {
-		s.args = make(map[string]int64, 4)
-	}
-	s.args[key] = v
-	return s
-}
-
-// End completes the span and records its event: into the tracer's
-// sharded in-memory buffer (up to the cap) and, when a sink is
-// attached, into the streamed trace-events file.
-func (s *TraceSpan) End() {
-	if s == nil {
-		return
-	}
-	t := s.tr
-	ev := TraceEvent{
-		ID:      s.id,
-		Parent:  s.parent,
-		Name:    s.name,
-		Cat:     s.cat,
-		Lane:    s.lane,
-		StartNS: s.start.Sub(t.epoch).Nanoseconds(),
-		DurNS:   time.Since(s.start).Nanoseconds(),
-		Args:    s.args,
-	}
+// record stores one completed span's event: into the sharded in-memory
+// buffer (up to the cap) and, when a sink is attached, into the
+// streamed trace-events file.
+func (t *Tracer) record(ev TraceEvent) {
 	if t.count.Add(1) <= t.cap {
-		sh := &t.shards[s.id%numTraceShards]
+		sh := &t.shards[ev.ID%numTraceShards]
 		sh.mu.Lock()
 		sh.events = append(sh.events, ev)
 		sh.mu.Unlock()

@@ -459,8 +459,8 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 	// coarse parallel solves record a span with per-layer children.
 	var path solvePath
 	if ctx != nil {
-		var ps *obs.TraceSpan
-		ctx, ps = obs.StartTraceSpan(ctx, spanSolve, "dp")
+		var ps *obs.Span
+		ctx, ps = obs.Start(ctx, spanSolve, "dp")
 		defer func() {
 			ps.Arg("programs", int64(n)).Arg("units", int64(C)).
 				Arg("dc_layers", int64(path.dcLayers)).
@@ -547,12 +547,12 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 			(mode == SolverDC || hi-lo+1 >= dcAutoMinWindow)
 		switch {
 		case useDC:
-			_, ls := obs.StartTraceSpan(ctx, spanDPLayer, "dp")
+			_, ls := obs.Start(ctx, spanDPLayer, "dp")
 			dcLayer(&spec, &path)
 			ls.Arg("layer", int64(p)).Arg("dc", 1).End()
 			path.dcLayers++
 		case pool != nil:
-			_, ls := obs.StartTraceSpan(ctx, spanDPLayer, "dp")
+			_, ls := obs.Start(ctx, spanDPLayer, "dp")
 			pool.runLayer(&spec)
 			ls.Arg("layer", int64(p)).End()
 			path.exactLayers++

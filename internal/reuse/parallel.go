@@ -66,7 +66,7 @@ func CollectParallel(ctx context.Context, t trace.Trace, workers int) (Profile, 
 		return Collect(t), nil
 	}
 	n := len(t)
-	ctx, cps := obs.StartTraceSpan(ctx, spanCollectParallel, "profile")
+	ctx, cps := obs.Start(ctx, spanCollectParallel, "profile")
 	defer cps.Arg("workers", int64(workers)).End()
 
 	// One watcher flips the flag on cancellation; shards poll it every
@@ -98,7 +98,7 @@ func CollectParallel(ctx context.Context, t trace.Trace, workers int) (Profile, 
 		wg.Add(1)
 		go func(s, start, end int) {
 			defer wg.Done()
-			_, ss := obs.StartTraceSpan(obs.WithTraceLane(ctx, int64(s+1)), spanShard, "profile")
+			_, ss := obs.Start(obs.WithTraceLane(ctx, int64(s+1)), spanShard, "profile")
 			defer ss.Arg("accesses", int64(end-start)).End()
 			seg := t[start:end]
 			var maxAddr uint32

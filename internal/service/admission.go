@@ -54,7 +54,7 @@ func (l *Limiter) Acquire(ctx context.Context) error {
 	// Fast path: a free slot admits without touching the queue.
 	select {
 	case l.slots <- struct{}{}:
-		telemetryFrom(ctx).setOutcome(outcomeAdmitted)
+		obs.RequestFrom(ctx).SetOutcome(outcomeAdmitted)
 		return nil
 	default:
 	}
@@ -65,12 +65,12 @@ func (l *Limiter) Acquire(ctx context.Context) error {
 	case l.queue <- struct{}{}:
 	default:
 		reg.Counter(mAdmissionShed).Add(1)
-		telemetryFrom(ctx).setOutcome(outcomeShed)
+		obs.RequestFrom(ctx).SetOutcome(outcomeShed)
 		return ErrOverloaded
 	}
 	depth := int64(len(l.queue))
 	reg.Gauge(mAdmissionQueueDepth).Set(depth)
-	_, span := obs.StartTraceSpan(ctx, spanReqQueue, "service")
+	_, span := obs.Start(ctx, spanReqQueue, "service")
 	span.Arg("depth", depth)
 	defer func() {
 		span.End()
@@ -79,11 +79,11 @@ func (l *Limiter) Acquire(ctx context.Context) error {
 	}()
 	select {
 	case l.slots <- struct{}{}:
-		telemetryFrom(ctx).setOutcome(outcomeQueued)
+		obs.RequestFrom(ctx).SetOutcome(outcomeQueued)
 		return nil
 	case <-ctx.Done():
 		reg.Counter(mAdmissionDeadlineInQueue).Add(1)
-		telemetryFrom(ctx).setOutcome(outcomeDeadlineInQueue)
+		obs.RequestFrom(ctx).SetOutcome(outcomeDeadlineInQueue)
 		return fmt.Errorf("service: queued past deadline: %w", ctx.Err())
 	}
 }

@@ -56,17 +56,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeError renders err as the typed envelope, stamped with the
-// request's trace ID, and records the envelope code into the request's
-// telemetry carrier for the flight recorder.
+// request's trace ID, and records the envelope code on the request's
+// root span for the flight recorder.
 func writeError(w http.ResponseWriter, r *http.Request, err error) {
 	status, code := errorCode(err)
 	obs.Enabled().Counter(mHTTPErrorsPrefix + code).Add(1)
-	var traceID string
-	if r != nil {
-		traceID = obs.TraceIDFrom(r.Context())
-		telemetryFrom(r.Context()).setCode(code)
-	}
-	writeJSON(w, status, apiError{Error: code, Detail: err.Error(), TraceID: traceID})
+	obs.RequestFrom(r.Context()).SetCode(code)
+	writeJSON(w, status, apiError{Error: code, Detail: err.Error(), TraceID: obs.TraceIDFrom(r.Context())})
 }
 
 // Handler builds the service's HTTP API:
@@ -154,7 +150,7 @@ func (s *Service) requestContext(r *http.Request) (context.Context, context.Canc
 
 func (s *Service) handlePutTenant(w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("name")
-	telemetryFrom(r.Context()).setTenant(name)
+	obs.RequestFrom(r.Context()).SetTenant(name)
 	p, err := profileio.Read(http.MaxBytesReader(w, r.Body, maxProfileBody))
 	if err != nil {
 		return fmt.Errorf("service: profile body: %w", err)
@@ -168,7 +164,7 @@ func (s *Service) handlePutTenant(w http.ResponseWriter, r *http.Request) error 
 
 func (s *Service) handleDeleteTenant(w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("name")
-	telemetryFrom(r.Context()).setTenant(name)
+	obs.RequestFrom(r.Context()).SetTenant(name)
 	if err := s.Unregister(r.Context(), name); err != nil {
 		return err
 	}
@@ -194,7 +190,7 @@ func (s *Service) handleMRC(w http.ResponseWriter, r *http.Request) error {
 		}
 		units = u
 	}
-	telemetryFrom(r.Context()).setTenant(r.PathValue("name"))
+	obs.RequestFrom(r.Context()).SetTenant(r.PathValue("name"))
 	c, err := s.CurveFor(r.PathValue("name"), units)
 	if err != nil {
 		return err
@@ -219,7 +215,7 @@ func (s *Service) handlePlanPost(w http.ResponseWriter, r *http.Request) error {
 		// Attribute group plans to their first tenant — a single label
 		// keeps the per-tenant family's cardinality linear in tenants,
 		// not in observed groups.
-		telemetryFrom(r.Context()).setTenant(req.Tenants[0])
+		obs.RequestFrom(r.Context()).SetTenant(req.Tenants[0])
 	}
 	plan, err := s.PlanFor(r.Context(), req.Tenants, req.Units)
 	if err != nil {
@@ -234,7 +230,7 @@ func (s *Service) handlePlanGet(w http.ResponseWriter, r *http.Request) error {
 	if !ok {
 		return ErrNoPlan
 	}
-	telemetryFrom(r.Context()).setEpoch(plan.Epoch)
+	obs.RequestFrom(r.Context()).SetEpoch(plan.Epoch)
 	writeJSON(w, http.StatusOK, plan)
 	return nil
 }

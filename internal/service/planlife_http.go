@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"partitionshare/internal/obs"
 )
 
 // HTTP surface of the plan-lifecycle layer: the epoch history endpoint
@@ -57,7 +59,7 @@ func (s *Service) handlePlanHistory(w http.ResponseWriter, r *http.Request) erro
 	}
 	events := s.audit.History(since)
 	last := s.audit.LastEpoch()
-	telemetryFrom(r.Context()).setEpoch(last)
+	obs.RequestFrom(r.Context()).SetEpoch(last)
 	writeJSON(w, http.StatusOK, planHistoryResponse{
 		LastEpoch: last,
 		Gap:       historyGap(since, events),
@@ -103,7 +105,7 @@ func (s *Service) handlePlanChanges(w http.ResponseWriter, r *http.Request) erro
 	respond := func() error {
 		events := s.audit.History(since)
 		last := s.audit.LastEpoch()
-		telemetryFrom(r.Context()).setEpoch(last)
+		obs.RequestFrom(r.Context()).SetEpoch(last)
 		writeJSON(w, http.StatusOK, planHistoryResponse{
 			LastEpoch: last,
 			Gap:       historyGap(since, events),
@@ -139,7 +141,7 @@ func (s *Service) streamPlanChanges(w http.ResponseWriter, r *http.Request, sinc
 	sub := s.feed.Subscribe()
 	defer sub.Close()
 	backlog := s.audit.History(since)
-	telemetryFrom(r.Context()).setEpoch(s.audit.LastEpoch())
+	obs.RequestFrom(r.Context()).SetEpoch(s.audit.LastEpoch())
 
 	writeSSEHead(w)
 	lastSent := since

@@ -273,9 +273,9 @@ func (s *Service) Register(ctx context.Context, name string, p profileio.Profile
 	if s.draining.Load() {
 		return ErrDraining
 	}
-	_, done := startStage(ctx, spanReqStore)
+	_, span := obs.Start(ctx, spanReqStore, "service")
 	err := s.store.Put(name, p)
-	done()
+	span.End()
 	if err != nil {
 		return err
 	}
@@ -296,9 +296,6 @@ func (s *Service) Register(ctx context.Context, name string, p profileio.Profile
 // the solve starts overwrites it — coalesced churn is attributed to its
 // last trigger, matching the coalesced churn signal itself.
 func (s *Service) noteChurnTraceLocked(ctx context.Context) {
-	if ctx == nil {
-		return
-	}
 	if tid := obs.TraceIDFrom(ctx); tid != "" {
 		s.churnTrace = tid
 	}
@@ -320,9 +317,9 @@ func (s *Service) Unregister(ctx context.Context, name string) error {
 	if s.draining.Load() {
 		return ErrDraining
 	}
-	_, done := startStage(ctx, spanReqStore)
+	_, span := obs.Start(ctx, spanReqStore, "service")
 	err := s.store.Delete(name)
-	done()
+	span.End()
 	if err != nil {
 		return err
 	}
@@ -393,27 +390,27 @@ func (s *Service) PlanFor(ctx context.Context, names []string, units int) (Plan,
 		defer cancel()
 	}
 	start := time.Now()
-	actx, doneAdmission := startStage(ctx, spanReqAdmission)
+	actx, admission := obs.Start(ctx, spanReqAdmission, "service")
 	err := s.limiter.Acquire(actx)
-	doneAdmission()
+	admission.End()
 	if err != nil {
 		return Plan{}, err
 	}
 	defer s.limiter.Release()
 
-	_, doneCurves := startStage(ctx, spanReqCurves)
+	_, curvesSpan := obs.Start(ctx, spanReqCurves, "service")
 	curves := make([]mrc.Curve, len(names))
 	for i, n := range names {
 		c, err := s.CurveFor(n, units)
 		if err != nil {
-			doneCurves()
+			curvesSpan.End()
 			return Plan{}, err
 		}
 		curves[i] = c
 	}
-	doneCurves()
-	sctx, doneSolve := startStage(ctx, spanReqSolve)
-	defer doneSolve()
+	curvesSpan.End()
+	sctx, solve := obs.Start(ctx, spanReqSolve, "service")
+	defer solve.End()
 	if err := faultinject.Hit(FaultSolve); err != nil {
 		return Plan{}, fmt.Errorf("service: solve: %w", err)
 	}
@@ -597,7 +594,7 @@ func (s *Service) publishEpoch(plan *Plan) {
 	cs := reg.ChildSet(mPlanDeltaPrefix, s.cfg.TenantSeriesCap)
 	for _, td := range diff.Deltas {
 		if td.DeltaUnits != 0 {
-			cs.Child(td.Tenant).Counter(planDeltaUnitsSuffix).Add(int64(abs(td.DeltaUnits)))
+			cs.Add(td.Tenant, planDeltaUnitsSuffix, int64(abs(td.DeltaUnits)))
 		}
 	}
 	s.feed.Publish(rec)
@@ -663,7 +660,7 @@ func (s *Service) sleepBackoff(ctx context.Context, attempt int) bool {
 func (s *Service) solveEpoch(ctx context.Context, names []string, curves []mrc.Curve) (*Plan, error) {
 	dctx, cancel := context.WithTimeout(ctx, s.cfg.ReoptDeadline)
 	defer cancel()
-	sctx, span := obs.StartTraceSpan(dctx, spanReoptEpoch, "service")
+	sctx, span := obs.Start(dctx, spanReoptEpoch, "service")
 	defer span.End()
 	if err := faultinject.Hit(FaultReopt); err != nil {
 		return nil, fmt.Errorf("service: reopt: %w", err)

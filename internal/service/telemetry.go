@@ -1,23 +1,22 @@
 package service
 
 import (
-	"context"
 	"fmt"
 	"net/http"
-	"sync"
-	"time"
 
 	"partitionshare/internal/obs"
 )
 
 // This file is the request-telemetry middleware: the wrap envelope every
-// API handler runs under. It ingests (or mints) a W3C traceparent,
-// threads the trace identity and a per-request stage collector through
-// the context, opens the root service.req span the instrumented layers
-// (admission, curves, solve, store) parent under, and — once the
-// response is out — records the request into the RED rollups, the
-// per-tenant bounded child set, the latency histogram (with a trace-ID
-// exemplar), and the flight recorder. The same trace ID travels in the
+// API handler runs under. It ingests (or mints) a W3C traceparent and
+// opens the request's one root span (obs.StartRequest), which carries
+// the trace identity and the in-progress flight record through the
+// context. The instrumented layers (admission, curves, solve, store)
+// are plain obs.Start spans parented under it; each one's End feeds the
+// trace timeline and the record's stage list at once. Once the response
+// is out, the root's End files the flight record, and the same record
+// feeds the RED rollups, the per-tenant bounded child set, and the
+// latency histogram (with a trace-ID exemplar). The same trace ID travels in the
 // response traceparent header, the error envelope's trace_id field, and
 // the flight-recorder record, so one identifier correlates all three.
 
@@ -65,79 +64,6 @@ func (sw *statusWriter) Flush() {
 	}
 }
 
-// reqTelemetry carries per-request attribution the inner layers fill in
-// as they learn it: which tenant the request concerns, the envelope
-// error code it ended with, and the admission outcome. It rides the
-// context so handlers and the limiter report without new plumbing.
-type reqTelemetry struct {
-	mu      sync.Mutex
-	tenant  string
-	code    string
-	outcome string
-	epoch   int64
-}
-
-type reqTelemetryKey struct{}
-
-// telemetryFrom returns the request's telemetry carrier, or nil outside
-// the middleware (direct Service calls, tests) — all setters are
-// nil-safe so instrumented code never branches.
-func telemetryFrom(ctx context.Context) *reqTelemetry {
-	if ctx == nil {
-		return nil
-	}
-	rt, _ := ctx.Value(reqTelemetryKey{}).(*reqTelemetry)
-	return rt
-}
-
-func (rt *reqTelemetry) setTenant(name string) {
-	if rt == nil {
-		return
-	}
-	rt.mu.Lock()
-	rt.tenant = name
-	rt.mu.Unlock()
-}
-
-func (rt *reqTelemetry) setCode(code string) {
-	if rt == nil {
-		return
-	}
-	rt.mu.Lock()
-	rt.code = code
-	rt.mu.Unlock()
-}
-
-func (rt *reqTelemetry) setOutcome(o string) {
-	if rt == nil {
-		return
-	}
-	rt.mu.Lock()
-	rt.outcome = o
-	rt.mu.Unlock()
-}
-
-// setEpoch records the plan epoch the request served or observed, for
-// the flight-recorder record (correlates /debug/requests entries with
-// the /debug/epochs timeline).
-func (rt *reqTelemetry) setEpoch(epoch int64) {
-	if rt == nil {
-		return
-	}
-	rt.mu.Lock()
-	rt.epoch = epoch
-	rt.mu.Unlock()
-}
-
-func (rt *reqTelemetry) get() (tenant, code, outcome string, epoch int64) {
-	if rt == nil {
-		return "", "", "", 0
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.tenant, rt.code, rt.outcome, rt.epoch
-}
-
 // statusClass buckets an HTTP status for the by-class RED counters.
 func statusClass(status int) string {
 	switch {
@@ -149,22 +75,6 @@ func statusClass(status int) string {
 		return "4xx"
 	default:
 		return "5xx"
-	}
-}
-
-// startStage opens one traced request stage: a child span under the
-// context's current span plus an entry in the request's stage
-// collector. The returned context parents further spans (and carries
-// the deadline) into the stage; done ends both. Works unchanged when
-// tracing or stage collection is disabled.
-func startStage(ctx context.Context, name string) (context.Context, func()) {
-	//vetkit:ignore(obsname): stage names are forwarded spanReq* constants from the call sites
-	sctx, span := obs.StartTraceSpan(ctx, name, "service")
-	rs := obs.ReqStagesFrom(ctx)
-	start := time.Now()
-	return sctx, func() {
-		span.End()
-		rs.Add(name, time.Since(start))
 	}
 }
 
@@ -196,15 +106,11 @@ func (s *Service) wrapWith(route string, fn func(http.ResponseWriter, *http.Requ
 		// panicking response carries it.
 		tc, _ := obs.EnsureTraceContext(r.Header.Get(TraceparentHeader))
 		w.Header().Set(TraceparentHeader, tc.Traceparent())
-		ctx := obs.WithTraceContext(r.Context(), tc)
-		ctx, stages := obs.WithReqStages(ctx)
-		rt := &reqTelemetry{}
-		ctx = context.WithValue(ctx, reqTelemetryKey{}, rt)
-		ctx, root := obs.StartTraceSpan(ctx, spanReq, "service")
+		ctx, root := obs.StartRequest(r.Context(), spanReq, "service", tc)
+		root.SetRoute(r.Method, route)
 		r = r.WithContext(ctx)
 		sw := &statusWriter{ResponseWriter: w}
 
-		start := time.Now()
 		defer func() {
 			if p := recover(); p != nil {
 				reg.Counter(mHTTPPanics).Add(1)
@@ -212,8 +118,13 @@ func (s *Service) wrapWith(route string, fn func(http.ResponseWriter, *http.Requ
 				writeJSON(sw, http.StatusInternalServerError,
 					apiError{Error: "internal", Detail: "handler panic", TraceID: tc.TraceIDString()})
 			}
-			root.End()
-			s.recordRequest(reg, r, route, sw.status, tc.TraceIDString(), rt, stages, start)
+			status := sw.status
+			if status == 0 {
+				status = http.StatusOK // handler wrote nothing: implicit 200
+			}
+			root.SetStatus(status)
+			root.End() // files the flight record
+			s.recordRequest(reg, route, root.Record())
 		}()
 		if s.draining.Load() {
 			writeError(sw, r, ErrDraining)
@@ -237,50 +148,30 @@ func (s *Service) wrapWith(route string, fn func(http.ResponseWriter, *http.Requ
 	}
 }
 
-// recordRequest files one finished request into every telemetry sink:
-// RED rollups, the per-tenant child set, the per-route latency
-// histogram (with the trace ID as the bucket's exemplar), and the
-// flight recorder. Runs once per request, after the response is out.
-func (s *Service) recordRequest(reg *obs.Registry, r *http.Request, route string, status int,
-	traceID string, rt *reqTelemetry, stages *obs.ReqStages, start time.Time) {
-	if status == 0 {
-		status = http.StatusOK // handler wrote nothing: implicit 200
-	}
-	class := statusClass(status)
-	dur := time.Since(start)
+// recordRequest files one finished request into the metric sinks: RED
+// rollups, the per-tenant child set, and the per-route latency
+// histogram (with the trace ID as the bucket's exemplar). The request
+// root's End has already filed the same record into the flight
+// recorder. Runs once per request, after the response is out.
+func (s *Service) recordRequest(reg *obs.Registry, route string, rec obs.RequestRecord) {
+	class := statusClass(rec.Status)
 	reg.Counter(mRequests).Add(1)
 	reg.Counter(mRequestsByClassPrefix + class).Add(1)
-	switch status {
+	switch rec.Status {
 	case 499:
 		reg.Counter(mRequestsCanceled).Add(1)
 	case http.StatusGatewayTimeout:
 		reg.Counter(mRequestsDeadline).Add(1)
 	}
 	reg.Histogram(mHTTPLatencyPrefix+route, obs.DurationBuckets()).
-		ObserveExemplar(dur.Nanoseconds(), traceID)
+		ObserveExemplar(rec.DurNS, rec.TraceID)
 
-	tenant, code, outcome, epoch := rt.get()
-	if tenant != "" {
-		child := reg.ChildSet(mTenantPrefix, s.cfg.TenantSeriesCap).Child(tenant)
-		child.Counter(tenantRequestsPrefix + route).Add(1)
-		if status >= 400 {
-			child.Counter(tenantErrorsPrefix + class).Add(1)
+	if rec.Tenant != "" {
+		cs := reg.ChildSet(mTenantPrefix, s.cfg.TenantSeriesCap)
+		cs.Add(rec.Tenant, tenantRequestsPrefix+route, 1)
+		if rec.Status >= 400 {
+			cs.Add(rec.Tenant, tenantErrorsPrefix+class, 1)
 		}
-		child.Histogram(tenantLatencyPrefix+route, obs.DurationBuckets()).Observe(dur.Nanoseconds())
+		cs.Observe(rec.Tenant, tenantLatencyPrefix+route, obs.DurationBuckets(), rec.DurNS)
 	}
-
-	fr := obs.ActiveFlightRecorder()
-	fr.Record(obs.RequestRecord{
-		Method:  r.Method,
-		Route:   route,
-		Tenant:  tenant,
-		Status:  status,
-		Code:    code,
-		Outcome: outcome,
-		TraceID: traceID,
-		Epoch:   epoch,
-		StartNS: start.Sub(fr.Start()).Nanoseconds(),
-		DurNS:   dur.Nanoseconds(),
-		Stages:  stages.Stages(),
-	})
 }

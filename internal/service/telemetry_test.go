@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -84,59 +85,32 @@ func TestHTTPTraceContextEndToEnd(t *testing.T) {
 		t.Fatal("response reused the caller's span ID")
 	}
 
-	// Span tree: a service.req root with the admission, curves, and
-	// solve stages parented under it — at least 4 spans for one request.
-	events := tr.Events()
-	var rootID int64
-	for _, ev := range events {
-		if ev.Name == spanReq {
-			rootID = ev.ID
-		}
-	}
-	if rootID == 0 {
-		t.Fatalf("no %s root span in %d events", spanReq, len(events))
-	}
-	parented := map[string]bool{}
-	total := 0
-	for _, ev := range events {
-		total++
-		if ev.Parent == rootID {
-			parented[ev.Name] = true
-		}
-	}
+	// Span tree and flight record: a service.req root with the
+	// admission, curves, and solve stages parented under it, and a
+	// flight record carrying the same trace ID whose stages are exactly
+	// those traced children — one span feeds both.
+	got, stages := lastRequest(t, tr, fr)
 	for _, want := range []string{spanReqAdmission, spanReqCurves, spanReqSolve} {
-		if !parented[want] {
-			t.Errorf("span %s not parented under %s (events: %+v)", want, spanReq, events)
+		if !slices.Contains(stages, want) {
+			t.Errorf("stage %s not parented under %s (events: %+v)", want, spanReq, tr.Events())
 		}
 	}
-	if total < 4 {
-		t.Fatalf("plan request produced %d spans, want >= 4", total)
+	if n := len(tr.Events()); n < 4 {
+		t.Fatalf("plan request produced %d spans, want >= 4", n)
+	}
+	if got.TraceID != wantTrace || got.Route != "plan_post" || got.Status != http.StatusOK ||
+		got.Tenant != "t1" || got.Outcome != outcomeAdmitted {
+		t.Fatalf("flight record = %+v, want trace %s, plan_post, 200, t1, %s", got, wantTrace, outcomeAdmitted)
 	}
 
-	// Flight recorder: the request is on record with the same trace ID
-	// and a per-stage breakdown.
-	snap := fr.Snapshot()
-	if len(snap.Recent) == 0 {
-		t.Fatal("flight recorder empty")
+	// A PUT records its store append the same way.
+	rec = serveDirect(t, h, "PUT", "/v1/tenants/t2", inbound, profileBytes(t, testProfile(t, 2)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("put = %d %s", rec.Code, rec.Body.String())
 	}
-	got := snap.Recent[0]
-	if got.TraceID != wantTrace {
-		t.Fatalf("flight record trace ID %s, want %s", got.TraceID, wantTrace)
-	}
-	if got.Route != "plan_post" || got.Status != http.StatusOK || got.Tenant != "t1" {
-		t.Fatalf("flight record = %+v", got)
-	}
-	if got.Outcome != outcomeAdmitted {
-		t.Fatalf("flight record outcome %q, want %q", got.Outcome, outcomeAdmitted)
-	}
-	stageNames := map[string]bool{}
-	for _, st := range got.Stages {
-		stageNames[st.Name] = true
-	}
-	for _, want := range []string{spanReqAdmission, spanReqCurves, spanReqSolve} {
-		if !stageNames[want] {
-			t.Errorf("flight record missing stage %s: %+v", want, got.Stages)
-		}
+	put, stages := lastRequest(t, tr, fr)
+	if put.Method != "PUT" || put.Tenant != "t2" || put.TraceID != wantTrace || !slices.Contains(stages, spanReqStore) {
+		t.Fatalf("put flight record = %+v, want PUT t2 with a %s stage", put, spanReqStore)
 	}
 
 	// Error path: header and envelope carry the same trace ID.
@@ -342,4 +316,35 @@ func TestHTTPPlanBitExactTelemetryOnOff(t *testing.T) {
 	if p.Provenance.Cause != CauseAdHoc || p.Provenance.InputDigest == "" {
 		t.Fatalf("implausible provenance %+v", p.Provenance)
 	}
+}
+
+// lastRequest returns the newest flight record and its stage names,
+// after checking those names are exactly the names of the trace events
+// parented directly under the newest service.req root.
+func lastRequest(t *testing.T, tr *obs.Tracer, fr *obs.FlightRecorder) (obs.RequestRecord, []string) {
+	t.Helper()
+	events := tr.Events()
+	var root obs.TraceEvent
+	for _, ev := range events {
+		if ev.Name == spanReq && ev.StartNS >= root.StartNS {
+			root = ev
+		}
+	}
+	recent := fr.Snapshot().Recent
+	if root.ID == 0 || len(recent) == 0 {
+		t.Fatalf("no %s root span (%d events) or no flight record", spanReq, len(events))
+	}
+	var traced, staged []string
+	for _, ev := range events {
+		if ev.Parent == root.ID {
+			traced = append(traced, ev.Name)
+		}
+	}
+	for _, st := range recent[0].Stages {
+		staged = append(staged, st.Name)
+	}
+	if !slices.Equal(staged, traced) {
+		t.Errorf("flight record stages %v, want the %s root's traced children %v", staged, spanReq, traced)
+	}
+	return recent[0], staged
 }

@@ -242,14 +242,14 @@ func profileCtx(ctx context.Context, spec Spec, cfg Config) (Program, error) {
 	if err := cfg.validate(); err != nil {
 		return Program{}, err
 	}
-	ctx, ps := obs.StartTraceSpan(ctx, spanProfile, "profile")
+	ctx, ps := obs.Start(ctx, spanProfile, "profile")
 	defer ps.End()
 	seed := cfg.Seed*0x100000001b3 ^ hashName(spec.Name)
 	gen := spec.Build(uint32(cfg.CacheBlocks()), seed)
-	_, gs := obs.StartTraceSpan(ctx, spanTraceGenerate, "profile")
+	_, gs := obs.Start(ctx, spanTraceGenerate, "profile")
 	tr := trace.Generate(gen, cfg.TraceLen)
 	gs.Arg("accesses", int64(len(tr))).End()
-	_, cs := obs.StartTraceSpan(ctx, spanReuseCollect, "profile")
+	_, cs := obs.Start(ctx, spanReuseCollect, "profile")
 	fp := footprint.FromTrace(tr)
 	cs.End()
 	curve := mrc.FromFootprint(spec.Name, fp, cfg.Units, cfg.BlocksPerUnit, spec.Rate)

@@ -51,6 +51,9 @@ go test -run=NONE -fuzz='^FuzzOptimize$' -fuzztime="$FUZZTIME" ./internal/partit
 # verifies schema version, stage spans, and a positive completed count),
 # plus a Chrome trace_event timeline with the expected parented pipeline
 # spans (checktrace) and a metrics time series folded into the manifest.
+# Given the manifest too, checktrace cross-checks the two exports of the
+# one span model: each manifest stage has exactly one same-named stage
+# trace event with the same duration.
 echo "== obs smoke: experiments -small + manifest + trace checks"
 OBS_SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_SMOKE_DIR"' EXIT
@@ -59,7 +62,7 @@ go run ./cmd/experiments -small -out "$OBS_SMOKE_DIR" \
 	-trace-events "$OBS_SMOKE_DIR/trace.json" \
 	-metrics-interval 50ms >/dev/null
 go run scripts/checkmanifest.go "$OBS_SMOKE_DIR/manifest.json"
-go run scripts/checktrace.go "$OBS_SMOKE_DIR/trace.json"
+go run scripts/checktrace.go "$OBS_SMOKE_DIR/trace.json" "$OBS_SMOKE_DIR/manifest.json"
 
 # Solver-ladder smoke: a large-C auto solve through the real optimizer
 # CLI must take the coarse-to-fine refinement rung and record it.
