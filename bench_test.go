@@ -6,6 +6,7 @@
 package partitionshare_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -136,16 +137,54 @@ func BenchmarkValidationPair(b *testing.B) {
 
 // BenchmarkOptimalPartitionGroup is the §VII-A cost the paper reports as
 // ~0.21 s per group on a 2012 laptop: one O(P·C²) DP over 4 programs and
-// 1024 units.
+// 1024 units (units=1024). The larger sizes resample the same four
+// footprints at one block per unit, modeling much larger caches at fine
+// granularity (npr=8 duplicates the program set); the auto solver runs
+// them on the refinement rung (DESIGN.md §13).
 func BenchmarkOptimalPartitionGroup(b *testing.B) {
 	curves := fullCurves(b)
-	pr := partition.Problem{Curves: curves, Units: 1024}
-	b.ResetTimer()
+	b.Run("units=1024", func(b *testing.B) {
+		benchOptimize(b, partition.Problem{Curves: curves, Units: 1024})
+	})
+	for _, lg := range []struct {
+		name       string
+		units, npr int
+	}{{"units=4096", 4096, 4}, {"units=16384", 16384, 4}, {"units=16384/npr=8", 16384, 8}} {
+		pr := partition.Problem{Curves: largeCurves(lg.units, lg.npr), Units: lg.units}
+		b.Run(lg.name, func(b *testing.B) { benchOptimize(b, pr) })
+	}
+}
+
+// BenchmarkOptimalPartitionExact forces the exact kernel on the C=4096
+// group, the anchor that pins down the refinement rung's speedup.
+func BenchmarkOptimalPartitionExact(b *testing.B) {
+	benchSetup(b)
+	pr := partition.Problem{Curves: largeCurves(4096, 4), Units: 4096, Solver: partition.SolverExact}
+	b.Run("units=4096", func(b *testing.B) { benchOptimize(b, pr) })
+}
+
+func benchOptimize(b *testing.B, pr partition.Problem) {
 	for i := 0; i < b.N; i++ {
 		if _, err := partition.Optimize(pr); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// largeCurves resamples the four full-geometry footprints at one block
+// per unit over a units-unit modeled cache, duplicating the program set
+// when npr exceeds it.
+func largeCurves(units, npr int) []mrc.Curve {
+	curves := make([]mrc.Curve, npr)
+	for i := range curves {
+		p := benchFull4[i%len(benchFull4)]
+		name := p.Name
+		if i >= len(benchFull4) {
+			name = fmt.Sprintf("%s#%d", p.Name, i/len(benchFull4)+1)
+		}
+		curves[i] = mrc.FromFootprint(name, p.Fp, units, 1, p.Rate)
+	}
+	return curves
 }
 
 // BenchmarkOptimalPartitionGroupParallel is the same DP with parallel
@@ -164,8 +203,8 @@ func BenchmarkOptimalPartitionGroupParallel(b *testing.B) {
 // BenchmarkOptimalPartitionGroupReference is the "before" half of the
 // kernel pair: the original allocation-per-call scatter-form DP, preserved
 // as partition.ReferenceOptimize. Comparing it with
-// BenchmarkOptimalPartitionGroup measures the pooled gather kernel's gain;
-// BENCH_PR1.json snapshots both.
+// BenchmarkOptimalPartitionGroup/units=1024 measures the pooled gather
+// kernel's gain.
 func BenchmarkOptimalPartitionGroupReference(b *testing.B) {
 	curves := fullCurves(b)
 	pr := partition.Problem{Curves: curves, Units: 1024}
@@ -228,28 +267,7 @@ func BenchmarkDPGranularity(b *testing.B) {
 			curves[i] = mrc.FromFootprint(p.Name, p.Fp, units, blocksPerUnit, p.Rate)
 		}
 		pr := partition.Problem{Curves: curves, Units: units}
-		b.Run(unitsName(units), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := partition.Optimize(pr); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func unitsName(u int) string {
-	switch u {
-	case 128:
-		return "units=128"
-	case 256:
-		return "units=256"
-	case 512:
-		return "units=512"
-	case 1024:
-		return "units=1024"
-	default:
-		return "units=2048"
+		b.Run(fmt.Sprintf("units=%d", units), func(b *testing.B) { benchOptimize(b, pr) })
 	}
 }
 

@@ -226,7 +226,7 @@ func (h *Histogram) Observe(v int64) {
 // ObserveExemplar records one value and, when traceID is non-empty,
 // remembers it as the bucket's most recent exemplar. The exemplar store
 // is one pointer swap per observation after a one-time allocation, so
-// the traced path stays within the ObsOverhead budget.
+// the traced path stays within the cmd/obsgate overhead budget.
 func (h *Histogram) ObserveExemplar(v int64, traceID string) {
 	if h == nil {
 		return

@@ -20,7 +20,7 @@ import (
 // The tracer is nil-safe end to end: with no tracer enabled, Start
 // allocates nothing unless another sink wants the span, so the
 // instrumented hot paths cost nothing in the default configuration
-// (the benchsnap ObsOverhead gate covers this).
+// (the cmd/obsgate ObsOverhead gate covers this).
 
 // numTraceShards is the number of lock shards in the tracer's event
 // buffer. Completed spans append under one shard mutex chosen by span

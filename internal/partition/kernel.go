@@ -455,7 +455,7 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 
 	// Trace only the cancellable (ctx != nil) path: the serial Optimize
 	// calls in the sweep's inner loop pass nil and stay instrumentation-
-	// free — their timing is the ObsOverhead gate's subject — while the
+	// free — their timing is cmd/obsgate's ObsOverhead subject — while the
 	// coarse parallel solves record a span with per-layer children.
 	var path solvePath
 	if ctx != nil {

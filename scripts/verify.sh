@@ -90,16 +90,6 @@ go build -o "$OBS_SMOKE_DIR/optpart" ./cmd/optpart
 go run scripts/checkservice.go "$OBS_SMOKE_DIR/partitiond" "$OBS_SMOKE_DIR/optpart" \
 	"$OBS_SMOKE_DIR/lbm.hotl" "$OBS_SMOKE_DIR/mcf.hotl"
 
-# Perf-regression watch: advisory here (hardware differs run to run, so
-# a local diff against the committed baseline must not fail the gate);
-# CI runs the same comparison. The || true keeps set -e from tripping.
-echo "== benchdiff (advisory): BENCH_PR9.json vs BENCH_PR10.json"
-if [ -f BENCH_PR9.json ] && [ -f BENCH_PR10.json ]; then
-	go run ./cmd/benchdiff BENCH_PR9.json BENCH_PR10.json || true
-else
-	echo "SKIP: snapshot files missing (generate with: go run ./cmd/benchsnap -label pr10)"
-fi
-
 echo "== govulncheck"
 if command -v govulncheck >/dev/null 2>&1; then
 	# Exits non-zero (failing the gate, via set -e) only on real findings.
