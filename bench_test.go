@@ -136,11 +136,13 @@ func BenchmarkValidationPair(b *testing.B) {
 // ------------------------------------------------- per-group solver costs
 
 // BenchmarkOptimalPartitionGroup is the §VII-A cost the paper reports as
-// ~0.21 s per group on a 2012 laptop: one O(P·C²) DP over 4 programs and
-// 1024 units (units=1024). The larger sizes resample the same four
-// footprints at one block per unit, modeling much larger caches at fine
-// granularity (npr=8 duplicates the program set); the auto solver runs
-// them on the refinement rung (DESIGN.md §13).
+// ~0.21 s per group on a 2012 laptop: the optimal partition of 4 programs
+// over 1024 units (units=1024). The auto solver runs it, like every size
+// here, on the refinement rung (DESIGN.md §13), which prunes most of the
+// O(P·C²) DP; BenchmarkOptimalPartitionExact is the full-DP anchor. The
+// larger sizes resample the same four footprints at one block per unit,
+// modeling much larger caches at fine granularity (npr=8 duplicates the
+// program set).
 func BenchmarkOptimalPartitionGroup(b *testing.B) {
 	curves := fullCurves(b)
 	b.Run("units=1024", func(b *testing.B) {
@@ -155,10 +157,14 @@ func BenchmarkOptimalPartitionGroup(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimalPartitionExact forces the exact kernel on the C=4096
-// group, the anchor that pins down the refinement rung's speedup.
+// BenchmarkOptimalPartitionExact forces the exact kernel — one O(P·C²)
+// DP — on the paper's group and on the C=4096 group, the anchors that pin
+// down the refinement rung's speedup.
 func BenchmarkOptimalPartitionExact(b *testing.B) {
-	benchSetup(b)
+	curves := fullCurves(b)
+	b.Run("units=1024", func(b *testing.B) {
+		benchOptimize(b, partition.Problem{Curves: curves, Units: 1024, Solver: partition.SolverExact})
+	})
 	pr := partition.Problem{Curves: largeCurves(4096, 4), Units: 4096, Solver: partition.SolverExact}
 	b.Run("units=4096", func(b *testing.B) { benchOptimize(b, pr) })
 }
@@ -203,8 +209,9 @@ func BenchmarkOptimalPartitionGroupParallel(b *testing.B) {
 // BenchmarkOptimalPartitionGroupReference is the "before" half of the
 // kernel pair: the original allocation-per-call scatter-form DP, preserved
 // as partition.ReferenceOptimize. Comparing it with
-// BenchmarkOptimalPartitionGroup/units=1024 measures the pooled gather
-// kernel's gain.
+// BenchmarkOptimalPartitionExact/units=1024 measures the pooled gather
+// kernel's gain, and with BenchmarkOptimalPartitionGroup/units=1024 the
+// whole solver ladder's.
 func BenchmarkOptimalPartitionGroupReference(b *testing.B) {
 	curves := fullCurves(b)
 	pr := partition.Problem{Curves: curves, Units: 1024}

@@ -118,11 +118,11 @@ func inspectGroup(cfg workload.Config, names []string) {
 	obs.Progressf("  (units=%d)\n", cfg.Units)
 	for s := experiment.Scheme(0); s < experiment.NumSchemes; s++ {
 		obs.Progressf("%-17s groupMR=%.5f  alloc=%v  mr=[", s, gr.GroupMR[s], gr.Alloc[s])
-		for i, v := range gr.ProgramMR[s] {
+		for i := range gr.Members {
 			if i > 0 {
 				obs.Progressf(" ")
 			}
-			obs.Progressf("%.5f", v)
+			obs.Progressf("%.5f", gr.ProgramMR(progs, s, i))
 		}
 		obs.Progressln("]")
 	}

@@ -72,7 +72,7 @@ func main() {
 	resume := flag.Bool("resume", false, "resume the group sweep from the checkpoint in -out")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint after this many completed groups (0 = default interval)")
 	workers := flag.Int("workers", 0, "worker goroutines for the group sweep (0 = GOMAXPROCS)")
-	solverFlag := flag.String("solver", "auto", "DP solver for every scheme's solve: auto|exact|dc|refine")
+	solverFlag := flag.String("solver", "auto", "DP solver for every scheme's solve: auto|exact")
 	failFast := flag.Bool("failfast", false, "abort the sweep on the first group error instead of collecting errors")
 	debugAddr := flag.String("debug-addr", "", "serve live expvar metrics and pprof on this address (e.g. localhost:6060)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")

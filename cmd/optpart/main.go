@@ -4,8 +4,8 @@
 // Equal, Natural, Equal-baseline, Natural-baseline, Optimal, STTW — with
 // per-program allocations and miss ratios.
 //
-// -solver selects the DP strategy (auto walks the solver ladder of
-// DESIGN.md §13; exact, dc, and refine force a rung), -baselines=false
+// -solver selects the DP strategy (auto walks the two-rung solver ladder
+// of DESIGN.md §13; exact forces the exact rung), -baselines=false
 // skips everything but the Optimal solve (the large-C timing
 // configuration: the baseline-constrained DPs are quadratic in C and
 // would dominate a solver-rung measurement), and -manifest writes a run
@@ -59,7 +59,7 @@ func main() {
 	units := flag.Int("units", 1024, "cache size in partition units")
 	blocksPerUnit := flag.Int64("blocksperunit", 4, "cache blocks per partition unit")
 	minimax := flag.Bool("minimax", false, "also print the minimax-fair optimal partition")
-	solverFlag := flag.String("solver", "auto", "DP solver: auto|exact|dc|refine")
+	solverFlag := flag.String("solver", "auto", "DP solver: auto|exact")
 	baselines := flag.Bool("baselines", true, "compute the baseline schemes (Equal, Natural, Equal/Natural baseline, STTW), not just Optimal")
 	manifestPath := flag.String("manifest", "", "run-manifest path recording solver paths and counters (empty disables)")
 	flag.Parse()

@@ -84,6 +84,20 @@ func (c *Checkpoint) validate() error {
 					ErrCheckpointCorrupt, gr.Members, c.NumPrograms-1)
 			}
 		}
+		// Reports read each member's miss ratio off its curve at these
+		// allocations (GroupResult.ProgramMR), so they must index it.
+		for s, row := range gr.Alloc {
+			if len(row) != c.GroupSize {
+				return fmt.Errorf("%w: group %v scheme %v has %d allocations, want %d",
+					ErrCheckpointCorrupt, gr.Members, Scheme(s), len(row), c.GroupSize)
+			}
+			for _, u := range row {
+				if u < 0 || u > c.Units {
+					return fmt.Errorf("%w: group %v scheme %v allocates %d units outside 0..%d",
+						ErrCheckpointCorrupt, gr.Members, Scheme(s), u, c.Units)
+				}
+			}
+		}
 	}
 	return nil
 }

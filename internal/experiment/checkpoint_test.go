@@ -132,6 +132,15 @@ func TestCheckpointRejectsBadFiles(t *testing.T) {
 		`{"version":1,"num_programs":6,"group_size":3,"units":32,"blocks_per_unit":4,"groups":[{"Members":[2,1,0]}]}`)); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Errorf("member-order error = %v, want ErrCheckpointCorrupt", err)
 	}
+	allocs := `[[8,8,16],[8,8,16],[8,8,16],[8,8,16],[8,8,16],[8,8,99]]`
+	if _, err := ReadCheckpoint(write("alloc.json",
+		`{"version":1,"num_programs":6,"group_size":3,"units":32,"blocks_per_unit":4,"groups":[{"Members":[0,1,2],"Alloc":`+allocs+`}]}`)); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Errorf("out-of-range allocation error = %v, want ErrCheckpointCorrupt", err)
+	}
+	if _, err := ReadCheckpoint(write("noalloc.json",
+		`{"version":1,"num_programs":6,"group_size":3,"units":32,"blocks_per_unit":4,"groups":[{"Members":[0,1,2]}]}`)); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Errorf("missing allocation error = %v, want ErrCheckpointCorrupt", err)
+	}
 }
 
 func TestRunRejectsMismatchedCheckpoint(t *testing.T) {

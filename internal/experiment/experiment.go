@@ -74,16 +74,24 @@ func (s Scheme) String() string {
 	}
 }
 
-// GroupResult holds one co-run group's evaluation.
+// GroupResult holds one co-run group's evaluation. Per-member miss
+// ratios are not stored (see ProgramMR), which keeps a full sweep's
+// Result — 1820 groups × six schemes — about half the size.
 type GroupResult struct {
 	// Members are indices into the program list.
 	Members []int
 	// GroupMR[s] is the group miss ratio under scheme s.
 	GroupMR [NumSchemes]float64
-	// ProgramMR[s][i] is member i's miss ratio under scheme s.
-	ProgramMR [NumSchemes][]float64
 	// Alloc[s][i] is member i's allocation in units under scheme s.
 	Alloc [NumSchemes][]int
+}
+
+// ProgramMR returns member i's miss ratio under scheme s, given the
+// program list the group indexes. Every scheme, Natural included, is
+// evaluated as a whole-unit allocation, so this is the member's curve at
+// its allocation: bit for bit the value the scheme's evaluation computed.
+func (gr GroupResult) ProgramMR(progs []workload.Program, s Scheme, i int) float64 {
+	return progs[gr.Members[i]].Curve.MissRatio(gr.Alloc[s][i])
 }
 
 // Result is a full evaluation run.
@@ -214,7 +222,6 @@ func evaluateGroup(ctx context.Context, progs []workload.Program, members []int,
 
 	record := func(s Scheme, sol partition.Solution) {
 		res.GroupMR[s] = sol.GroupMissRatio
-		res.ProgramMR[s] = sol.MissRatios
 		res.Alloc[s] = sol.Alloc
 	}
 

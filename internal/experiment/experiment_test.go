@@ -79,7 +79,7 @@ func TestRunProducesAllGroups(t *testing.T) {
 			t.Fatalf("group %d has %d members", g, len(gr.Members))
 		}
 		for s := Scheme(0); s < NumSchemes; s++ {
-			if len(gr.ProgramMR[s]) != 4 || len(gr.Alloc[s]) != 4 {
+			if len(gr.Alloc[s]) != 4 {
 				t.Fatalf("group %d scheme %v: missing per-program data", g, s)
 			}
 			total := 0
@@ -117,10 +117,10 @@ func TestBaselineConstraintsHold(t *testing.T) {
 	tol := 1 + partition.DefaultBaselineTolerance
 	for g, gr := range res.Groups {
 		for i := range gr.Members {
-			if gr.ProgramMR[EqualBaseline][i] > gr.ProgramMR[Equal][i]*tol+1e-12 {
+			if gr.ProgramMR(res.Programs, EqualBaseline, i) > gr.ProgramMR(res.Programs, Equal, i)*tol+1e-12 {
 				t.Fatalf("group %d member %d: equal baseline worsened a program", g, i)
 			}
-			if gr.ProgramMR[NaturalBaseline][i] > gr.ProgramMR[Natural][i]*tol+1e-12 {
+			if gr.ProgramMR(res.Programs, NaturalBaseline, i) > gr.ProgramMR(res.Programs, Natural, i)*tol+1e-12 {
 				t.Fatalf("group %d member %d: natural baseline worsened a program", g, i)
 			}
 		}

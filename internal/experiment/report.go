@@ -92,7 +92,7 @@ func ProgramSeries(res Result, program int, schemes []Scheme) map[Scheme][]float
 		for _, gr := range res.Groups {
 			for i, m := range gr.Members {
 				if m == program {
-					series = append(series, gr.ProgramMR[s][i])
+					series = append(series, gr.ProgramMR(res.Programs, s, i))
 					break
 				}
 			}
@@ -111,7 +111,7 @@ func GainLoss(res Result, program int, tol float64) (gain, tie, loss int) {
 			if m != program {
 				continue
 			}
-			nat, eq := gr.ProgramMR[Natural][i], gr.ProgramMR[Equal][i]
+			nat, eq := gr.ProgramMR(res.Programs, Natural, i), gr.ProgramMR(res.Programs, Equal, i)
 			switch {
 			case nat < eq*(1-tol):
 				gain++
@@ -135,7 +135,7 @@ func UnfairnessCount(res Result, program int, baseline Scheme) (worse, total int
 				continue
 			}
 			total++
-			if gr.ProgramMR[Optimal][i] > gr.ProgramMR[baseline][i]*(1+1e-9) {
+			if gr.ProgramMR(res.Programs, Optimal, i) > gr.ProgramMR(res.Programs, baseline, i)*(1+1e-9) {
 				worse++
 			}
 		}

@@ -20,7 +20,6 @@ const (
 	mPathRefineSolves = "partition.path_refine_solves"
 	mRefineBandCells  = "partition.refine_band_cells"
 	mRefineFallbacks  = "partition.refine_fallbacks"
-	mPathDCLayers     = "partition.path_dc_layers"
 	mPathExactLayers  = "partition.path_exact_layers"
 	mPoolWorkerLayers = "partition.pool_worker_layers"
 	mPoolWorkerCells  = "partition.pool_worker_cells"
@@ -62,9 +61,9 @@ const (
 // exactly that order and compare over exactly the reference's candidate
 // values, so the allocation — including tie-breaking — is bit-identical to
 // ReferenceOptimize *regardless of how the layer values were computed*.
-// That independence is what lets the structured solvers (structured.go,
-// refine.go) schedule the min computations differently while keeping every
-// output bit: they only ever have to reproduce the row values.
+// That independence is what lets the refinement rung (refine.go) schedule
+// the min computations differently while keeping every output bit: it only
+// ever has to reproduce the row values.
 
 const inf = math.MaxFloat64
 
@@ -236,27 +235,6 @@ func cellSumVal(dp, costsRev []float64, off, j0, j1 int) float64 {
 		best = best2
 	}
 	return best
-}
-
-// cellSum is cellSumVal plus the leftmost strict-improve argmin, used by
-// the divide-and-conquer scheduler, which needs the argmin to split its
-// column windows.
-func cellSum(dp, costsRev []float64, off, j0, j1 int) (float64, int) {
-	dpw := dp[j0 : j1+1]
-	cw := costsRev[off+j0 : off+j1+1 : off+j1+1]
-	cw = cw[:len(dpw)]
-	best := inf
-	bestI := -1
-	for i, v := range dpw {
-		if cand := v + cw[i]; cand < best {
-			best = cand
-			bestI = i
-		}
-	}
-	if bestI < 0 {
-		return inf, -1
-	}
-	return best, j0 + bestI
 }
 
 // cellMinimaxVal is cellSumVal with the max combine. math.Max is used (not
@@ -438,20 +416,16 @@ func reconstructAlloc(pr *Problem, s *scratch, C int, minimax bool) (Allocation,
 // leaves no partial state beyond the pooled scratch, which is returned
 // intact.
 //
-// The solver ladder (DESIGN.md §13) runs top to bottom, every rung gated
-// by an exactness certificate and falling through on failure:
-//
-//	refine  — whole-solve coarse-to-fine bound pruning (refine.go)
-//	dc      — per-layer divide and conquer + SMAWK on certified-convex
-//	          cost rows (structured.go)
-//	exact   — the gather kernel above, blocked at large windows
+// The solver ladder (DESIGN.md §13) has two rungs: refine, whole-solve
+// coarse-to-fine bound pruning (refine.go), gated by an exactness
+// certificate and falling through on failure; then exact, the gather
+// kernel above, blocked at large windows.
 func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 	if err := pr.validate(); err != nil {
 		return Solution{}, err
 	}
 	n, C := len(pr.Curves), pr.Units
 	minimax := pr.Combine == Minimax
-	mode := pr.Solver
 
 	// Trace only the cancellable (ctx != nil) path: the serial Optimize
 	// calls in the sweep's inner loop pass nil and stay instrumentation-
@@ -463,7 +437,6 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 		ctx, ps = obs.Start(ctx, spanSolve, "dp")
 		defer func() {
 			ps.Arg("programs", int64(n)).Arg("units", int64(C)).
-				Arg("dc_layers", int64(path.dcLayers)).
 				Arg("refine", boolArg(path.refine)).End()
 		}()
 	}
@@ -484,7 +457,7 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 	}
 
 	// Rung 1: whole-solve coarse-to-fine refinement.
-	if mode == SolverRefine || (mode == SolverAuto && C >= refineAutoMinUnits) {
+	if pr.Solver == SolverAuto {
 		ok, err := refineSolve(ctx, pr, s, &path)
 		if err != nil {
 			return Solution{}, err
@@ -494,15 +467,13 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 		}
 	}
 
-	// Rungs 2–3: per-layer d&c/SMAWK on certified layers, exact kernel
-	// otherwise.
+	// Rung 2: the exact kernel, layer by layer.
 	var pool *dpPool
 	if workers > 1 {
 		pool = newDPPool(workers, C)
 		defer pool.close()
 	}
 
-	tryDC := !minimax && (mode == SolverDC || mode == SolverAuto || mode == SolverRefine)
 	spec := layerSpec{minimax: minimax}
 	prevLo, prevHi := 0, 0
 	costBound := 0.0
@@ -517,7 +488,6 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 		lo, hi := pr.bounds(p)
 		costsRev := s.costsRev[:hi-lo+1]
 		layerMax := 0.0
-		cert := newLayerCert(tryDC)
 		for u := lo; u <= hi; u++ {
 			c := pr.cost(p, u)
 			costsRev[hi-lo-(u-lo)] = c
@@ -529,7 +499,6 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 					layerMax = math.Inf(1)
 				}
 			}
-			cert.observe(c)
 		}
 		if minimax {
 			costBound = math.Max(costBound, layerMax)
@@ -543,23 +512,14 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 		spec.checked = spec.checked || !(costBound < costSafeLimit)
 		spec.blocked = !spec.minimax && !spec.checked &&
 			spec.prevHi-spec.prevLo+1 >= blockedMinWindow
-		useDC := tryDC && !spec.checked && cert.certified() &&
-			(mode == SolverDC || hi-lo+1 >= dcAutoMinWindow)
-		switch {
-		case useDC:
-			_, ls := obs.Start(ctx, spanDPLayer, "dp")
-			dcLayer(&spec, &path)
-			ls.Arg("layer", int64(p)).Arg("dc", 1).End()
-			path.dcLayers++
-		case pool != nil:
+		if pool != nil {
 			_, ls := obs.Start(ctx, spanDPLayer, "dp")
 			pool.runLayer(&spec)
 			ls.Arg("layer", int64(p)).End()
-			path.exactLayers++
-		default:
+		} else {
 			runLayerRange(&spec, 0, C)
-			path.exactLayers++
 		}
+		path.exactLayers++
 		s.metas[p] = layerMeta{lo: lo, hi: hi, prevLo: prevLo, prevHi: prevHi}
 		path.cells += int64(C + 1)
 		prevLo += lo
@@ -587,9 +547,6 @@ func finishSolve(pr *Problem, s *scratch, C int, minimax bool, path *solvePath) 
 		}
 		if path.refineFallback {
 			reg.Counter(mRefineFallbacks).Inc()
-		}
-		if path.dcLayers > 0 {
-			reg.Counter(mPathDCLayers).Add(int64(path.dcLayers))
 		}
 		if path.exactLayers > 0 {
 			reg.Counter(mPathExactLayers).Add(int64(path.exactLayers))

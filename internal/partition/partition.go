@@ -171,7 +171,7 @@ type Solution struct {
 	// MissRatios holds each program's miss ratio under Alloc.
 	MissRatios []float64
 	// SolverPath records which rungs of the solver ladder actually ran
-	// ("exact", "dc+exact", "refine", "refine-fallback+exact", …). Purely
+	// ("refine", "exact", or "refine-fallback+exact"). Purely
 	// informational: every path produces bit-identical results. Only
 	// Optimize and OptimizeParallel populate it.
 	SolverPath string
@@ -194,14 +194,14 @@ func (pr *Problem) solution(alloc Allocation, obj float64) Solution {
 // to the allocation summing exactly to Units and respecting the per-program
 // bounds. It examines the entire solution space by dynamic programming —
 // no convexity assumption — in O(P·C²) worst-case time and O(P·C) space.
-// The DP runs on a ladder of solvers (solver.go, DESIGN.md §13): exact
-// structure certificates route eligible instances through coarse-to-fine
-// refinement or divide-and-conquer/SMAWK layer schedules — near-linear in
-// C in practice — while anything uncertified drops to the pooled exact
-// gather kernel (kernel.go). Every rung, on every input, produces output —
-// objective, allocation, even tie-breaking — bit-identical to the
-// reference implementation (see ReferenceOptimize); Problem.Solver can
-// force a rung and Solution.SolverPath reports what ran.
+// The DP runs on a two-rung solver ladder (solver.go, DESIGN.md §13): an
+// exactness certificate routes eligible instances through coarse-to-fine
+// refinement — near-linear in C in practice — while anything uncertified
+// drops to the pooled exact gather kernel (kernel.go). Both rungs, on
+// every input, produce output — objective, allocation, even tie-breaking —
+// bit-identical to the reference implementation (see ReferenceOptimize);
+// Problem.Solver can force the exact rung and Solution.SolverPath reports
+// what ran.
 func Optimize(pr Problem) (Solution, error) {
 	return solve(nil, &pr, 1)
 }

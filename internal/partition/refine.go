@@ -23,8 +23,8 @@ import (
 // survives pruning; the surviving band is solved by the exact kernels over
 // the exact costs; and reconstructAlloc's full-window rescan reproduces
 // the reference tie-breaking bit for bit (see the soundness walk-through
-// in DESIGN.md §13.3). Every guard failure falls back to the per-layer
-// ladder, so refinement can be slow to decline but never wrong.
+// in DESIGN.md §13.2). Every guard failure falls back to the exact
+// kernel, so refinement can be slow to decline but never wrong.
 //
 // Eligibility: Sum objective, no per-program bounds, n ≥ 2 programs, and
 // every cost finite, non-negative, and free of negative zeros. Relative
@@ -32,12 +32,10 @@ import (
 // costs are declined rather than risked.
 
 const (
-	// refineAutoMinUnits is the C at or above which SolverAuto attempts
-	// refinement; below it the exact kernel is already fast enough that
-	// the coarse solves would dominate.
-	refineAutoMinUnits = 2048
-	// refineMinUnits is the hard floor even under SolverRefine: below it
-	// no useful level schedule exists.
+	// refineMinUnits is the C at or above which SolverAuto attempts
+	// refinement. Below it no useful level schedule exists; at it, on the
+	// paper's programs, refinement already solves ~3× faster than the
+	// exact kernel (DESIGN.md §13.1).
 	refineMinUnits = 512
 	// refineMargin is the relative slack added to the upper bound before
 	// pruning. It exceeds the worst-case relative float64 drift of the
@@ -53,7 +51,7 @@ const (
 
 // refineWorkBudget is the per-stage cell-scan budget: a banded level or
 // the fine pass may cost at most this many candidate scans before the
-// solve bails to the exact ladder. The exact solve this rung replaces
+// solve bails to the exact kernel. The exact solve this rung replaces
 // scans ~n·(C+1)²/2 candidates, so capping each of the few stages at an
 // eighth of that bounds a worst-case (adversarially flat, tie-saturated)
 // refinement at roughly the exact solve's cost while letting moderately
@@ -84,7 +82,7 @@ type refineLevel struct {
 // s.metas exactly as the per-layer loop would (values at unpruned cells,
 // inf elsewhere) and returns true; on ineligibility or any guard failure
 // it returns false with the scratch base row intact so the caller can fall
-// through to the per-layer ladder.
+// through to the exact kernel.
 func refineSolve(ctx context.Context, pr *Problem, s *scratch, path *solvePath) (bool, error) {
 	n, C := len(pr.Curves), pr.Units
 	if pr.Combine != Sum || n < 2 || C < refineMinUnits {
@@ -1028,7 +1026,7 @@ func refineFineSolve(ctx context.Context, n, C int, costs [][]float64, spans [][
 	for p := 0; p < n; p++ {
 		if len(spans[p]) == 0 {
 			// No surviving cells in some layer: mark the solve infeasible so
-			// the caller's defensive check routes to the exact ladder.
+			// the caller's defensive check routes to the exact kernel.
 			s.rows[n][C] = inf
 			return nil
 		}

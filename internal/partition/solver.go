@@ -10,26 +10,14 @@ import "fmt"
 type Solver int
 
 const (
-	// SolverAuto walks the solver ladder: coarse-to-fine refinement for
-	// large eligible instances, divide-and-conquer/SMAWK on layers whose
-	// cost rows pass the exact convexity certificate, and the blocked
-	// exact gather kernel for everything else.
+	// SolverAuto walks the two-rung solver ladder: coarse-to-fine
+	// refinement for eligible instances (C ≥ refineMinUnits), and the
+	// blocked exact gather kernel for everything refinement declines.
 	SolverAuto Solver = iota
 	// SolverExact forces the exact gather kernel on every layer — the
-	// ladder's bottom rung, and the bit-exactness anchor the structured
-	// rungs are tested against.
+	// ladder's bottom rung, and the bit-exactness anchor refinement is
+	// tested against.
 	SolverExact
-	// SolverDC forces divide-and-conquer/SMAWK scheduling on every layer
-	// that passes the convexity certificate, regardless of size
-	// thresholds. Layers that fail the certificate still fall back to the
-	// exact kernel — the certificate is a correctness gate, not a
-	// heuristic.
-	SolverDC
-	// SolverRefine forces the coarse-to-fine refinement rung regardless
-	// of the auto size threshold. Instances the rung cannot certify
-	// (minimax or negative/non-finite costs, per-program bounds, tiny C)
-	// fall through to the per-layer ladder.
-	SolverRefine
 )
 
 func (s Solver) String() string {
@@ -38,10 +26,6 @@ func (s Solver) String() string {
 		return "auto"
 	case SolverExact:
 		return "exact"
-	case SolverDC:
-		return "dc"
-	case SolverRefine:
-		return "refine"
 	}
 	return fmt.Sprintf("solver(%d)", int(s))
 }
@@ -53,47 +37,28 @@ func ParseSolver(s string) (Solver, error) {
 		return SolverAuto, nil
 	case "exact":
 		return SolverExact, nil
-	case "dc":
-		return SolverDC, nil
-	case "refine":
-		return SolverRefine, nil
 	}
-	return SolverAuto, fmt.Errorf("partition: unknown solver %q (want auto, exact, dc, or refine)", s)
+	return SolverAuto, fmt.Errorf("partition: unknown solver %q (want auto or exact)", s)
 }
-
-// dcAutoMinWindow gates the auto ladder's d&c rung to layers whose cost
-// window is large enough for the O(W log W) schedule to beat the flat
-// scan's locality.
-const dcAutoMinWindow = 512
 
 // solvePath accumulates which rungs of the ladder actually ran during one
 // solve, for the Solution.SolverPath report and the obs counters.
 type solvePath struct {
 	refine         bool
 	refineFallback bool
-	dcLayers       int
 	exactLayers    int
-	smawkRows      int
 	cells          int64 // DP cells computed
 	bandCells      int64 // cells retained by refinement bands
 }
 
-// String renders the rung combination, e.g. "exact", "dc+exact",
-// "refine", or "refine-fallback+dc+exact".
+// String renders the rung combination: "refine", "exact", or
+// "refine-fallback+exact" when refinement was attempted and declined.
 func (p *solvePath) String() string {
-	if p.refine {
-		return "refine"
-	}
-	out := ""
-	if p.refineFallback {
-		out = "refine-fallback+"
-	}
 	switch {
-	case p.dcLayers > 0 && p.exactLayers > 0:
-		return out + "dc+exact"
-	case p.dcLayers > 0:
-		return out + "dc"
-	default:
-		return out + "exact"
+	case p.refine:
+		return "refine"
+	case p.refineFallback:
+		return "refine-fallback+exact"
 	}
+	return "exact"
 }

@@ -1,17 +1,17 @@
 package partition
 
 import (
-	"math"
+	"context"
 	"math/rand/v2"
 	"reflect"
-	"strings"
 	"testing"
 
 	"partitionshare/internal/mrc"
+	"partitionshare/internal/workload"
 )
 
-// allSolvers enumerates every forced mode plus auto.
-var allSolvers = []Solver{SolverAuto, SolverExact, SolverDC, SolverRefine}
+// allSolvers enumerates both solver modes.
+var allSolvers = []Solver{SolverAuto, SolverExact}
 
 // checkBitExact asserts that solving pr under every solver mode yields the
 // reference solution bit for bit: objective, allocation, and tie-breaking.
@@ -47,80 +47,6 @@ func TestSolverModesBitExactRandom(t *testing.T) {
 	}
 }
 
-// TestNonConvexForcedDCFallsBack feeds adversarial non-convex cost curves
-// (sawtooth, random jumps, a flat row with one spike) through SolverDC:
-// the convexity certificate must reject every layer, the path must report
-// the exact kernel ran, and the result must match the reference bit for
-// bit.
-func TestNonConvexForcedDCFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 11))
-	units := 700 // above dcAutoMinWindow so d&c would fire if certified
-	mk := func(f func(u int) float64) []float64 {
-		row := make([]float64, units+1)
-		for u := range row {
-			row[u] = f(u)
-		}
-		return row
-	}
-	tab := [][]float64{
-		mk(func(u int) float64 { // sawtooth: strictly non-convex everywhere
-			return float64(1000-u) + 40*float64(u%2)
-		}),
-		mk(func(u int) float64 { // random jumps
-			return rng.Float64() * 1000
-		}),
-		mk(func(u int) float64 { // flat with one concave spike
-			if u == units/2 {
-				return 2000
-			}
-			return 500
-		}),
-	}
-	curves := make([]mrc.Curve, len(tab))
-	for p := range curves {
-		curves[p] = mkCurve("nc", 1000, 1, 0.5)
-	}
-	pr := Problem{Curves: curves, Units: units, CostTable: tab, Solver: SolverDC}
-	got, err := Optimize(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SolverPath != "exact" {
-		t.Errorf("non-convex forced dc: path %q, want %q (certificate must reject)", got.SolverPath, "exact")
-	}
-	pr.Solver = SolverAuto
-	checkBitExact(t, pr, "non-convex")
-}
-
-// TestConvexForcedDCFires builds exactly convex cost rows and checks the
-// d&c/SMAWK rung both fires and matches the reference.
-func TestConvexForcedDCFires(t *testing.T) {
-	units := 900
-	n := 3
-	tab := make([][]float64, n)
-	for p := range tab {
-		row := make([]float64, units+1)
-		for u := range row {
-			d := float64(u - 200*(p+1))
-			row[u] = d * d // exactly convex in float64 for |d| ≤ 2^26
-		}
-		tab[p] = row
-	}
-	curves := make([]mrc.Curve, n)
-	for p := range curves {
-		curves[p] = mkCurve("cv", 1000, 1, 0.5)
-	}
-	pr := Problem{Curves: curves, Units: units, CostTable: tab, Solver: SolverDC}
-	got, err := Optimize(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(got.SolverPath, "dc") {
-		t.Errorf("convex forced dc: path %q, want a dc rung", got.SolverPath)
-	}
-	checkBitExact(t, pr, "convex")
-}
-
 // TestRefineDifferentialLargeC checks the refinement rung end to end on
 // realistic random curves at sizes where auto mode selects it, against
 // the forced-exact kernel and the reference.
@@ -131,7 +57,6 @@ func TestRefineDifferentialLargeC(t *testing.T) {
 	for _, units := range []int{512, 1024, 2048} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			pr := randProblem(seed, 3, units)
-			pr.Solver = SolverRefine
 			got, err := Optimize(pr)
 			if err != nil {
 				t.Fatal(err)
@@ -152,21 +77,48 @@ func TestRefineDifferentialLargeC(t *testing.T) {
 	checkBitExact(t, pr, "refine-range")
 }
 
-// TestRefineAutoFires asserts auto mode actually takes the refinement rung
-// at large C on well-behaved curves, and that bounds or minimax disable it.
+// TestRefineAutoFires asserts auto mode takes the refinement rung from
+// refineMinUnits up — on random curves at the floor and on the paper's
+// first four programs at the daemon's default C=1024 — and that bounds or
+// minimax disable it.
 func TestRefineAutoFires(t *testing.T) {
-	pr := randProblem(5, 4, refineAutoMinUnits)
+	pr := randProblem(5, 4, refineMinUnits)
 	got, err := Optimize(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.SolverPath != "refine" {
-		t.Errorf("auto at C=%d: path %q, want %q", refineAutoMinUnits, got.SolverPath, "refine")
+		t.Errorf("auto at C=%d: path %q, want %q", refineMinUnits, got.SolverPath, "refine")
+	}
+	checkBitExact(t, pr, "refine-floor")
+
+	// Profiling the paper's programs at full geometry takes ~0.5 s, and
+	// over 10 s under the race detector, where it would starve the
+	// timing-sensitive tests of packages running beside it.
+	if testing.Short() || raceEnabled {
+		t.Log("paper programs at C=1024 skipped in -short mode and under -race")
+	} else {
+		progs, err := workload.ProfileAll(context.Background(), workload.Specs()[:4], workload.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		paper := Problem{Units: workload.DefaultConfig().Units}
+		for _, p := range progs {
+			paper.Curves = append(paper.Curves, p.Curve)
+		}
+		sol, err := Optimize(paper)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.SolverPath != "refine" {
+			t.Errorf("paper programs at C=%d: path %q, want %q", paper.Units, sol.SolverPath, "refine")
+		}
+		checkBitExact(t, paper, "paper-programs")
 	}
 
 	// Per-program bounds make the instance ineligible; auto must still solve
-	// it exactly through the per-layer ladder.
-	prB := randProblem(5, 4, refineAutoMinUnits)
+	// it exactly through the exact kernel.
+	prB := randProblem(5, 4, refineMinUnits)
 	prB.MinAlloc = []int{10, 0, 0, 0}
 	sol, err := Optimize(prB)
 	if err != nil {
@@ -175,8 +127,8 @@ func TestRefineAutoFires(t *testing.T) {
 	if sol.Alloc[0] < 10 {
 		t.Errorf("bounds violated: %v", sol.Alloc)
 	}
-	if strings.Contains(sol.SolverPath, "refine") && sol.SolverPath == "refine" {
-		t.Errorf("bounded instance took refine path: %q", sol.SolverPath)
+	if sol.SolverPath != "exact" {
+		t.Errorf("bounded instance: path %q, want exact", sol.SolverPath)
 	}
 	ref, err := ReferenceOptimize(prB)
 	if err != nil {
@@ -186,7 +138,7 @@ func TestRefineAutoFires(t *testing.T) {
 		t.Errorf("bounded large-C: %v/%v vs reference %v/%v", sol.Objective, sol.Alloc, ref.Objective, ref.Alloc)
 	}
 
-	prM := randProblem(5, 3, refineAutoMinUnits)
+	prM := randProblem(5, 3, refineMinUnits)
 	prM.Combine = Minimax
 	solM, err := Optimize(prM)
 	if err != nil {
@@ -216,91 +168,15 @@ func TestRefineNegativeCostsFallBack(t *testing.T) {
 	for p := range curves {
 		curves[p] = mkCurve("neg", 1000, 1, 0.5)
 	}
-	pr := Problem{Curves: curves, Units: units, CostTable: tab, Solver: SolverRefine}
+	pr := Problem{Curves: curves, Units: units, CostTable: tab}
 	got, err := Optimize(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(got.SolverPath, "refine-fallback+") {
-		t.Errorf("negative costs: path %q, want refine-fallback prefix", got.SolverPath)
+	if got.SolverPath != "refine-fallback+exact" {
+		t.Errorf("negative costs: path %q, want refine-fallback+exact", got.SolverPath)
 	}
-	pr.Solver = SolverAuto
 	checkBitExact(t, pr, "negative-costs")
-}
-
-// TestSMAWKMatchesDirectScan cross-checks smawkSolve against a direct
-// leftmost-argmin scan on random Monge matrices built as dp[j] + convex
-// offsets — the exact shape dcLayer feeds it.
-func TestSMAWKMatchesDirectScan(t *testing.T) {
-	rng := rand.New(rand.NewPCG(17, 23))
-	for trial := 0; trial < 30; trial++ {
-		nRows := rng.IntN(120) + 1
-		nCols := rng.IntN(120) + 1
-		dp := make([]float64, nCols)
-		for j := range dp {
-			dp[j] = rng.Float64() * 100
-		}
-		// Convex offsets with random (non-negative) second differences;
-		// duplicate plateaus exercise tie handling.
-		off := make([]float64, nRows+nCols)
-		slope := rng.Float64() * 2
-		for i := 1; i < len(off); i++ {
-			off[i] = off[i-1] + slope
-			if rng.IntN(3) == 0 {
-				slope += rng.Float64()
-			}
-		}
-		A := func(t, j int) float64 { return dp[j] + off[t-j+nCols-1] }
-		rows := make([]int, nRows)
-		for i := range rows {
-			rows[i] = i
-		}
-		cols := make([]int, nCols)
-		for j := range cols {
-			cols[j] = j
-		}
-		arg := smawkSolve(rows, cols, A)
-		for i, r := range rows {
-			bestV := A(r, 0)
-			for j := 1; j < nCols; j++ {
-				if A(r, j) < bestV {
-					bestV = A(r, j)
-				}
-			}
-			if got := A(r, arg[i]); got != bestV {
-				t.Fatalf("trial %d row %d: smawk value %v, direct %v", trial, r, got, bestV)
-			}
-		}
-		for i := 1; i < len(arg); i++ {
-			if arg[i] < arg[i-1] {
-				t.Fatalf("trial %d: argmins not monotone: %v", trial, arg)
-			}
-		}
-	}
-}
-
-func TestSecondDiffNonnegExact(t *testing.T) {
-	cases := []struct {
-		a, b, c float64
-		want    bool
-	}{
-		{0, 0, 0, true},
-		{1, 1, 1, true},
-		{1, 2, 3, true}, // exactly linear
-		{1, 2, 2.5, false},
-		{1e16, 1e16 + 1, 1e16 + 2, true}, // linear at the ulp edge
-		{1e16, 1e16 + 2, 1e16 + 2, false},
-		// fl(0.1)+fl(0.3) = 0.39999999999999999444… < 2·fl(0.2) =
-		// 0.40000000000000002220… over the reals: the stored values are
-		// *not* convex here even though the real numbers 0.1, 0.2, 0.3 are
-		// linear — exactly the distinction the exact test must draw.
-		{0.1, 0.2, 0.3, false},
-	}
-	for _, tc := range cases {
-		if got := secondDiffNonneg(tc.a, tc.b, tc.c); got != tc.want {
-			t.Errorf("secondDiffNonneg(%v,%v,%v) = %v, want %v", tc.a, tc.b, tc.c, got, tc.want)
-		}
-	}
 }
 
 func TestValidateSizeGuards(t *testing.T) {
@@ -346,12 +222,14 @@ func TestParseSolverRoundTrip(t *testing.T) {
 	if got, err := ParseSolver(""); err != nil || got != SolverAuto {
 		t.Errorf("ParseSolver(\"\") = %v, %v", got, err)
 	}
-	if _, err := ParseSolver("bogus"); err == nil {
-		t.Error("ParseSolver(bogus) accepted")
+	for _, name := range []string{"dc", "refine", "bogus"} {
+		if _, err := ParseSolver(name); err == nil {
+			t.Errorf("ParseSolver(%q) accepted", name)
+		}
 	}
 }
 
-// TestRefineMatchesExactOnCostTables runs the refinement rung against
+// TestRefineMatchesExactOnCostTables runs auto (refinement) against
 // forced-exact on piecewise-flat cost tables with long plateaus — the
 // shape that stresses tie-breaking, since thousands of allocations share
 // the optimal objective.
@@ -377,33 +255,36 @@ func TestRefineMatchesExactOnCostTables(t *testing.T) {
 	}
 	pr := Problem{Curves: curves, Units: units, CostTable: tab}
 	checkBitExact(t, pr, "plateaus")
-	pr.Solver = SolverRefine
 	got, err := Optimize(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SolverPath != "refine" && !strings.HasPrefix(got.SolverPath, "refine-fallback+") {
-		t.Errorf("plateaus forced refine: path %q", got.SolverPath)
+	if got.SolverPath != "refine" && got.SolverPath != "refine-fallback+exact" {
+		t.Errorf("plateaus: path %q, want refinement attempted", got.SolverPath)
 	}
 }
 
 // TestLargeCParallelMatches: OptimizeParallel at a refine-eligible size
-// must agree with sequential regardless of worker count.
+// must agree with sequential regardless of worker count, and the forced
+// exact rung — the only one the worker pool runs — must agree with both.
 func TestLargeCParallelMatches(t *testing.T) {
 	pr := randProblem(8, 3, 2048)
 	seq, err := Optimize(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := OptimizeParallel(nil, pr, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Objective != seq.Objective || !reflect.DeepEqual(par.Alloc, seq.Alloc) {
-		t.Errorf("parallel (path %s) %v/%v vs sequential (path %s) %v/%v",
-			par.SolverPath, par.Objective, par.Alloc, seq.SolverPath, seq.Objective, seq.Alloc)
-	}
-	if math.Abs(par.GroupMissRatio-seq.GroupMissRatio) > 0 {
-		t.Errorf("group miss ratio drifted: %v vs %v", par.GroupMissRatio, seq.GroupMissRatio)
+	for _, sv := range allSolvers {
+		pr.Solver = sv
+		par, err := OptimizeParallel(nil, pr, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par.Objective != seq.Objective || !reflect.DeepEqual(par.Alloc, seq.Alloc) {
+			t.Errorf("parallel solver=%v (path %s) %v/%v vs sequential (path %s) %v/%v",
+				sv, par.SolverPath, par.Objective, par.Alloc, seq.SolverPath, seq.Objective, seq.Alloc)
+		}
+		if par.GroupMissRatio != seq.GroupMissRatio {
+			t.Errorf("solver=%v: group miss ratio drifted: %v vs %v", sv, par.GroupMissRatio, seq.GroupMissRatio)
+		}
 	}
 }

@@ -27,11 +27,12 @@ var ErrInvalidProfile = errors.New("reuse: invalid profile")
 // O(log k) per query after O(k log k) construction. The HOTL footprint
 // formula is three such queries: over reuse times, first-access times, and
 // reverse last-access times.
+//
+// The multiplicity of values[i] is not stored: it is sufCnt[i]−sufCnt[i+1].
 type TailSum struct {
 	values []int64 // sorted ascending, unique
-	counts []int64 // counts[i] = multiplicity of values[i]
-	sufCnt []int64 // sufCnt[i] = Σ_{j>=i} counts[j]
-	sufSum []int64 // sufSum[i] = Σ_{j>=i} values[j]*counts[j]
+	sufCnt []int64 // sufCnt[i] = Σ_{j>=i} count(values[j])
+	sufSum []int64 // sufSum[i] = Σ_{j>=i} values[j]*count(values[j])
 }
 
 // NewTailSum builds a TailSum from a value→count histogram.
@@ -51,11 +52,11 @@ func NewTailSum(hist map[int64]int64) TailSum {
 		ts.values = append(ts.values, v)
 	}
 	sort.Slice(ts.values, func(i, j int) bool { return ts.values[i] < ts.values[j] })
-	ts.counts = make([]int64, len(ts.values))
+	counts := make([]int64, len(ts.values))
 	for i, v := range ts.values {
-		ts.counts[i] = hist[v]
+		counts[i] = hist[v]
 	}
-	ts.buildSuffixes()
+	ts.buildSuffixes(counts)
 	return ts
 }
 
@@ -75,27 +76,27 @@ func newTailSumDense(hist []int32) TailSum {
 			k++
 		}
 	}
-	ts := TailSum{
-		values: make([]int64, 0, k),
-		counts: make([]int64, 0, k),
-	}
+	ts := TailSum{values: make([]int64, 0, k)}
+	counts := make([]int64, 0, k)
 	for v, c := range hist {
 		if c == 0 {
 			continue
 		}
 		ts.values = append(ts.values, int64(v))
-		ts.counts = append(ts.counts, int64(c))
+		counts = append(counts, int64(c))
 	}
-	ts.buildSuffixes()
+	ts.buildSuffixes(counts)
 	return ts
 }
 
-func (ts *TailSum) buildSuffixes() {
+// buildSuffixes fills the suffix sums from counts[i], the multiplicity
+// of values[i].
+func (ts *TailSum) buildSuffixes(counts []int64) {
 	ts.sufCnt = make([]int64, len(ts.values)+1)
 	ts.sufSum = make([]int64, len(ts.values)+1)
 	for i := len(ts.values) - 1; i >= 0; i-- {
-		ts.sufCnt[i] = ts.sufCnt[i+1] + ts.counts[i]
-		ts.sufSum[i] = ts.sufSum[i+1] + ts.values[i]*ts.counts[i]
+		ts.sufCnt[i] = ts.sufCnt[i+1] + counts[i]
+		ts.sufSum[i] = ts.sufSum[i+1] + ts.values[i]*counts[i]
 	}
 }
 
@@ -123,7 +124,7 @@ func (ts TailSum) CountGreater(w int64) int64 {
 // It is the export half of NewTailSum, used to serialize profiles.
 func (ts TailSum) Each(fn func(value, count int64)) {
 	for i, v := range ts.values {
-		fn(v, ts.counts[i])
+		fn(v, ts.sufCnt[i]-ts.sufCnt[i+1])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -67,6 +68,9 @@ func TestLoadThroughputAndDrain(t *testing.T) {
 				default:
 					broken.Add(1)
 				}
+				// Drain before Close so the keep-alive connection is
+				// reused; an unread body forces a fresh dial per request.
+				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 			}
 		}()
@@ -133,6 +137,7 @@ func TestLoadThroughputAndDrain(t *testing.T) {
 					resp.StatusCode != http.StatusGatewayTimeout {
 					wave2Broken.Add(1)
 				}
+				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 			}
 		}()

@@ -77,6 +77,15 @@ go run ./cmd/optpart -units 16384 -blocksperunit 1 -solver auto -baselines=false
 	-manifest "$OBS_SMOKE_DIR/optpart.json" \
 	"$OBS_SMOKE_DIR/lbm.hotl" "$OBS_SMOKE_DIR/mcf.hotl" >/dev/null
 go run scripts/checksolver.go "$OBS_SMOKE_DIR/optpart.json" refine
+# The daemon's and the paper's default geometry (units=1024) on a
+# four-program group must take the refinement rung too.
+echo "== obs smoke: optpart default-geometry solver path"
+go run ./cmd/hotlprof -workload sphinx3 -small -out "$OBS_SMOKE_DIR/sphinx3.hotl" >/dev/null
+go run ./cmd/hotlprof -workload soplex -small -out "$OBS_SMOKE_DIR/soplex.hotl" >/dev/null
+go run ./cmd/optpart -units 1024 -manifest "$OBS_SMOKE_DIR/optpart1024.json" \
+	"$OBS_SMOKE_DIR/lbm.hotl" "$OBS_SMOKE_DIR/mcf.hotl" \
+	"$OBS_SMOKE_DIR/sphinx3.hotl" "$OBS_SMOKE_DIR/soplex.hotl" >/dev/null
+go run scripts/checksolver.go "$OBS_SMOKE_DIR/optpart1024.json" refine
 
 # Service smoke: the partitiond daemon end to end — register two tenants,
 # request a plan, cross-check it against the offline optpart CLI on the
