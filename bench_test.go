@@ -6,7 +6,9 @@
 package partitionshare_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -14,6 +16,7 @@ import (
 	"partitionshare/internal/experiment"
 	"partitionshare/internal/mrc"
 	"partitionshare/internal/partition"
+	"partitionshare/internal/profileio"
 	"partitionshare/internal/reuse"
 	"partitionshare/internal/sharing"
 	"partitionshare/internal/trace"
@@ -367,6 +370,50 @@ func BenchmarkCollectReuse(b *testing.B) {
 			reuse.CollectParallel(nil, tr, 0)
 		}
 	})
+}
+
+// benchProfileBody is one full-geometry workload profile (the first
+// spec at the default 1024-unit geometry) and its serialized bytes, the
+// input of the profile codec benchmarks.
+func benchProfileBody(b *testing.B) (profileio.Profile, []byte) {
+	b.Helper()
+	cfg := workload.DefaultConfig()
+	spec := workload.Specs()[0]
+	tr := trace.Generate(spec.Build(uint32(cfg.CacheBlocks()), cfg.Seed), cfg.TraceLen)
+	p := profileio.Profile{Name: spec.Name, Rate: spec.Rate, Reuse: reuse.Collect(tr)}
+	var buf bytes.Buffer
+	if err := profileio.Write(&buf, p); err != nil {
+		b.Fatal(err)
+	}
+	return p, buf.Bytes()
+}
+
+// BenchmarkProfileRead measures parsing one full-geometry profile — the
+// decode step of every tenant PUT — and reports it in MB/s.
+func BenchmarkProfileRead(b *testing.B) {
+	_, body := benchProfileBody(b)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := profileio.Read(bytes.NewReader(body)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkProfileWrite measures serializing one full-geometry profile,
+// in MB/s of profile text.
+func BenchmarkProfileWrite(b *testing.B) {
+	p, body := benchProfileBody(b)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := profileio.Write(io.Discard, p); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkExhaustivePartitionSharing measures the small-scale exhaustive

@@ -3,6 +3,7 @@ package profileio
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,19 @@ func TestReadErrorTaxonomy(t *testing.T) {
 		if _, err := Read(strings.NewReader(c)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("corrupt case %d: error = %v, want ErrCorrupt", i, err)
 		}
+	}
+
+	// A hostile histogram size must fail as corrupt without allocating in
+	// proportion to the declared 2^28 entries.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(strings.NewReader(hostileSizeBody))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("hostile size: error = %v, want ErrCorrupt", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 16<<20 {
+		t.Errorf("hostile size: allocated %d bytes, want < 16 MB", d)
 	}
 
 	if _, err := Read(strings.NewReader("hotlprof v2\n")); !errors.Is(err, ErrUnsupportedVersion) {

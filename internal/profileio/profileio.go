@@ -20,6 +20,16 @@
 //	...
 //	last <k>
 //	...
+//
+// Write emits exactly this layout, one space and one newline as
+// separators. Read is more liberal: the header lines are scanned with
+// fmt.Fscan, and the histogram entries are a stream of integer tokens,
+// each a maximal run of non-white-space runes (white space as in
+// unicode.IsSpace, so tabs, CRLF line ends and blank lines are fine). A
+// plain decimal token takes a byte-level fast path; any other token is
+// parsed as a Go integer literal (strconv.ParseInt base 0), so 0x10,
+// 0o20, 020, +16 and 1_6 all read as 16. Entries may arrive in any order
+// and may repeat a value; repeated values' counts are summed.
 package profileio
 
 import (
@@ -29,7 +39,11 @@ import (
 	"io"
 	"math"
 	"os"
+	"sort"
+	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"partitionshare/internal/atomicio"
 	"partitionshare/internal/footprint"
@@ -87,20 +101,33 @@ func (p Profile) Validate() error {
 	return nil
 }
 
-// Write serializes the profile.
+// Write serializes the profile. Every line is assembled with strconv
+// appends in one reused scratch slice; the bytes are exactly those of
+// the equivalent fmt.Fprintf calls ("%g" for the rate, "%d" for integers).
 func Write(w io.Writer, p Profile) error {
-	bw := bufio.NewWriter(w)
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	fmt.Fprintln(bw, "hotlprof v1")
-	fmt.Fprintf(bw, "name %s\n", p.Name)
-	fmt.Fprintf(bw, "rate %g\n", p.Rate)
-	fmt.Fprintf(bw, "n %d m %d\n", p.Reuse.N, p.Reuse.M)
+	bw := bufio.NewWriter(w)
+	b := append(make([]byte, 0, 64), "hotlprof v1\nname "...)
+	b = append(b, p.Name...)
+	b = append(b, "\nrate "...)
+	b = strconv.AppendFloat(b, p.Rate, 'g', -1, 64)
+	b = append(b, "\nn "...)
+	b = strconv.AppendInt(b, p.Reuse.N, 10)
+	b = append(b, " m "...)
+	b = strconv.AppendInt(b, p.Reuse.M, 10)
+	bw.Write(append(b, '\n'))
 	writeHist := func(label string, ts reuse.TailSum) {
-		fmt.Fprintf(bw, "%s %d\n", label, ts.Len())
+		b = append(b[:0], label...)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(ts.Len()), 10)
+		bw.Write(append(b, '\n'))
 		ts.Each(func(v, c int64) {
-			fmt.Fprintf(bw, "%d %d\n", v, c)
+			b = strconv.AppendInt(b[:0], v, 10)
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, c, 10)
+			bw.Write(append(b, '\n'))
 		})
 	}
 	writeHist("reuse", p.Reuse.Reuse)
@@ -112,8 +139,9 @@ func Write(w io.Writer, p Profile) error {
 // Read parses a profile written by Write. Parse failures and invariant
 // violations wrap ErrCorrupt; a recognised magic with an unknown version
 // wraps ErrUnsupportedVersion. Histogram sizes and entry values are
-// bounds-checked before any proportional allocation, so a truncated or
-// hostile file fails fast instead of exhausting memory.
+// bounds-checked, and a histogram's storage grows with the entries
+// actually read rather than its declared size, so a truncated or hostile
+// file fails fast instead of exhausting memory.
 func Read(r io.Reader) (Profile, error) {
 	br := bufio.NewReader(r)
 	var p Profile
@@ -142,6 +170,7 @@ func Read(r io.Reader) (Profile, error) {
 	if n <= 0 || m <= 0 || m > n {
 		return p, corrupt("invalid n=%d m=%d", n, m)
 	}
+	sc := intScanner{br: br}
 	readHist := func(label string) (reuse.TailSum, error) {
 		var got string
 		var k int64
@@ -153,21 +182,50 @@ func Read(r io.Reader) (Profile, error) {
 			// by the trace length, so k > n can never be legitimate.
 			return reuse.TailSum{}, corrupt("implausible %s histogram size %d (n=%d)", label, k, n)
 		}
-		hist := make(map[int64]int64, k)
+		// The declared size is trusted only as far as entries arrive: the
+		// up-front capacity is capped, and each regrowth at most doubles
+		// what was read, never past k: an honest size ends at capacity
+		// exactly k, and a hostile one costs at most 2^16 entries or twice
+		// the entries actually present.
+		values, counts := make([]int64, 0, min(k, 1<<16)), make([]int64, 0, min(k, 1<<16))
+		ascending := true
 		for i := int64(0); i < k; i++ {
-			var v, c int64
-			if _, err := fmt.Fscan(br, &v, &c); err != nil {
-				return reuse.TailSum{}, corrupt("truncated %s histogram: %v", label, err)
+			if len(values) == cap(values) {
+				grown := min(2*int64(len(values)), k)
+				values = append(make([]int64, 0, grown), values...)
+				counts = append(make([]int64, 0, grown), counts...)
+			}
+			v, c, err := sc.entry()
+			if err != nil {
+				return reuse.TailSum{}, corrupt("%s histogram entry %d of %d: %v", label, i+1, k, err)
 			}
 			if v <= 0 || v > n || c <= 0 {
 				return reuse.TailSum{}, corrupt("invalid %s entry %d %d (n=%d)", label, v, c, n)
 			}
-			if hist[v]+c < hist[v] {
-				return reuse.TailSum{}, corrupt("%s count overflow at value %d", label, v)
+			if len(values) > 0 && v <= values[len(values)-1] {
+				ascending = false
 			}
-			hist[v] += c
+			values, counts = append(values, v), append(counts, c)
 		}
-		return reuse.NewTailSum(hist), nil
+		if !ascending {
+			// Write never emits this, but unsorted and repeated values
+			// are legal: sort once and sum the counts of equal values.
+			sort.Sort(byValue{values, counts})
+			w := 0
+			for i, v := range values {
+				if w > 0 && v == values[w-1] {
+					if counts[w-1]+counts[i] < counts[w-1] {
+						return reuse.TailSum{}, corrupt("%s count overflow at value %d", label, v)
+					}
+					counts[w-1] += counts[i]
+					continue
+				}
+				values[w], counts[w] = v, counts[i]
+				w++
+			}
+			values, counts = values[:w], counts[:w]
+		}
+		return reuse.NewTailSumSorted(values, counts), nil
 	}
 	var err error
 	p.Reuse.N, p.Reuse.M = n, m
@@ -185,6 +243,94 @@ func Read(r io.Reader) (Profile, error) {
 	}
 	return p, nil
 }
+
+// byValue sorts histogram entries by value, carrying their counts along.
+type byValue struct{ values, counts []int64 }
+
+func (h byValue) Len() int           { return len(h.values) }
+func (h byValue) Less(i, j int) bool { return h.values[i] < h.values[j] }
+func (h byValue) Swap(i, j int) {
+	h.values[i], h.values[j] = h.values[j], h.values[i]
+	h.counts[i], h.counts[j] = h.counts[j], h.counts[i]
+}
+
+// intScanner reads the histogram entries' integer tokens straight from
+// the bufio.Reader's buffer (see the package comment for the grammar).
+type intScanner struct {
+	br  *bufio.Reader
+	tok []byte // scratch for tokens off the fast path
+}
+
+// entry returns the next value and count. The fast path takes a line of
+// two plain decimal tokens wholly inside the buffered bytes; anything
+// else (a line straddling a buffer refill, the end of the input,
+// non-ASCII white space, any other spelling) is read token by token on
+// the slow path.
+func (s *intScanner) entry() (v, c int64, err error) {
+	buf, _ := s.br.Peek(s.br.Buffered())
+	if v, i, ok := plainDecimal(buf); ok {
+		if c, j, ok := plainDecimal(buf[i:]); ok {
+			s.br.Discard(i + j)
+			return v, c, nil
+		}
+	}
+	if v, err = s.slow(); err == nil {
+		c, err = s.slow()
+	}
+	return v, c, err
+}
+
+// plainDecimal parses the token at the start of buf, after any ASCII
+// white space, if it is plain decimal — no sign, no leading zero, at
+// most 18 digits so it cannot overflow — and ends in ASCII white space
+// inside buf. It returns the value and the offset just past the token.
+func plainDecimal(buf []byte) (v int64, end int, ok bool) {
+	i := 0
+	for i < len(buf) && isASCIISpace(buf[i]) {
+		i++
+	}
+	j := i
+	for j < len(buf) && j-i <= 18 && buf[j]-'0' <= 9 {
+		v = v*10 + int64(buf[j]-'0')
+		j++
+	}
+	return v, j, j > i && j-i <= 18 && buf[i] != '0' && j < len(buf) && isASCIISpace(buf[j])
+}
+
+// slow reads one token rune by rune, treating as white space exactly the
+// runes fmt's scanners do (unicode.IsSpace), and parses it as a Go
+// integer literal — the call fmt's %v integer scan makes.
+func (s *intScanner) slow() (int64, error) {
+	s.tok = s.tok[:0]
+	for {
+		r, _, err := s.br.ReadRune()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return 0, err
+		}
+		if unicode.IsSpace(r) {
+			if len(s.tok) > 0 {
+				break
+			}
+			continue
+		}
+		s.tok = utf8.AppendRune(s.tok, r)
+	}
+	if len(s.tok) == 0 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	v, err := strconv.ParseInt(string(s.tok), 0, 64)
+	if err != nil {
+		return 0, fmt.Errorf("integer %.32q: %w", s.tok, err.(*strconv.NumError).Err)
+	}
+	return v, nil
+}
+
+// isASCIISpace reports the ASCII white space bytes: \t \n \v \f \r and
+// the space.
+func isASCIISpace(b byte) bool { return b == ' ' || b-'\t' <= '\r'-'\t' }
 
 // WriteFile serializes the profile to path atomically (write-temp+rename):
 // an interrupted write leaves any previous profile intact, never a torn

@@ -1,14 +1,17 @@
 package profileio
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"partitionshare/internal/footprint"
 	"partitionshare/internal/reuse"
 	"partitionshare/internal/trace"
+	"partitionshare/internal/workload"
 )
 
 func sampleProfile(t *testing.T) Profile {
@@ -104,5 +107,39 @@ func TestReadRejectsInvalidHistEntries(t *testing.T) {
 	bad := "hotlprof v1\nname x\nrate 1\nn 3 m 2\nreuse 1\n-1 1\nfirst 2\n1 1\n2 1\nlast 2\n1 1\n2 1\n"
 	if _, err := Read(strings.NewReader(bad)); err == nil {
 		t.Fatal("expected error for negative histogram value")
+	}
+}
+
+// The wire and on-disk bytes of every workload profile at the default
+// geometry are pinned to the reference writer, byte for byte, and Read
+// gives back exactly the profile that was written.
+func TestWriteMatchesReferenceOnWorkloads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("profiles all 16 workloads at full geometry")
+	}
+	if raceEnabled {
+		t.Skip("full-geometry profiling under the race detector")
+	}
+	cfg := workload.DefaultConfig()
+	for _, spec := range workload.Specs() {
+		tr := trace.Generate(spec.Build(uint32(cfg.CacheBlocks()), cfg.Seed), cfg.TraceLen)
+		p := Profile{Name: spec.Name, Rate: spec.Rate, Reuse: reuse.Collect(tr)}
+		var got, want bytes.Buffer
+		if err := Write(&got, p); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeReference(&want, p); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: Write differs from the reference writer (%d vs %d bytes)", spec.Name, got.Len(), want.Len())
+		}
+		back, err := Read(&got)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		if !reflect.DeepEqual(back, p) {
+			t.Fatalf("%s: Read(Write(p)) differs from p", spec.Name)
+		}
 	}
 }

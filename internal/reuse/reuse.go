@@ -37,27 +37,18 @@ type TailSum struct {
 
 // NewTailSum builds a TailSum from a value→count histogram.
 func NewTailSum(hist map[int64]int64) TailSum {
-	ts := TailSum{}
-	ts.values = make([]int64, 0, len(hist))
+	values := make([]int64, 0, len(hist))
 	for v, c := range hist {
-		if c == 0 {
-			continue
+		if c != 0 {
+			values = append(values, v)
 		}
-		if v <= 0 {
-			panic(fmt.Sprintf("reuse: TailSum values must be positive, got %d", v))
-		}
-		if c < 0 {
-			panic(fmt.Sprintf("reuse: negative count %d for value %d", c, v))
-		}
-		ts.values = append(ts.values, v)
 	}
-	sort.Slice(ts.values, func(i, j int) bool { return ts.values[i] < ts.values[j] })
-	counts := make([]int64, len(ts.values))
-	for i, v := range ts.values {
+	sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
+	counts := make([]int64, len(values))
+	for i, v := range values {
 		counts[i] = hist[v]
 	}
-	ts.buildSuffixes(counts)
-	return ts
+	return NewTailSumSorted(values, counts)
 }
 
 // newTailSumDense builds a TailSum from a dense histogram indexed by value:
@@ -67,37 +58,46 @@ func NewTailSum(hist map[int64]int64) TailSum {
 // NewTailSum over the equivalent map — the suffix sums see the same values
 // and counts in the same order.
 func newTailSumDense(hist []int32) TailSum {
-	if len(hist) > 0 && hist[0] != 0 {
-		panic(fmt.Sprintf("reuse: TailSum values must be positive, got 0 with count %d", hist[0]))
-	}
 	k := 0
 	for _, c := range hist {
 		if c != 0 {
 			k++
 		}
 	}
-	ts := TailSum{values: make([]int64, 0, k)}
-	counts := make([]int64, 0, k)
+	values, counts := make([]int64, 0, k), make([]int64, 0, k)
 	for v, c := range hist {
-		if c == 0 {
-			continue
+		if c != 0 {
+			values = append(values, int64(v))
+			counts = append(counts, int64(c))
 		}
-		ts.values = append(ts.values, int64(v))
-		counts = append(counts, int64(c))
 	}
-	ts.buildSuffixes(counts)
-	return ts
+	return NewTailSumSorted(values, counts)
 }
 
-// buildSuffixes fills the suffix sums from counts[i], the multiplicity
-// of values[i].
-func (ts *TailSum) buildSuffixes(counts []int64) {
-	ts.sufCnt = make([]int64, len(ts.values)+1)
-	ts.sufSum = make([]int64, len(ts.values)+1)
-	for i := len(ts.values) - 1; i >= 0; i-- {
-		ts.sufCnt[i] = ts.sufCnt[i+1] + counts[i]
-		ts.sufSum[i] = ts.sufSum[i+1] + ts.values[i]*counts[i]
+// NewTailSumSorted builds a TailSum from parallel slices: values strictly
+// ascending and positive, counts[i] > 0 the multiplicity of values[i]. It
+// is the one place suffix sums are built — NewTailSum, the dense scans and
+// the profile reader all end here. The TailSum keeps values as its own
+// storage, so the caller must not modify it afterwards; counts is only
+// read. It panics on input that breaks the contract.
+func NewTailSumSorted(values, counts []int64) TailSum {
+	if len(values) != len(counts) {
+		panic(fmt.Sprintf("reuse: %d TailSum values but %d counts", len(values), len(counts)))
 	}
+	ts := TailSum{
+		values: values,
+		sufCnt: make([]int64, len(values)+1),
+		sufSum: make([]int64, len(values)+1),
+	}
+	for i := len(values) - 1; i >= 0; i-- {
+		v, c := values[i], counts[i]
+		if v <= 0 || c <= 0 || (i > 0 && values[i-1] >= v) {
+			panic(fmt.Sprintf("reuse: TailSum entry %d (value %d, count %d) is not a positive count at a positive, strictly ascending value", i, v, c))
+		}
+		ts.sufCnt[i] = ts.sufCnt[i+1] + c
+		ts.sufSum[i] = ts.sufSum[i+1] + v*c
+	}
+	return ts
 }
 
 // Total returns the total multiplicity of the multiset.
@@ -121,7 +121,7 @@ func (ts TailSum) CountGreater(w int64) int64 {
 }
 
 // Each calls fn for every (value, count) pair in ascending value order.
-// It is the export half of NewTailSum, used to serialize profiles.
+// It is the export half of NewTailSumSorted, used to serialize profiles.
 func (ts TailSum) Each(fn func(value, count int64)) {
 	for i, v := range ts.values {
 		fn(v, ts.sufCnt[i]-ts.sufCnt[i+1])

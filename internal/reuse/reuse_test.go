@@ -2,6 +2,7 @@ package reuse
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -224,6 +225,34 @@ func TestTailSumPanics(t *testing.T) {
 				}
 			}()
 			NewTailSum(h)
+		}()
+	}
+}
+
+// NewTailSumSorted is the constructor under NewTailSum: the same
+// histogram handed to either gives field-for-field identical TailSums,
+// and slices that break its contract panic.
+func TestNewTailSumSorted(t *testing.T) {
+	got := NewTailSumSorted([]int64{1, 4, 7, 100}, []int64{3, 2, 1, 5})
+	want := NewTailSum(map[int64]int64{100: 5, 7: 1, 1: 3, 4: 2, 9: 0})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("NewTailSumSorted = %+v, NewTailSum = %+v", got, want)
+	}
+	cases := []struct{ values, counts []int64 }{
+		{[]int64{0}, []int64{1}},       // non-positive value
+		{[]int64{2, 2}, []int64{1, 1}}, // duplicate value
+		{[]int64{3, 2}, []int64{1, 1}}, // descending
+		{[]int64{2}, []int64{0}},       // zero count
+		{[]int64{2}, []int64{1, 1}},    // length mismatch
+	}
+	for i, c := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("case %d: expected panic", i)
+				}
+			}()
+			NewTailSumSorted(c.values, c.counts)
 		}()
 	}
 }

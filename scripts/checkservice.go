@@ -10,8 +10,10 @@
 // first tenant's epoch is captured from GET /v1/plan, a long-poll on
 // GET /v1/plan/changes is parked, and the second registration must wake
 // it with an epoch event whose per-tenant deltas exactly match the
-// difference of the two served plans. It also asserts the observability
-// surface: traceparent propagation on a plan request, the Prometheus
+// difference of the two served plans. Before any of that, a 78-byte
+// profile declaring a 2^28-entry histogram must get a prompt 4xx. It
+// also asserts the observability surface: traceparent propagation on a
+// plan request, the Prometheus
 // exposition at /metrics/prom (including the service_plan_epoch gauge),
 // the flight recorder at /debug/requests, and the /debug/epochs
 // timeline. It then SIGTERMs the daemon and asserts the drain contract:
@@ -77,6 +79,8 @@ func main() {
 	defer daemon.Process.Kill()
 
 	base := "http://" + waitForAddr(addrFile)
+
+	checkHostileProfile(base)
 
 	// Register the tenants one at a time, under names "a" and "b" so the
 	// plan's allocation order is pinned to the argument order. The stagger
@@ -180,6 +184,38 @@ func registerTenant(base, name, profilePath string) {
 	status, resp := doReq("PUT", base+"/v1/tenants/"+name, body)
 	if status != http.StatusOK {
 		fail("PUT tenant %s = %d %s", name, status, resp)
+	}
+}
+
+// hostileProfile is 78 bytes that declare a 2^28-entry reuse histogram
+// and then end. The daemon must reject it as a corrupt profile promptly,
+// without first allocating for the declared size.
+const hostileProfile = "hotlprof v1\nname x\nrate 1\nn 1000000000000 m 1\nreuse 268435456\n1 1\n"
+
+// checkHostileProfile PUTs hostileProfile and expects the typed 4xx error
+// envelope within a few seconds; the register → plan → cross-check steps
+// that follow then show the daemon is unharmed.
+func checkHostileProfile(base string) {
+	client := &http.Client{Timeout: 5 * time.Second}
+	req, err := http.NewRequest("PUT", base+"/v1/tenants/hostile", strings.NewReader(hostileProfile))
+	if err != nil {
+		fail("%v", err)
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		fail("PUT hostile profile: %v (want a prompt 4xx)", err)
+	}
+	defer resp.Body.Close()
+	var env struct {
+		Error  string `json:"error"`
+		Detail string `json:"detail"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		fail("PUT hostile profile: error envelope does not parse: %v", err)
+	}
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 || env.Error != "bad_request" ||
+		!strings.Contains(env.Detail, "corrupt profile") {
+		fail("PUT hostile profile = %d %+v, want 400 bad_request naming a corrupt profile", resp.StatusCode, env)
 	}
 }
 

@@ -87,7 +87,8 @@ go run ./cmd/optpart -units 1024 -manifest "$OBS_SMOKE_DIR/optpart1024.json" \
 	"$OBS_SMOKE_DIR/sphinx3.hotl" "$OBS_SMOKE_DIR/soplex.hotl" >/dev/null
 go run scripts/checksolver.go "$OBS_SMOKE_DIR/optpart1024.json" refine
 
-# Service smoke: the partitiond daemon end to end — register two tenants,
+# Service smoke: the partitiond daemon end to end — reject a hostile
+# 78-byte profile with a prompt 4xx, register two tenants,
 # request a plan, cross-check it against the offline optpart CLI on the
 # same profiles (the bit-exactness contract through both front ends),
 # SIGTERM, and assert the clean-drain contract (exit 0, parseable
