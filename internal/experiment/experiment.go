@@ -194,8 +194,10 @@ func CostTable(progs []workload.Program, units int) [][]float64 {
 // solve renders as a child "experiment.dp_solve" span in -trace-events
 // timelines.
 // solver selects the DP strategy for every scheme's solve; rungs an
-// instance cannot certify (the baseline-constrained problems, small C)
-// fall through to the exact kernel, so any value is safe here.
+// instance cannot certify fall through to the exact kernel, so any value
+// is safe here. The two baseline schemes are solved on their feasible
+// box of C − ΣMinAlloc units, which at the paper's C=1024 stays below
+// the refinement floor, so they run the exact kernel on the box.
 func evaluateGroup(ctx context.Context, progs []workload.Program, members []int, units int, blocksPerUnit int64, costTab [][]float64, solver partition.Solver) (GroupResult, error) {
 	n := len(members)
 	if n == 0 {

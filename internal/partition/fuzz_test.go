@@ -1,25 +1,30 @@
 package partition
 
 import (
+	"reflect"
 	"testing"
 
 	"partitionshare/internal/mrc"
 )
 
 // Seed inputs for FuzzOptimize that exercise each rung of the solver
-// ladder at refinement scale: the high bit of byte 0 stretches both into
+// ladder at refinement scale: the high bit of byte 0 stretches them into
 // C ≥ refineMinUnits monotone instances, and byte 2 picks auto (which
-// must take the refinement rung) or forced exact.
+// must take the refinement rung) or forced exact. The bounded seed is the
+// auto one with lower bounds summing to 35 of its 549 units, so its
+// feasible box (C′ = 514) still takes the refinement rung.
 var (
-	fuzzSeedRefine = []byte{0x82, 37, 0, 240, 200, 160, 120, 90, 60, 40, 20, 10, 250, 180, 90, 30, 5}
-	fuzzSeedExact  = []byte{0x82, 37, 1, 240, 200, 160, 120, 90, 60, 40, 20, 10, 250, 180, 90, 30, 5}
+	fuzzSeedRefine  = []byte{0x82, 37, 0, 240, 200, 160, 120, 90, 60, 40, 20, 10, 250, 180, 90, 30, 5}
+	fuzzSeedExact   = []byte{0x82, 37, 1, 240, 200, 160, 120, 90, 60, 40, 20, 10, 250, 180, 90, 30, 5}
+	fuzzSeedBounded = []byte{0x82, 37, 18, 240, 200, 160, 120, 90, 60, 40, 20, 10, 250, 180, 90, 30, 5}
 )
 
 // fuzzProblem decodes arbitrary fuzz bytes into a partitioning instance.
 // Byte 0 picks the program count from its low seven bits; its high bit
 // selects the stretched form described below. Byte 1 picks the unit
-// count, and byte 2 the solver (auto or forced exact — both must match
-// the reference bit-for-bit).
+// count. Byte 2's low bit picks the solver (auto or forced exact — both
+// must match the reference bit-for-bit) and its upper seven bits the
+// per-program bounds (fuzzBounds).
 //
 // Unstretched, C is 2..25 and the rest of the bytes become miss-ratio
 // points in [0, 1]: arbitrary shapes, including non-monotone and
@@ -39,7 +44,8 @@ func fuzzProblem(data []byte) (Problem, bool) {
 	if stretch {
 		units = int(data[1])%129 + refineMinUnits // 512..640 units
 	}
-	solver := Solver(int(data[2]) % 2)
+	solver := Solver(data[2] & 1)
+	bounds := data[2] >> 1
 	data = data[3:]
 	next := func() float64 {
 		var b byte = 128
@@ -70,7 +76,40 @@ func fuzzProblem(data []byte) (Problem, bool) {
 		}
 		curves[p] = mrc.Curve{Name: "f", MR: mr, Accesses: int64(100 * (p + 1))}
 	}
-	return Problem{Curves: curves, Units: units, Solver: solver}, true
+	pr := Problem{Curves: curves, Units: units, Solver: solver}
+	pr.MinAlloc, pr.MaxAlloc = fuzzBounds(bounds, n, units)
+	return pr, true
+}
+
+// fuzzBounds decodes seven bits b into feasible bounds for n programs
+// over C units: bit 0 installs MinAlloc, bit 1 MaxAlloc, and bits 2..6
+// (k in 0..31) give the lower bounds ⌊C·k/31⌋ units in total — all of C
+// at k = 31 — split unevenly across the programs. Program p's upper bound
+// is its lower bound plus (p+1)/n of the C′ units left, so every program
+// but the last is held below lo + C′ and the upper bounds stay feasible.
+func fuzzBounds(b byte, n, units int) (minAlloc, maxAlloc []int) {
+	lo := make([]int, n)
+	if b&1 != 0 {
+		total := units * int(b>>2) / 31
+		left := total
+		for p := range lo {
+			lo[p] = total * (p + 1) / (n * (n + 1) / 2)
+			left -= lo[p]
+		}
+		lo[n-1] += left
+		minAlloc = lo
+	}
+	if b&2 != 0 {
+		rest := units
+		for _, l := range lo {
+			rest -= l
+		}
+		maxAlloc = make([]int, n)
+		for p := range maxAlloc {
+			maxAlloc[p] = lo[p] + rest*(p+1)/n
+		}
+	}
+	return minAlloc, maxAlloc
 }
 
 // TestFuzzSeedRungs pins what the stretched seeds are for: without the
@@ -79,7 +118,7 @@ func TestFuzzSeedRungs(t *testing.T) {
 	for _, tc := range []struct {
 		seed []byte
 		want string
-	}{{fuzzSeedRefine, "refine"}, {fuzzSeedExact, "exact"}} {
+	}{{fuzzSeedRefine, "refine"}, {fuzzSeedExact, "exact"}, {fuzzSeedBounded, "refine"}} {
 		pr, ok := fuzzProblem(tc.seed)
 		if !ok {
 			t.Fatal("seed does not decode")
@@ -91,20 +130,30 @@ func TestFuzzSeedRungs(t *testing.T) {
 		if sol.SolverPath != tc.want {
 			t.Errorf("seed %v at C=%d: path %q, want %q", tc.seed[:3], pr.Units, sol.SolverPath, tc.want)
 		}
+		if tc.seed[2]>>1 != 0 {
+			box, lo := pr.feasibleBox()
+			if lo == nil || box.Units < refineMinUnits {
+				t.Errorf("bounded seed: MinAlloc %v leaves C′=%d, want ≥ %d", pr.MinAlloc, box.Units, refineMinUnits)
+			}
+		}
 	}
 }
 
 // FuzzOptimize differentially tests the pooled gather-form DP kernel and
 // the refinement rung against the straightforward reference DP on
-// arbitrary curves: both must agree bit-for-bit (objective, allocation,
-// tie-breaking) and never panic. The parallel solver must agree too.
+// arbitrary curves and bounds: both must agree bit-for-bit (objective,
+// allocation, tie-breaking, miss ratios) and never panic. The parallel
+// solver must agree too.
 func FuzzOptimize(f *testing.F) {
 	f.Add([]byte{2, 8, 200, 150, 100, 50, 25, 10, 5, 1})
 	f.Add([]byte{0, 0, 0})
-	f.Add([]byte{3, 23, 255, 0, 255, 0, 255, 0, 128, 128, 64, 32})
+	f.Add([]byte{3, 23, 1, 0, 255, 0, 255, 0, 128, 128, 64, 32})
 	f.Add([]byte{2, 20, 1, 240, 200, 160, 120, 90, 60, 40, 20, 10})
 	f.Add(fuzzSeedRefine)
 	f.Add(fuzzSeedExact)
+	f.Add(fuzzSeedBounded)
+	f.Add([]byte{3, 11, 0xfe, 9, 200, 30, 7, 150})    // ΣMinAlloc = C, tight MaxAlloc
+	f.Add([]byte{2, 19, 0x2f, 255, 0, 128, 64, 1, 2}) // MinAlloc and MaxAlloc, forced exact
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pr, ok := fuzzProblem(data)
@@ -126,17 +175,20 @@ func FuzzOptimize(f *testing.F) {
 		if got.Objective != want.Objective {
 			t.Fatalf("objective %v != reference %v (path %s)", got.Objective, want.Objective, got.SolverPath)
 		}
-		for i := range want.Alloc {
-			if got.Alloc[i] != want.Alloc[i] {
-				t.Fatalf("alloc %v != reference %v (path %s)", got.Alloc, want.Alloc, got.SolverPath)
-			}
+		if !reflect.DeepEqual(got.Alloc, want.Alloc) {
+			t.Fatalf("alloc %v != reference %v (path %s, MinAlloc %v, MaxAlloc %v)",
+				got.Alloc, want.Alloc, got.SolverPath, pr.MinAlloc, pr.MaxAlloc)
+		}
+		if got.GroupMissRatio != want.GroupMissRatio || !reflect.DeepEqual(got.MissRatios, want.MissRatios) {
+			t.Fatalf("miss ratios %v/%v != reference %v/%v",
+				got.GroupMissRatio, got.MissRatios, want.GroupMissRatio, want.MissRatios)
 		}
 		par, err := OptimizeParallel(nil, pr, 3)
 		if err != nil {
 			t.Fatalf("parallel solve failed: %v", err)
 		}
-		if par.Objective != want.Objective {
-			t.Fatalf("parallel objective %v != reference %v", par.Objective, want.Objective)
+		if par.Objective != want.Objective || !reflect.DeepEqual(par.Alloc, want.Alloc) {
+			t.Fatalf("parallel %v/%v != reference %v/%v", par.Objective, par.Alloc, want.Objective, want.Alloc)
 		}
 	})
 }

@@ -416,16 +416,20 @@ func reconstructAlloc(pr *Problem, s *scratch, C int, minimax bool) (Allocation,
 // leaves no partial state beyond the pooled scratch, which is returned
 // intact.
 //
-// The solver ladder (DESIGN.md §13) has two rungs: refine, whole-solve
-// coarse-to-fine bound pruning (refine.go), gated by an exactness
-// certificate and falling through on failure; then exact, the gather
-// kernel above, blocked at large windows.
+// Both rungs run on the problem's feasible box (feasibleBox, DESIGN.md
+// §13.2): per-program lower bounds are shifted out, so a bounded problem
+// costs O(P·C′²) with C′ = C − ΣMinAlloc, and its allocation gets the
+// bounds added back. The solver ladder (DESIGN.md §13) has two rungs:
+// refine, whole-solve coarse-to-fine bound pruning (refine.go), gated by
+// an exactness certificate and falling through on failure; then exact,
+// the gather kernel above, blocked at large windows.
 func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 	if err := pr.validate(); err != nil {
 		return Solution{}, err
 	}
-	n, C := len(pr.Curves), pr.Units
-	minimax := pr.Combine == Minimax
+	box, shift := pr.feasibleBox()
+	n, C := len(box.Curves), box.Units
+	minimax := box.Combine == Minimax
 
 	// Trace only the cancellable (ctx != nil) path: the serial Optimize
 	// calls in the sweep's inner loop pass nil and stay instrumentation-
@@ -436,7 +440,7 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 		var ps *obs.Span
 		ctx, ps = obs.Start(ctx, spanSolve, "dp")
 		defer func() {
-			ps.Arg("programs", int64(n)).Arg("units", int64(C)).
+			ps.Arg("programs", int64(n)).Arg("units", int64(pr.Units)).
 				Arg("refine", boolArg(path.refine)).End()
 		}()
 	}
@@ -457,13 +461,13 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 	}
 
 	// Rung 1: whole-solve coarse-to-fine refinement.
-	if pr.Solver == SolverAuto {
-		ok, err := refineSolve(ctx, pr, s, &path)
+	if box.Solver == SolverAuto {
+		ok, err := refineSolve(ctx, box, s, &path)
 		if err != nil {
 			return Solution{}, err
 		}
 		if ok {
-			return finishSolve(pr, s, C, minimax, &path)
+			return finishSolve(pr, box, shift, s, &path)
 		}
 	}
 
@@ -485,11 +489,11 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 			default:
 			}
 		}
-		lo, hi := pr.bounds(p)
+		lo, hi := box.bounds(p)
 		costsRev := s.costsRev[:hi-lo+1]
 		layerMax := 0.0
 		for u := lo; u <= hi; u++ {
-			c := pr.cost(p, u)
+			c := box.cost(p, u)
 			costsRev[hi-lo-(u-lo)] = c
 			if a := math.Abs(c); !(a <= layerMax) {
 				// NaN falls through to +Inf here, forcing checked mode.
@@ -528,13 +532,15 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 		}
 	}
 
-	return finishSolve(pr, s, C, minimax, &path)
+	return finishSolve(pr, box, shift, s, &path)
 }
 
 // finishSolve records the solve's observability batch, reconstructs the
-// allocation from the retained rows, and assembles the Solution.
-func finishSolve(pr *Problem, s *scratch, C int, minimax bool, path *solvePath) (Solution, error) {
-	n := len(s.metas)
+// box allocation from the retained rows, adds the lower bounds shift back,
+// and assembles the Solution from the original problem, so its miss
+// ratios come from the unshifted curves.
+func finishSolve(pr, box *Problem, shift []int, s *scratch, path *solvePath) (Solution, error) {
+	n, C := len(s.metas), box.Units
 	// One batched observation per solve: with the registry disabled this
 	// is a single nil check, and even enabled it is a handful of atomic
 	// adds for the whole solve — the sweep's hot path stays untouched.
@@ -557,9 +563,12 @@ func finishSolve(pr *Problem, s *scratch, C int, minimax bool, path *solvePath) 
 	if final[C] == inf {
 		return Solution{}, errNoFeasible()
 	}
-	alloc, err := reconstructAlloc(pr, s, C, minimax)
+	alloc, err := reconstructAlloc(box, s, C, box.Combine == Minimax)
 	if err != nil {
 		return Solution{}, err
+	}
+	for p, l := range shift {
+		alloc[p] += l
 	}
 	sol := pr.solution(alloc, final[C])
 	sol.SolverPath = path.String()

@@ -50,7 +50,10 @@ type Problem struct {
 	Units int
 	// MinAlloc and MaxAlloc bound each program's allocation (inclusive).
 	// nil means 0 and C respectively. Baseline-constrained optimization
-	// (§VI) sets MinAlloc.
+	// (§VI) sets MinAlloc. Lower bounds cost nothing: the optimizer solves
+	// on the feasible box of C − ΣMinAlloc units and adds them back, so a
+	// tightly bounded problem is cheaper than an unbounded one and takes
+	// the same solver ladder.
 	MinAlloc, MaxAlloc []int
 	// Cost gives program p's cost at u units. nil means miss count,
 	// Curves[p].MissCount(u). Any function is legal: the optimizer makes
@@ -105,6 +108,55 @@ func (pr *Problem) bounds(p int) (lo, hi int) {
 		hi = pr.MaxAlloc[p]
 	}
 	return lo, hi
+}
+
+// feasibleBox restates pr in shifted coordinates u′ = u − lo_p over
+// C′ = C − Σlo units (DESIGN.md §13.2): no lower bounds, upper bounds
+// hi′ = min(hi − lo, C′), and at every u′ the cost pr has at u′ + lo_p —
+// CostTable rows and curve columns resliced (a curve by at most its
+// length−1, keeping MissRatio's clamp), a custom Cost wrapped. It returns
+// pr itself and nil when no program has a lower bound; otherwise the box
+// and the lower bounds to add back to its allocation. pr must be valid.
+func (pr *Problem) feasibleBox() (*Problem, []int) {
+	sum := 0
+	for _, l := range pr.MinAlloc {
+		sum += l
+	}
+	if sum == 0 {
+		return pr, nil
+	}
+	n, lo, units := len(pr.Curves), pr.MinAlloc, pr.Units-sum
+	box := &Problem{
+		Curves:  make([]mrc.Curve, n),
+		Units:   units,
+		Combine: pr.Combine,
+		Solver:  pr.Solver,
+	}
+	for p, c := range pr.Curves {
+		if len(c.MR) > 0 {
+			c.MR = c.MR[min(lo[p], len(c.MR)-1):]
+		}
+		box.Curves[p] = c
+	}
+	// Without MaxAlloc every hi − lo is at least C′: the box needs none.
+	if pr.MaxAlloc != nil {
+		box.MaxAlloc = make([]int, n)
+		for p := range box.MaxAlloc {
+			_, hi := pr.bounds(p)
+			box.MaxAlloc[p] = min(hi-lo[p], units)
+		}
+	}
+	switch {
+	case pr.CostTable != nil:
+		box.CostTable = make([][]float64, n)
+		for p, row := range pr.CostTable {
+			box.CostTable[p] = row[lo[p]:]
+		}
+	case pr.Cost != nil:
+		cost := pr.Cost
+		box.Cost = func(p, u int) float64 { return cost(p, u+lo[p]) }
+	}
+	return box, lo
 }
 
 func (pr *Problem) validate() error {
@@ -201,7 +253,9 @@ func (pr *Problem) solution(alloc Allocation, obj float64) Solution {
 // every input, produce output — objective, allocation, even tie-breaking —
 // bit-identical to the reference implementation (see ReferenceOptimize);
 // Problem.Solver can force the exact rung and Solution.SolverPath reports
-// what ran.
+// what ran. A problem with MinAlloc is solved on its feasible box, the
+// C − ΣMinAlloc units left once every lower bound is met (O(P·C′²)), with
+// the same bit-exactness and tie-breaking.
 func Optimize(pr Problem) (Solution, error) {
 	return solve(nil, &pr, 1)
 }

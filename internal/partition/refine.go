@@ -26,8 +26,10 @@ import (
 // in DESIGN.md §13.2). Every guard failure falls back to the exact
 // kernel, so refinement can be slow to decline but never wrong.
 //
-// Eligibility: Sum objective, no per-program bounds, n ≥ 2 programs, and
-// every cost finite, non-negative, and free of negative zeros. Relative
+// Eligibility: Sum objective, no upper bound below C, n ≥ 2 programs, and
+// every cost finite, non-negative, and free of negative zeros. Lower
+// bounds are no obstacle: solve hands this rung the shifted problem on the
+// feasible box, which has none (DESIGN.md §13.2). Relative
 // margins are meaningless under cancellation, which is why negative custom
 // costs are declined rather than risked.
 
@@ -88,8 +90,9 @@ func refineSolve(ctx context.Context, pr *Problem, s *scratch, path *solvePath) 
 	if pr.Combine != Sum || n < 2 || C < refineMinUnits {
 		return false, nil
 	}
+	// Lower bounds never reach this rung: solve shifts them out first.
 	for p := 0; p < n; p++ {
-		if lo, hi := pr.bounds(p); lo != 0 || hi < C {
+		if _, hi := pr.bounds(p); hi < C {
 			return false, nil
 		}
 	}

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -13,29 +14,61 @@ import (
 // allSolvers enumerates both solver modes.
 var allSolvers = []Solver{SolverAuto, SolverExact}
 
-// checkBitExact asserts that solving pr under every solver mode yields the
-// reference solution bit for bit: objective, allocation, and tie-breaking.
+// checkBitExact asserts that pr is feasible and that every solve path
+// reproduces the reference solution bit for bit (checkSolutionBits).
 func checkBitExact(t *testing.T, pr Problem, label string) {
 	t.Helper()
-	ref, err := ReferenceOptimize(pr)
-	if err != nil {
+	if _, err := ReferenceOptimize(pr); err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
 	}
-	for _, sv := range allSolvers {
-		pr.Solver = sv
-		got, err := Optimize(pr)
-		if err != nil {
-			t.Fatalf("%s solver=%v: %v", label, sv, err)
+	checkSolutionBits(t, pr, label)
+}
+
+// checkSolutionBits asserts that every solve path — Optimize under each
+// solver mode and OptimizeParallel with three workers — agrees with
+// ReferenceOptimize on pr bit for bit: the error outcome, objective bits,
+// allocation (tie-breaking included), group miss ratio and per-program
+// miss ratios.
+func checkSolutionBits(t *testing.T, pr Problem, label string) {
+	t.Helper()
+	want, errW := ReferenceOptimize(pr)
+	solves := []struct {
+		name string
+		run  func(Problem) (Solution, error)
+	}{
+		{"auto", func(q Problem) (Solution, error) { q.Solver = SolverAuto; return Optimize(q) }},
+		{"exact", func(q Problem) (Solution, error) { q.Solver = SolverExact; return Optimize(q) }},
+		{"parallel", func(q Problem) (Solution, error) { return OptimizeParallel(context.Background(), q, 3) }},
+	}
+	for _, sv := range solves {
+		got, errG := sv.run(pr)
+		if (errW == nil) != (errG == nil) {
+			t.Errorf("%s %s: reference err %v, got err %v", label, sv.name, errW, errG)
+			continue
 		}
-		if got.Objective != ref.Objective {
-			t.Errorf("%s solver=%v (path %s): objective %v, reference %v",
-				label, sv, got.SolverPath, got.Objective, ref.Objective)
+		if errW != nil {
+			continue
 		}
-		if !reflect.DeepEqual(got.Alloc, ref.Alloc) {
-			t.Errorf("%s solver=%v (path %s): alloc %v, reference %v",
-				label, sv, got.SolverPath, got.Alloc, ref.Alloc)
+		if !sameBits(got, want) {
+			t.Errorf("%s %s (path %s): %v/%v/%v/%v, reference %v/%v/%v/%v", label, sv.name, got.SolverPath,
+				got.Objective, got.Alloc, got.GroupMissRatio, got.MissRatios,
+				want.Objective, want.Alloc, want.GroupMissRatio, want.MissRatios)
 		}
 	}
+}
+
+func sameBits(a, b Solution) bool {
+	if math.Float64bits(a.Objective) != math.Float64bits(b.Objective) ||
+		math.Float64bits(a.GroupMissRatio) != math.Float64bits(b.GroupMissRatio) ||
+		len(a.Alloc) != len(b.Alloc) || len(a.MissRatios) != len(b.MissRatios) {
+		return false
+	}
+	for p := range a.Alloc {
+		if a.Alloc[p] != b.Alloc[p] || math.Float64bits(a.MissRatios[p]) != math.Float64bits(b.MissRatios[p]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestSolverModesBitExactRandom(t *testing.T) {
@@ -79,8 +112,9 @@ func TestRefineDifferentialLargeC(t *testing.T) {
 
 // TestRefineAutoFires asserts auto mode takes the refinement rung from
 // refineMinUnits up — on random curves at the floor and on the paper's
-// first four programs at the daemon's default C=1024 — and that bounds or
-// minimax disable it.
+// first four programs at the daemon's default C=1024 — that lower bounds
+// count against that floor through the feasible box C′ = C − ΣMinAlloc,
+// and that minimax disables it.
 func TestRefineAutoFires(t *testing.T) {
 	pr := randProblem(5, 4, refineMinUnits)
 	got, err := Optimize(pr)
@@ -116,26 +150,26 @@ func TestRefineAutoFires(t *testing.T) {
 		checkBitExact(t, paper, "paper-programs")
 	}
 
-	// Per-program bounds make the instance ineligible; auto must still solve
-	// it exactly through the exact kernel.
-	prB := randProblem(5, 4, refineMinUnits)
-	prB.MinAlloc = []int{10, 0, 0, 0}
-	sol, err := Optimize(prB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Alloc[0] < 10 {
-		t.Errorf("bounds violated: %v", sol.Alloc)
-	}
-	if sol.SolverPath != "exact" {
-		t.Errorf("bounded instance: path %q, want exact", sol.SolverPath)
-	}
-	ref, err := ReferenceOptimize(prB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Objective != ref.Objective || !reflect.DeepEqual(sol.Alloc, ref.Alloc) {
-		t.Errorf("bounded large-C: %v/%v vs reference %v/%v", sol.Objective, sol.Alloc, ref.Objective, ref.Alloc)
+	// A lower bound shrinks the solved box: at C=512 it drops below the
+	// floor (C′ = 502) and runs exact, at C=1024 it stays above it
+	// (C′ = 1014) and refines. Both must match the reference.
+	for _, tc := range []struct {
+		units int
+		want  string
+	}{{refineMinUnits, "exact"}, {1024, "refine"}} {
+		prB := randProblem(5, 4, tc.units)
+		prB.MinAlloc = []int{10, 0, 0, 0}
+		sol, err := Optimize(prB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Alloc[0] < 10 {
+			t.Errorf("C=%d: bounds violated: %v", tc.units, sol.Alloc)
+		}
+		if sol.SolverPath != tc.want {
+			t.Errorf("bounded instance at C=%d: path %q, want %q", tc.units, sol.SolverPath, tc.want)
+		}
+		checkBitExact(t, prB, "bounded")
 	}
 
 	prM := randProblem(5, 3, refineMinUnits)

@@ -29,9 +29,13 @@ var ErrInvalidProfile = errors.New("reuse: invalid profile")
 // reverse last-access times.
 //
 // The multiplicity of values[i] is not stored: it is sufCnt[i]−sufCnt[i+1].
+// When every multiplicity is 1 — always so for the first- and last-access
+// histograms, where each datum has exactly one of each — sufCnt is nil as
+// well and sufCount derives it as len(values)−i, which drops a third of a
+// profile's memory.
 type TailSum struct {
 	values []int64 // sorted ascending, unique
-	sufCnt []int64 // sufCnt[i] = Σ_{j>=i} count(values[j])
+	sufCnt []int64 // sufCnt[i] = Σ_{j>=i} count(values[j]); nil if all counts are 1
 	sufSum []int64 // sufSum[i] = Σ_{j>=i} values[j]*count(values[j])
 }
 
@@ -86,45 +90,56 @@ func NewTailSumSorted(values, counts []int64) TailSum {
 	}
 	ts := TailSum{
 		values: values,
-		sufCnt: make([]int64, len(values)+1),
 		sufSum: make([]int64, len(values)+1),
 	}
+	unit := true
 	for i := len(values) - 1; i >= 0; i-- {
 		v, c := values[i], counts[i]
 		if v <= 0 || c <= 0 || (i > 0 && values[i-1] >= v) {
 			panic(fmt.Sprintf("reuse: TailSum entry %d (value %d, count %d) is not a positive count at a positive, strictly ascending value", i, v, c))
 		}
-		ts.sufCnt[i] = ts.sufCnt[i+1] + c
+		unit = unit && c == 1
 		ts.sufSum[i] = ts.sufSum[i+1] + v*c
+	}
+	if !unit {
+		ts.sufCnt = make([]int64, len(values)+1)
+		for i := len(values) - 1; i >= 0; i-- {
+			ts.sufCnt[i] = ts.sufCnt[i+1] + counts[i]
+		}
 	}
 	return ts
 }
 
-// Total returns the total multiplicity of the multiset.
-func (ts TailSum) Total() int64 {
-	if len(ts.sufCnt) == 0 {
-		return 0
+// sufCount returns Σ_{j>=i} count(values[j]), for i in [0, len(values)].
+// It is the one reader of sufCnt, and the only code that knows a nil
+// sufCnt means every count is 1.
+func (ts TailSum) sufCount(i int) int64 {
+	if ts.sufCnt == nil {
+		return int64(len(ts.values) - i)
 	}
-	return ts.sufCnt[0]
+	return ts.sufCnt[i]
 }
+
+// Total returns the total multiplicity of the multiset.
+func (ts TailSum) Total() int64 { return ts.sufCount(0) }
 
 // Excess returns Σ_v max(0, v-w)·count(v).
 func (ts TailSum) Excess(w int64) int64 {
 	i := sort.Search(len(ts.values), func(i int) bool { return ts.values[i] > w })
-	return ts.sufSum[i] - w*ts.sufCnt[i]
+	return ts.sufSum[i] - w*ts.sufCount(i)
 }
 
 // CountGreater returns Σ_{v>w} count(v).
 func (ts TailSum) CountGreater(w int64) int64 {
 	i := sort.Search(len(ts.values), func(i int) bool { return ts.values[i] > w })
-	return ts.sufCnt[i]
+	return ts.sufCount(i)
 }
 
 // Each calls fn for every (value, count) pair in ascending value order.
 // It is the export half of NewTailSumSorted, used to serialize profiles.
 func (ts TailSum) Each(fn func(value, count int64)) {
 	for i, v := range ts.values {
-		fn(v, ts.sufCnt[i]-ts.sufCnt[i+1])
+		fn(v, ts.sufCount(i)-ts.sufCount(i+1))
 	}
 }
 

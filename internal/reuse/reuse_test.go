@@ -257,6 +257,69 @@ func TestNewTailSumSorted(t *testing.T) {
 	}
 }
 
+// TestTailSumUnitCounts brute-forces every query on multisets whose
+// counts are all 1 (stored without a count array), mixed, single-entry
+// and empty, and pins which representation each one gets.
+func TestTailSumUnitCounts(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		values, counts []int64
+		unit           bool
+	}{
+		{"unit", []int64{1, 2, 5, 9, 40, 41}, []int64{1, 1, 1, 1, 1, 1}, true},
+		{"mixed", []int64{1, 2, 5, 9, 40, 41}, []int64{1, 1, 3, 1, 1, 7}, false},
+		{"last-not-unit", []int64{3, 8}, []int64{1, 2}, false},
+		{"single-unit", []int64{17}, []int64{1}, true},
+		{"single-heavy", []int64{17}, []int64{4}, false},
+		{"empty", []int64{}, []int64{}, true},
+	} {
+		ts := NewTailSumSorted(append([]int64(nil), c.values...), c.counts)
+		if (ts.sufCnt == nil) != c.unit {
+			t.Errorf("%s: count array present = %v, want %v", c.name, ts.sufCnt != nil, !c.unit)
+		}
+		var total int64
+		for _, n := range c.counts {
+			total += n
+		}
+		if got := ts.Total(); got != total {
+			t.Errorf("%s: Total = %d, want %d", c.name, got, total)
+		}
+		for w := int64(0); w <= 45; w++ {
+			var excess, cnt int64
+			for i, v := range c.values {
+				if v > w {
+					excess += (v - w) * c.counts[i]
+					cnt += c.counts[i]
+				}
+			}
+			if got := ts.Excess(w); got != excess {
+				t.Errorf("%s: Excess(%d) = %d, want %d", c.name, w, got, excess)
+			}
+			if got := ts.CountGreater(w); got != cnt {
+				t.Errorf("%s: CountGreater(%d) = %d, want %d", c.name, w, got, cnt)
+			}
+		}
+		var vs, cs []int64
+		ts.Each(func(v, n int64) { vs, cs = append(vs, v), append(cs, n) })
+		if len(vs) != len(c.values) || (len(vs) > 0 && (!reflect.DeepEqual(vs, c.values) || !reflect.DeepEqual(cs, c.counts))) {
+			t.Errorf("%s: Each = %v/%v, want %v/%v", c.name, vs, cs, c.values, c.counts)
+		}
+	}
+}
+
+// TestCollectFirstLastHoldNoCounts: every datum has exactly one first and
+// one last access, so a collected profile's First and Last take the
+// count-free form.
+func TestCollectFirstLastHoldNoCounts(t *testing.T) {
+	p := Collect(randomTrace(7, 2000, 300))
+	if p.First.sufCnt != nil || p.Last.sufCnt != nil {
+		t.Errorf("First/Last hold count arrays (%d, %d entries)", len(p.First.sufCnt), len(p.Last.sufCnt))
+	}
+	if p.Reuse.sufCnt == nil {
+		t.Error("reuse histogram with repeated times lost its count array")
+	}
+}
+
 func TestHistogramDistancesPanicsOnInvalid(t *testing.T) {
 	defer func() {
 		if recover() == nil {
