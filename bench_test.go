@@ -262,6 +262,19 @@ func BenchmarkNaturalPartitionGroup(b *testing.B) {
 	}
 }
 
+// BenchmarkCurveDerive is one tenant's curve derivation: a suite
+// program's HOTL footprint sampled into its 1024-unit miss-ratio curve at
+// the default geometry, the mrc layer of every profile upload.
+func BenchmarkCurveDerive(b *testing.B) {
+	benchSetup(b)
+	p := benchFull4[0]
+	cfg := workload.DefaultConfig()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mrc.FromFootprint(p.Name, p.Fp, cfg.Units, cfg.BlocksPerUnit, p.Rate)
+	}
+}
+
 // --------------------------------------------------------------- ablations
 
 // BenchmarkDPGranularity sweeps the partition-unit granularity, the

@@ -63,14 +63,9 @@ func (f Footprint) M() int64 { return f.p.M }
 // AtInt returns fp(w) for an integer window length. fp(0) = 0,
 // fp(w >= n) = m.
 func (f Footprint) AtInt(w int64) float64 {
-	switch {
-	case w <= 0:
-		return 0
-	case w >= f.p.N:
-		return float64(f.p.M)
-	}
-	deficit := f.p.Reuse.Excess(w) + f.p.First.Excess(w) + f.p.Last.Excess(w)
-	return float64(f.p.M) - float64(deficit)/float64(f.p.N-w+1)
+	t := newTails(&f.p)
+	d, _ := t.deficit(w)
+	return t.fp(w, d)
 }
 
 // At returns fp(w) for a real-valued window length, linearly interpolating
@@ -85,11 +80,11 @@ func (f Footprint) At(w float64) float64 {
 	}
 	lo := math.Floor(w)
 	frac := w - lo
-	flo := f.AtInt(int64(lo))
+	t := newTails(&f.p)
+	flo, fhi := t.fpPair(int64(lo))
 	if frac == 0 {
 		return flo
 	}
-	fhi := f.AtInt(int64(lo) + 1)
 	return flo + frac*(fhi-flo)
 }
 
@@ -107,22 +102,85 @@ func (f Footprint) FillTime(c float64) float64 {
 	if c > float64(f.p.M) {
 		return math.Inf(1)
 	}
-	// Binary search for the smallest integer w with fp(w) >= c.
+	// Binary search for the smallest integer w with fp(w) >= c. Each probe
+	// narrows the window range [lo−1, hi] still in play, and its splits
+	// narrow the index brackets the later probes search.
+	t := newTails(&f.p)
 	lo, hi := int64(0), f.p.N
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if f.AtInt(mid) >= c {
+		d, split := t.deficit(mid)
+		if t.fp(mid, d) >= c {
 			hi = mid
+			t.hi = split
 		} else {
 			lo = mid + 1
+			t.lo = split
 		}
 	}
-	flo := f.AtInt(lo - 1)
-	fhi := f.AtInt(lo)
+	flo, fhi := t.fpPair(lo - 1)
 	if fhi <= flo {
 		return float64(lo)
 	}
 	return float64(lo-1) + (c-flo)/(fhi-flo)
+}
+
+// tails evaluates fp from a profile's three HOTL tail sums — reuse,
+// first-access and reverse last-access times. For each tail sum k it
+// keeps an index bracket [lo[k], hi[k]] that contains the split
+// (reuse.TailSum.ExcessIn) of every window the caller will still query;
+// splits are non-decreasing in the window, so a probe's splits bound
+// every window on its side.
+type tails struct {
+	n, m   int64
+	ts     [3]*reuse.TailSum
+	lo, hi [3]int
+}
+
+// newTails returns p's tail sums with full-range brackets.
+func newTails(p *reuse.Profile) tails {
+	t := tails{n: p.N, m: p.M, ts: [3]*reuse.TailSum{&p.Reuse, &p.First, &p.Last}}
+	for k, ts := range t.ts {
+		t.hi[k] = ts.Len()
+	}
+	return t
+}
+
+// deficit returns the HOTL deficit at window w — the sum of the three
+// excesses, the numerator of fp's correction term — and w's split in each
+// tail sum, searching each within its bracket.
+func (t *tails) deficit(w int64) (d int64, split [3]int) {
+	for k, ts := range t.ts {
+		e, s := ts.ExcessIn(w, t.lo[k], t.hi[k])
+		d += e
+		split[k] = s
+	}
+	return d, split
+}
+
+// fpPair returns fp(w) and fp(w+1) with one search per tail sum: w+1's
+// split is w's split s or the next index, a one-step search.
+func (t *tails) fpPair(w int64) (float64, float64) {
+	var d0, d1 int64
+	for k, ts := range t.ts {
+		e0, s := ts.ExcessIn(w, t.lo[k], t.hi[k])
+		e1, _ := ts.ExcessIn(w+1, s, min(s+1, ts.Len()))
+		d0 += e0
+		d1 += e1
+	}
+	return t.fp(w, d0), t.fp(w+1, d1)
+}
+
+// fp returns fp(w) given the deficit at w; the deficit is ignored at the
+// boundaries fp(w <= 0) = 0 and fp(w >= n) = m.
+func (t *tails) fp(w, deficit int64) float64 {
+	switch {
+	case w <= 0:
+		return 0
+	case w >= t.n:
+		return float64(t.m)
+	}
+	return float64(t.m) - float64(deficit)/float64(t.n-w+1)
 }
 
 // MissRatio returns the HOTL miss ratio mr(c) = fp(ft(c)+1) − c for a
@@ -162,6 +220,36 @@ func (f Footprint) InterMissTime(c float64) float64 {
 // rate — the windowed secant is the meaningful local derivative. dc <= 0
 // falls back to MissRatio.
 func (f Footprint) MissRatioWindow(c, dc float64) float64 {
+	return f.missRatioWindow(c, dc, f.FillTime)
+}
+
+// MissRatioWindowCurve returns r with r[u] = MissRatioWindow(u·step, step)
+// for u = 0..units: the miss ratio smoothed over one step around each
+// sample point. Adjacent windows share an edge, so each edge's fill time
+// is computed once. It panics if units or step is not positive.
+func (f Footprint) MissRatioWindowCurve(units int, step int64) []float64 {
+	if units <= 0 || step <= 0 {
+		panic(fmt.Sprintf("footprint: invalid curve parameters units=%d step=%d", units, step))
+	}
+	out := make([]float64, units+1)
+	// A one-entry memo: window u's lower edge is window u−1's upper edge,
+	// the same float, so it hits on every window after the first.
+	edge, edgeFt := math.NaN(), 0.0
+	ft := func(c float64) float64 {
+		if c != edge { //vetkit:ignore(floatcmp): memo key — FillTime is a pure function of c, so only a bit-equal c may reuse its result
+			edge, edgeFt = c, f.FillTime(c)
+		}
+		return edgeFt
+	}
+	for u := range out {
+		out[u] = f.missRatioWindow(float64(int64(u)*step), float64(step), ft)
+	}
+	return out
+}
+
+// missRatioWindow is MissRatioWindow with the window edges' fill times
+// taken from ft, which must agree with FillTime.
+func (f Footprint) missRatioWindow(c, dc float64, ft func(float64) float64) float64 {
 	if dc <= 0 {
 		return f.MissRatio(c)
 	}
@@ -183,7 +271,7 @@ func (f Footprint) MissRatioWindow(c, dc float64) float64 {
 	if hi-lo < 1e-12 {
 		return f.MissRatio(c)
 	}
-	w1, w2 := f.FillTime(lo), f.FillTime(hi)
+	w1, w2 := ft(lo), ft(hi)
 	if math.IsInf(w2, 1) || w2 <= w1 {
 		return f.MissRatio(c)
 	}

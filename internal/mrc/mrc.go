@@ -174,17 +174,14 @@ func FromFootprint(name string, fp footprint.Footprint, units int, blocksPerUnit
 	if units <= 0 || blocksPerUnit <= 0 {
 		panic(fmt.Sprintf("mrc: invalid geometry units=%d blocksPerUnit=%d", units, blocksPerUnit))
 	}
-	c := Curve{
-		Name:       name,
-		MR:         make([]float64, units+1),
-		Accesses:   fp.N(),
-		AccessRate: accessRate,
-	}
 	// Sample the miss ratio smoothed over one unit width: identical to
 	// the instantaneous mr for exact profiles, and the right local
 	// derivative for sampled (staircase) footprints.
-	for u := 0; u <= units; u++ {
-		c.MR[u] = fp.MissRatioWindow(float64(int64(u)*blocksPerUnit), float64(blocksPerUnit))
+	c := Curve{
+		Name:       name,
+		MR:         fp.MissRatioWindowCurve(units, blocksPerUnit),
+		Accesses:   fp.N(),
+		AccessRate: accessRate,
 	}
 	return c.MonotoneRepair()
 }

@@ -3,12 +3,47 @@ package partition
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"partitionshare/internal/compose"
 	"partitionshare/internal/mrc"
 	"partitionshare/internal/workload"
 )
+
+var (
+	tableIOnce      sync.Once
+	tableIProgs     []workload.Program
+	tableIErr       error
+	tableIGroupList [][]int
+)
+
+// tableIGroups returns the 16 suite programs at the full geometry and the
+// 1820 four-program Table I groups over them, profiled once per test
+// binary.
+func tableIGroups(t *testing.T) ([]workload.Program, [][]int) {
+	t.Helper()
+	tableIOnce.Do(func() {
+		tableIProgs, tableIErr = workload.ProfileAll(context.Background(), workload.Specs(), workload.DefaultConfig())
+		n := len(tableIProgs)
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				for c := b + 1; c < n; c++ {
+					for d := c + 1; d < n; d++ {
+						tableIGroupList = append(tableIGroupList, []int{a, b, c, d})
+					}
+				}
+			}
+		}
+	})
+	if tableIErr != nil {
+		t.Fatal(tableIErr)
+	}
+	if len(tableIGroupList) != 1820 {
+		t.Fatalf("%d Table I groups, want 1820", len(tableIGroupList))
+	}
+	return tableIProgs, tableIGroupList
+}
 
 // TestBaselinesBitExactPaperScale runs the paper's §VI baseline solves on
 // every 16th Table I group (4 of the 16 programs, C=1024, sharing one
@@ -20,29 +55,13 @@ func TestBaselinesBitExactPaperScale(t *testing.T) {
 		t.Skip("paper-scale baselines skipped in -short mode and under -race")
 	}
 	cfg := workload.DefaultConfig()
-	progs, err := workload.ProfileAll(context.Background(), workload.Specs(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	progs, groups := tableIGroups(t)
 	tab := make([][]float64, len(progs))
 	for i, p := range progs {
 		tab[i] = make([]float64, cfg.Units+1)
 		for u := range tab[i] {
 			tab[i][u] = p.Curve.MissCount(u)
 		}
-	}
-	var groups [][]int
-	for a := 0; a < len(progs); a++ {
-		for b := a + 1; b < len(progs); b++ {
-			for c := b + 1; c < len(progs); c++ {
-				for d := c + 1; d < len(progs); d++ {
-					groups = append(groups, []int{a, b, c, d})
-				}
-			}
-		}
-	}
-	if len(groups) != 1820 {
-		t.Fatalf("%d Table I groups, want 1820", len(groups))
 	}
 	var shifted, maxBox int
 	for gi := 0; gi < len(groups); gi += 16 {

@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"container/heap"
 	"fmt"
 
 	"partitionshare/internal/mrc"
@@ -93,18 +92,46 @@ type sttwItem struct {
 	gain float64
 }
 
+// sttwHeap is a max-heap on gain. Its sift steps are container/heap's, so
+// equal gains — every gain on a flat curve tail is 0 — resolve in exactly
+// the order a container/heap over the same items would give.
 type sttwHeap []sttwItem
 
-func (h sttwHeap) Len() int            { return len(h) }
-func (h sttwHeap) Less(i, j int) bool  { return h[i].gain > h[j].gain }
-func (h sttwHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *sttwHeap) Push(x interface{}) { *h = append(*h, x.(sttwItem)) }
-func (h *sttwHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// init heapifies h as container/heap.Init does.
+func (h sttwHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+func (h sttwHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].gain > h[i].gain) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h sttwHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].gain > h[j1].gain {
+			j = j2 // right child
+		}
+		if !(h[j].gain > h[i].gain) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // STTW computes the Stone–Thiebaut–Turek–Wolf partition: starting from
@@ -114,23 +141,37 @@ func (h *sttwHeap) Pop() interface{} {
 // misses iff every curve is convex; on curves with working-set cliffs the
 // greedy stalls before the cliff and can do much worse than Optimize
 // (paper §VII-B, Figure 7).
+//
+// Tie order is part of the contract: among programs with equal gains, the
+// one granted next is the one a container/heap max-heap would pop, with
+// the heap built by heap.Init over programs in index order and each grant
+// a heap.Pop followed by a heap.Push of the granted program's next gain.
+// Allocations therefore match, unit for unit, what that container/heap
+// loop grants, flat curve tails (all gains 0) included.
 func STTW(curves []mrc.Curve, units int) Solution {
 	if len(curves) == 0 || units <= 0 {
 		panic(fmt.Sprintf("partition: invalid STTW instance (%d programs, %d units)", len(curves), units))
 	}
 	alloc := make(Allocation, len(curves))
-	h := make(sttwHeap, 0, len(curves))
+	h := make(sttwHeap, len(curves))
 	gain := func(p, u int) float64 {
 		return curves[p].MissCount(u) - curves[p].MissCount(u+1)
 	}
 	for p := range curves {
-		h = append(h, sttwItem{p, gain(p, 0)})
+		h[p] = sttwItem{p, gain(p, 0)}
 	}
-	heap.Init(&h)
+	h.init()
+	last := len(h) - 1
 	for granted := 0; granted < units; granted++ {
-		it := heap.Pop(&h).(sttwItem)
-		alloc[it.p]++
-		heap.Push(&h, sttwItem{it.p, gain(it.p, alloc[it.p])})
+		// heap.Pop then heap.Push of the granted program: the root moves
+		// to the last slot, the rest re-heapifies, and the last slot takes
+		// the program's next gain and sifts up.
+		h[0], h[last] = h[last], h[0]
+		h.down(0, last)
+		p := h[last].p
+		alloc[p]++
+		h[last].gain = gain(p, alloc[p])
+		h.up(last)
 	}
 	pr := Problem{Curves: curves, Units: units}
 	sol, err := Evaluate(pr, alloc)

@@ -113,7 +113,7 @@ func NewTailSumSorted(values, counts []int64) TailSum {
 // sufCount returns Σ_{j>=i} count(values[j]), for i in [0, len(values)].
 // It is the one reader of sufCnt, and the only code that knows a nil
 // sufCnt means every count is 1.
-func (ts TailSum) sufCount(i int) int64 {
+func (ts *TailSum) sufCount(i int) int64 {
 	if ts.sufCnt == nil {
 		return int64(len(ts.values) - i)
 	}
@@ -125,14 +125,44 @@ func (ts TailSum) Total() int64 { return ts.sufCount(0) }
 
 // Excess returns Σ_v max(0, v-w)·count(v).
 func (ts TailSum) Excess(w int64) int64 {
-	i := sort.Search(len(ts.values), func(i int) bool { return ts.values[i] > w })
-	return ts.sufSum[i] - w*ts.sufCount(i)
+	e, _ := ts.ExcessIn(w, 0, len(ts.values))
+	return e
 }
 
 // CountGreater returns Σ_{v>w} count(v).
 func (ts TailSum) CountGreater(w int64) int64 {
-	i := sort.Search(len(ts.values), func(i int) bool { return ts.values[i] > w })
-	return ts.sufCount(i)
+	return ts.sufCount(ts.split(w, 0, len(ts.values)))
+}
+
+// ExcessIn returns Excess(w) together with w's split, the index of the
+// first stored value greater than w (Len() when there is none), searching
+// only the index range [lo, hi]. The caller guarantees the split lies in
+// that range, and any such range yields the same exact integer as the
+// full-range search. Splits are non-decreasing in w, so the splits of two
+// windows bracket the split of every window between them, and the split
+// of w+1 lies in [s, min(s+1, Len())] where s is the split of w: values
+// are integers, so at most the one value equal to w+1 falls between them.
+//
+// ExcessIn takes a pointer so hot loops share one TailSum instead of
+// copying its three slice headers per query.
+func (ts *TailSum) ExcessIn(w int64, lo, hi int) (excess int64, split int) {
+	i := ts.split(w, lo, hi)
+	return ts.sufSum[i] - w*ts.sufCount(i), i
+}
+
+// split is TailSum's one search: the first index in [lo, hi) whose value
+// exceeds w, or hi when none does. It equals the full-range split whenever
+// that split lies in [lo, hi].
+func (ts *TailSum) split(w int64, lo, hi int) int {
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if ts.values[h] > w {
+			hi = h
+		} else {
+			lo = h + 1
+		}
+	}
+	return lo
 }
 
 // Each calls fn for every (value, count) pair in ascending value order.

@@ -307,6 +307,82 @@ func TestTailSumUnitCounts(t *testing.T) {
 	}
 }
 
+// TestTailSumRangeSearchBruteForce checks ExcessIn over every index range
+// that contains the split, and the one-step range [s, min(s+1, Len())]
+// that footprint searches for window w+1 given w's split s, against brute
+// force on random unit-count and mixed multisets plus the
+// empty and single-entry ones. Windows run from below the smallest value
+// to past Max, so w+1 both lands on stored values and passes Max.
+func TestTailSumRangeSearchBruteForce(t *testing.T) {
+	type multiset struct {
+		name           string
+		values, counts []int64
+	}
+	sets := []multiset{
+		{"empty", nil, nil},
+		{"single-unit", []int64{5}, []int64{1}},
+		{"single-heavy", []int64{5}, []int64{9}},
+		{"adjacent", []int64{1, 2, 3, 4}, []int64{2, 1, 1, 3}},
+	}
+	rng := rand.New(rand.NewPCG(7, 19))
+	for i := 0; i < 40; i++ {
+		var values, counts []int64
+		mixed := i%2 == 1
+		for v := int64(1); v <= 60; v++ {
+			if rng.IntN(3) == 0 {
+				c := int64(1)
+				if mixed {
+					c = 1 + rng.Int64N(5)
+				}
+				values, counts = append(values, v), append(counts, c)
+			}
+		}
+		name := "unit"
+		if mixed {
+			name = "mixed"
+		}
+		sets = append(sets, multiset{name, values, counts})
+	}
+	brute := func(m multiset, w int64) (excess int64, split int) {
+		split = len(m.values)
+		for i := len(m.values) - 1; i >= 0; i-- {
+			if m.values[i] > w {
+				excess += (m.values[i] - w) * m.counts[i]
+				split = i
+			}
+		}
+		return excess, split
+	}
+	var onValue, pastMax int
+	for _, m := range sets {
+		ts := NewTailSumSorted(append([]int64(nil), m.values...), m.counts)
+		for w := int64(-1); w <= ts.Max()+2; w++ {
+			want, split := brute(m, w)
+			for lo := 0; lo <= split; lo++ {
+				for hi := split; hi <= ts.Len(); hi++ {
+					if got, s := ts.ExcessIn(w, lo, hi); got != want || s != split {
+						t.Fatalf("%s: ExcessIn(%d, %d, %d) = %d, %d; want %d, %d", m.name, w, lo, hi, got, s, want, split)
+					}
+				}
+			}
+			wantNext, splitNext := brute(m, w+1)
+			step := min(split+1, ts.Len())
+			if got, s := ts.ExcessIn(w+1, split, step); got != wantNext || s != splitNext {
+				t.Fatalf("%s: step ExcessIn(%d, %d, %d) = %d, %d; want %d, %d", m.name, w+1, split, step, got, s, wantNext, splitNext)
+			}
+			if split < ts.Len() && m.values[split] == w+1 {
+				onValue++
+			}
+			if w+1 > ts.Max() {
+				pastMax++
+			}
+		}
+	}
+	if onValue == 0 || pastMax == 0 {
+		t.Fatalf("coverage: %d steps onto a stored value, %d past Max", onValue, pastMax)
+	}
+}
+
 // TestCollectFirstLastHoldNoCounts: every datum has exactly one first and
 // one last access, so a collected profile's First and Last take the
 // count-free form.

@@ -45,6 +45,7 @@ echo "== fuzz smoke (${FUZZTIME} per target)"
 go test -run=NONE -fuzz='^FuzzProfileRoundTrip$' -fuzztime="$FUZZTIME" ./internal/profileio
 go test -run=NONE -fuzz='^FuzzCollect$' -fuzztime="$FUZZTIME" ./internal/reuse
 go test -run=NONE -fuzz='^FuzzOptimize$' -fuzztime="$FUZZTIME" ./internal/partition
+go test -run=NONE -fuzz='^FuzzCurveDerive$' -fuzztime="$FUZZTIME" ./internal/mrc
 
 # Observability smoke: a real -small run must produce a manifest that
 # exists, parses, and reports zero failed groups (checkmanifest also
