@@ -189,16 +189,6 @@ func SharedGroupMissRatio(progs []Program, c float64) float64 {
 	return compose.SharedGroupMissRatio(progs, c)
 }
 
-// FeedbackResult reports a rate-feedback natural partition (the miss-stall
-// feedback loop the paper leaves to future work, §IV footnote 4).
-type FeedbackResult = compose.FeedbackResult
-
-// NaturalPartitionWithFeedback iterates the natural partition with
-// miss-driven access-rate degradation to a fixed point.
-func NaturalPartitionWithFeedback(progs []Program, c float64, missPenalty float64, maxIter int) FeedbackResult {
-	return compose.NaturalPartitionWithFeedback(progs, c, missPenalty, maxIter)
-}
-
 // ---------------------------------------------------------- partitioning
 
 // Problem describes a partitioning instance for Optimize.
@@ -251,12 +241,6 @@ func OptimizeParallel(ctx context.Context, pr Problem, workers int) (Solution, e
 	return partition.OptimizeParallel(ctx, pr, workers)
 }
 
-// OptimizeWithQoS minimizes group misses subject to per-program miss-ratio
-// ceilings (NaN or >= 1 leaves a program unconstrained).
-func OptimizeWithQoS(curves []Curve, units int, maxMR []float64) (Solution, error) {
-	return partition.OptimizeWithQoS(curves, units, maxMR)
-}
-
 // Incremental maintains the optimal-partition DP as programs join and
 // leave (push one O(C²) layer per join, O(1) leave) — for schedulers that
 // score many candidate groups.
@@ -265,13 +249,6 @@ type Incremental = partition.Incremental
 // NewIncremental returns an empty incremental optimizer for a cache of the
 // given units.
 func NewIncremental(units int) *Incremental { return partition.NewIncremental(units) }
-
-// OptimizeElastic guarantees each program a lambda-fraction of its equal
-// share's performance while minimizing group misses (elastic cache
-// utility, the paper's reference [18]).
-func OptimizeElastic(curves []Curve, units int, lambda float64) (Solution, error) {
-	return partition.OptimizeElastic(curves, units, lambda)
-}
 
 // ------------------------------------------------------------ simulation
 
@@ -322,14 +299,7 @@ func EvaluateSharingScheme(progs []Program, s SharingScheme, blocksPerUnit int64
 	return sharing.EvaluateScheme(progs, s, blocksPerUnit)
 }
 
-// ------------------------------------------------------ CRD & policies
-
-// ConcurrentReuseDistances computes the concurrent reuse distances of an
-// interleaved trace (§IX): exact shared-cache miss ratios for every cache
-// size, but specific to this co-run group and interleaving.
-func ConcurrentReuseDistances(iv Interleaved) reuse.CRD {
-	return reuse.ConcurrentDistances(iv)
-}
+// -------------------------------------------------------------- policies
 
 // PolicyCache is the policy-neutral cache simulator interface (LRU,
 // CLOCK, random replacement).
@@ -343,15 +313,6 @@ func NewClock(capacity int) *cachesim.Clock { return cachesim.NewClock(capacity)
 func NewRandomCache(capacity int, seed uint64) *cachesim.Random {
 	return cachesim.NewRandom(capacity, seed)
 }
-
-// Hierarchy simulates a multi-level LRU cache where each level sees the
-// misses of the level above (§VIII: HOTL holds at every level when
-// applied to each level's input stream).
-type Hierarchy = cachesim.Hierarchy
-
-// NewHierarchy builds a cache hierarchy with strictly increasing
-// capacities in blocks, closest level first.
-func NewHierarchy(capacities ...int) *Hierarchy { return cachesim.NewHierarchy(capacities...) }
 
 // MechanismResult compares per-program miss ratios under ideal capacity
 // partitioning, way partitioning (CAT-style), and set partitioning (page
@@ -454,27 +415,17 @@ type EvaluationResult = experiment.Result
 type EvaluationScheme = experiment.Scheme
 
 // EvaluationOpts tunes a RunEvaluation sweep: worker count, fail-fast vs
-// error-collection, and checkpoint/resume.
+// error-collection, solver and progress callback.
 type EvaluationOpts = experiment.RunOpts
 
 // GroupEvaluationError is the typed per-group failure (including recovered
 // worker panics) surfaced by RunEvaluation; test with errors.As.
 type GroupEvaluationError = experiment.GroupError
 
-// EvaluationCheckpoint is the crash-recovery snapshot of a partially
-// completed sweep.
-type EvaluationCheckpoint = experiment.Checkpoint
-
-// ReadEvaluationCheckpoint loads and validates a checkpoint file for
-// EvaluationOpts.Resume.
-func ReadEvaluationCheckpoint(path string) (*EvaluationCheckpoint, error) {
-	return experiment.ReadCheckpoint(path)
-}
-
 // RunEvaluation evaluates every groupSize-subset of the programs under the
 // six schemes, in parallel (paper §VII). Cancelling ctx drains the workers
 // and returns ctx.Err(); a nil ctx never cancels. A zero EvaluationOpts
-// reproduces the defaults (all CPUs, collect errors, no checkpointing).
+// reproduces the defaults (all CPUs, collect errors).
 func RunEvaluation(ctx context.Context, progs []SuiteProgram, groupSize, units int, blocksPerUnit int64, opts EvaluationOpts) (EvaluationResult, error) {
 	return experiment.Run(ctx, progs, groupSize, units, blocksPerUnit, opts)
 }

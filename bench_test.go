@@ -294,16 +294,6 @@ func BenchmarkDPGranularity(b *testing.B) {
 	}
 }
 
-// BenchmarkHullSTTW measures the Suh-style convex-hull repair of STTW
-// (ablation: hull construction plus greedy vs plain greedy vs DP).
-func BenchmarkHullSTTW(b *testing.B) {
-	curves := fullCurves(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		partition.STTWOnConvexHull(curves, 1024)
-	}
-}
-
 // BenchmarkIncrementalCandidateScan measures the scheduler scenario: score
 // 16 candidate fourth members against a fixed base trio via push/pop
 // versus full re-optimization.
@@ -441,28 +431,6 @@ func BenchmarkExhaustivePartitionSharing(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sharing.Exhaustive(comps, 8, 64)
-	}
-}
-
-// BenchmarkHierarchy measures the 3-level hierarchy simulator.
-func BenchmarkHierarchy(b *testing.B) {
-	tr := ps.Generate(ps.NewZipf(4000, 0.7, 3), 1<<16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := ps.NewHierarchy(128, 1024, 4096)
-		h.Run(tr)
-	}
-}
-
-// BenchmarkCRD measures concurrent-reuse-distance analysis of an
-// interleaved pair.
-func BenchmarkCRD(b *testing.B) {
-	a := ps.Generate(ps.NewZipf(2000, 0.6, 1), 1<<15)
-	c := ps.Generate(ps.NewLoop(900, 1), 1<<15)
-	iv := ps.InterleaveProportional([]ps.Trace{a, c}, []float64{1, 1}, 1<<16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ps.ConcurrentReuseDistances(iv)
 	}
 }
 

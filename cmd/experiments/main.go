@@ -5,19 +5,16 @@
 //
 // Usage:
 //
-//	experiments [-small] [-out DIR] [-groupsize N] [-validate] [-resume]
+//	experiments [-small] [-out DIR] [-groupsize N] [-validate]
 //
-// The group sweep periodically checkpoints completed groups to
-// DIR/checkpoint.json (atomic write-temp+rename). SIGINT/SIGTERM trigger a
-// graceful drain: in-flight groups finish, the checkpoint is flushed, and
-// the process exits with status 130. A subsequent run with -resume loads
-// the checkpoint and evaluates only the remaining groups; outputs are
-// byte-identical to an uninterrupted run. The checkpoint is deleted after
-// a fully successful sweep.
+// SIGINT/SIGTERM trigger a graceful drain: in-flight groups finish, no
+// CSV is written, and the process exits with status 130. The whole
+// sweep takes well under a second at the paper's geometry, so an
+// interrupted run is simply rerun.
 //
 // Observability: every run records a manifest (-manifest, default
 // DIR/manifest.json) — config, build version, per-stage wall/CPU time,
-// and the pipeline's counters (groups completed/failed/resumed, DP cells,
+// and the pipeline's counters (groups completed/failed, DP cells,
 // cache-sim accesses) — written atomically on every exit path, including
 // interruption. -debug-addr serves live expvar metrics and pprof;
 // -cpuprofile/-memprofile/-trace capture profiles; -log-level/-log-json
@@ -69,8 +66,6 @@ func main() {
 	granularity := flag.Bool("granularity", false, "also run the partition-granularity ablation")
 	policy := flag.Bool("policy", false, "also run the replacement-policy study (slow)")
 	epochFlag := flag.Bool("epoch", false, "also run the dynamic-vs-static repartitioning study on the phased suite")
-	resume := flag.Bool("resume", false, "resume the group sweep from the checkpoint in -out")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint after this many completed groups (0 = default interval)")
 	workers := flag.Int("workers", 0, "worker goroutines for the group sweep (0 = GOMAXPROCS)")
 	solverFlag := flag.String("solver", "auto", "DP solver for every scheme's solve: auto|exact")
 	failFast := flag.Bool("failfast", false, "abort the sweep on the first group error instead of collecting errors")
@@ -108,7 +103,6 @@ func main() {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fatal(err)
 	}
-	ckptPath := filepath.Join(*outDir, "checkpoint.json")
 	if *manifestPath == "" {
 		*manifestPath = filepath.Join(*outDir, "manifest.json")
 	}
@@ -201,43 +195,19 @@ func main() {
 	obs.Progressf("profiled in %v\n", time.Since(start).Round(time.Millisecond))
 
 	opts := experiment.RunOpts{
-		Workers:         *workers,
-		FailFast:        *failFast,
-		CheckpointPath:  ckptPath,
-		CheckpointEvery: *checkpointEvery,
-		Solver:          solver,
-		OnProgress:      sweepProgress(),
-	}
-	if *resume {
-		ck, err := experiment.ReadCheckpoint(ckptPath)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			obs.Progressf("no checkpoint at %s; starting from scratch\n", ckptPath)
-		case err != nil:
-			fatal(err)
-		default:
-			obs.Progressf("resuming: %d groups already completed in %s\n", len(ck.Groups), ckptPath)
-			opts.Resume = ck
-		}
+		Workers:    *workers,
+		FailFast:   *failFast,
+		Solver:     solver,
+		OnProgress: sweepProgress(),
 	}
 
 	start = time.Now()
 	sweepCtx, sweepSpan := obs.Start(ctx, "sweep", obs.CatStage)
 	res, err := experiment.Run(sweepCtx, progs, *groupSize, cfg.Units, cfg.BlocksPerUnit, opts)
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			obs.Logger().Warn("interrupted; checkpoint saved", "path", ckptPath)
-			fmt.Fprintf(os.Stderr, "experiments: interrupted; checkpoint saved to %s (rerun with -resume)\n", ckptPath)
-			finish()
-			os.Exit(130)
-		}
 		fatal(err)
 	}
 	sweepSpan.End()
-	// The sweep finished; the checkpoint has served its purpose.
-	if err := os.Remove(ckptPath); err != nil && !errors.Is(err, os.ErrNotExist) {
-		obs.Logger().Warn("cannot remove checkpoint", "path", ckptPath, "err", err)
-	}
 	obs.Progressf("evaluated %d co-run groups x 6 schemes in %v (%.1f ms/group)\n\n",
 		len(res.Groups), time.Since(start).Round(time.Millisecond),
 		float64(time.Since(start).Milliseconds())/float64(len(res.Groups)))

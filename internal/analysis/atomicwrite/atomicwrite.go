@@ -1,9 +1,9 @@
 // Package atomicwrite enforces the PR 2 durability contract: every
-// durable artifact (checkpoints, CSVs, profiles, benchmark snapshots)
+// durable artifact (CSVs, profiles, manifests, the tenant store)
 // is written through internal/atomicio's write-temp+fsync+rename path,
 // never with a direct os.WriteFile / os.Create / write-mode os.OpenFile.
 // A direct write that is interrupted by a crash or Ctrl-C leaves a torn
-// file that the resume path then trusts — exactly the failure class
+// file that a later reader then trusts — exactly the failure class
 // atomicio was built to remove.
 //
 // Exempt: the internal/atomicio package itself (it is the one place the

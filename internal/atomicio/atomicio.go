@@ -2,8 +2,8 @@
 // file in the destination directory and is renamed into place only after a
 // successful write and sync. Readers therefore never observe a partially
 // written file — a crashed or interrupted writer leaves either the old
-// content or nothing, which is what lets the experiment harness checkpoint
-// mid-sweep and the CSV/profile writers survive a Ctrl-C.
+// content or nothing, which is what lets the CSV, profile and manifest
+// writers and the service's tenant store survive a Ctrl-C or a crash.
 package atomicio
 
 import (

@@ -26,18 +26,13 @@ import (
 // Observability names for the sweep, package-prefixed dotted.snake per
 // the obsname registry convention.
 const (
-	spanGroup           = "experiment.group"
-	spanDPSolve         = "experiment.dp_solve"
-	spanCheckpointLoad  = "experiment.checkpoint_load"
-	spanCheckpointFlush = "experiment.checkpoint_flush"
+	spanGroup   = "experiment.group"
+	spanDPSolve = "experiment.dp_solve"
 
-	mGroupsCompleted   = "experiment.groups_completed"
-	mGroupsFailed      = "experiment.groups_failed"
-	mGroupsResumed     = "experiment.groups_resumed"
-	mGroups            = "experiment.groups"
-	mGroupNS           = "experiment.group_ns"
-	mCheckpointLoads   = "experiment.checkpoint_loads"
-	mCheckpointFlushes = "experiment.checkpoint_flushes"
+	mGroupsCompleted = "experiment.groups_completed"
+	mGroupsFailed    = "experiment.groups_failed"
+	mGroups          = "experiment.groups"
+	mGroupNS         = "experiment.group_ns"
 )
 
 // Scheme identifies one of the evaluated allocation policies.
@@ -300,8 +295,7 @@ func (e *GroupError) Error() string {
 func (e *GroupError) Unwrap() error { return e.Cause }
 
 // RunOpts tunes the sweep's parallelism and fault handling. The zero value
-// is the default configuration: all CPUs, collect-errors mode, no
-// checkpointing.
+// is the default configuration: all CPUs, collect-errors mode.
 type RunOpts struct {
 	// Workers is the worker-pool size. Values <= 0 default to
 	// runtime.GOMAXPROCS(0); all values are capped at GOMAXPROCS (the DP
@@ -313,30 +307,15 @@ type RunOpts struct {
 	// group is attempted and all failures are returned joined, with the
 	// successful groups' results retained.
 	FailFast bool
-	// CheckpointPath, when non-empty, enables crash recovery: completed
-	// group results are periodically flushed to this path as a versioned
-	// JSON checkpoint via atomic write-temp+rename, including a final
-	// flush on cancellation. See Checkpoint.
-	CheckpointPath string
-	// CheckpointEvery is the flush interval in completed groups
-	// (<= 0 means checkpointDefaultEvery). Flushing is O(completed), so
-	// very small values turn the sweep quadratic; the default amortizes
-	// to a few percent overhead.
-	CheckpointEvery int
-	// Resume, when non-nil, skips groups already present in the
-	// checkpoint, reusing their recorded results. The checkpoint's
-	// geometry must match the run's (ErrCheckpointMismatch otherwise).
-	Resume *Checkpoint
 	// Solver selects the DP strategy for every scheme's solve (see
 	// partition.Solver). The zero value is SolverAuto — the solver
 	// ladder — which is the right choice outside A/B experiments.
 	Solver partition.Solver
 	// OnProgress, when non-nil, is called after every processed group
-	// (completed or failed, plus once up front covering any resumed
-	// groups) with the running processed count and the total. Calls come
-	// from worker goroutines concurrently, so the callback must be safe
-	// for concurrent use — routing it into obs.Progressf (one serialized
-	// reporter) is the intended wiring.
+	// (completed or failed) with the running processed count and the
+	// total. Calls come from worker goroutines concurrently, so the
+	// callback must be safe for concurrent use — routing it into
+	// obs.Progressf (one serialized reporter) is the intended wiring.
 	OnProgress func(processed, total int)
 }
 
@@ -369,11 +348,10 @@ var testHookEvaluateGroup func(members []int)
 // Run evaluates every groupSize-subset of the programs in parallel and
 // returns the results in lexicographic group order.
 //
-// Fault model: the sweep is cancellable (ctx), panic-isolated (a failing
-// group becomes a GroupError, per opts.FailFast), and resumable
-// (opts.CheckpointPath / opts.Resume). On cancellation it returns
-// ctx.Err() after draining the workers and flushing a final checkpoint;
-// the partial Result holds every group completed before the cut.
+// Fault model: the sweep is cancellable (ctx) and panic-isolated (a
+// failing group becomes a GroupError, per opts.FailFast). On
+// cancellation it returns ctx.Err() after draining the workers; the
+// partial Result holds every group completed before the cut.
 func Run(ctx context.Context, progs []workload.Program, groupSize, units int, blocksPerUnit int64, opts RunOpts) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -393,57 +371,19 @@ func Run(ctx context.Context, progs []workload.Program, groupSize, units int, bl
 	res := Result{Programs: progs, Units: units, Groups: make([]GroupResult, len(groups))}
 	errs := make([]error, len(groups))
 
-	// Resume: pre-fill results recorded by a previous (interrupted) run
-	// and only dispatch the remainder.
-	done := make([]bool, len(groups))
-	if opts.Resume != nil {
-		if err := opts.Resume.Compatible(len(progs), groupSize, units, blocksPerUnit); err != nil {
-			return Result{}, err
-		}
-		seen := make(map[string]GroupResult, len(opts.Resume.Groups))
-		for _, gr := range opts.Resume.Groups {
-			seen[groupKey(gr.Members)] = gr
-		}
-		for g, members := range groups {
-			if gr, ok := seen[groupKey(members)]; ok {
-				res.Groups[g] = gr
-				done[g] = true
-			}
-		}
-	}
-	var pending []int
-	for g := range groups {
-		if !done[g] {
-			pending = append(pending, g)
-		}
-	}
-
 	// Metric handles are resolved once per run; with the registry
 	// disabled every handle is nil and each use below is a nil check.
 	reg := obs.Enabled()
 	completedCtr := reg.Counter(mGroupsCompleted)
 	failedCtr := reg.Counter(mGroupsFailed)
 	groupHist := reg.Histogram(mGroupNS, obs.DurationBuckets())
-	resumed := len(groups) - len(pending)
-	reg.Counter(mGroupsResumed).Add(int64(resumed))
 	reg.Gauge(mGroups).Set(int64(len(groups)))
 
-	// processed counts resumed + completed + failed groups; workers
-	// publish it through OnProgress after every group.
+	// processed counts completed + failed groups; workers publish it
+	// through OnProgress after every group.
 	var processed atomic.Int64
-	processed.Store(int64(resumed))
-	if opts.OnProgress != nil && resumed > 0 {
-		opts.OnProgress(resumed, len(groups))
-	}
 
 	costTab := CostTable(progs, units)
-
-	// The checkpointer owns the done set ordering: workers report
-	// completed indices over the channel (the send happens after the
-	// result write, giving the checkpointer a happens-before edge), and
-	// the checkpointer flushes a deterministic, lexicographically sorted
-	// snapshot every CheckpointEvery completions plus once at the end.
-	ckpt := startCheckpointer(ctx, &res, done, len(progs), groupSize, blocksPerUnit, opts)
 
 	// FailFast cancels this derived context so in-flight workers stop
 	// pulling jobs; parent cancellation flows through it too.
@@ -455,8 +395,8 @@ func Run(ctx context.Context, progs []workload.Program, groupSize, units int, bl
 	// solves then reuse one pooled DP scratch arena, keeping the sweep's
 	// hot path allocation-free.
 	var wg sync.WaitGroup
-	jobs := make(chan int, len(pending))
-	for _, g := range pending {
+	jobs := make(chan int, len(groups))
+	for g := range groups {
 		jobs <- g
 	}
 	close(jobs)
@@ -465,8 +405,8 @@ func Run(ctx context.Context, progs []workload.Program, groupSize, units int, bl
 	if workers <= 0 || workers > maxWorkers {
 		workers = maxWorkers
 	}
-	if workers > len(pending) {
-		workers = len(pending)
+	if workers > len(groups) {
+		workers = len(groups)
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -504,7 +444,6 @@ func Run(ctx context.Context, progs []workload.Program, groupSize, units int, bl
 				}
 				completedCtr.Inc()
 				res.Groups[g] = gr
-				ckpt.completed(g)
 				if opts.OnProgress != nil {
 					opts.OnProgress(int(processed.Add(1)), len(groups))
 				}
@@ -512,9 +451,6 @@ func Run(ctx context.Context, progs []workload.Program, groupSize, units int, bl
 		}()
 	}
 	wg.Wait()
-	if err := ckpt.finish(); err != nil {
-		return res, err
-	}
 
 	if err := ctx.Err(); err != nil {
 		return res, err

@@ -23,9 +23,9 @@ func (r *progressRecorder) record(processed, total int) {
 }
 
 // checkCounts asserts the recorded processed values are exactly
-// {from, from+1, ..., total}, each reported once: monotone coverage with
-// no gap, no duplicate, and in particular no repeated final callback.
-func (r *progressRecorder) checkCounts(t *testing.T, from, total int) {
+// {1, 2, ..., total}, each reported once: monotone coverage with no gap,
+// no duplicate, and in particular no repeated final callback.
+func (r *progressRecorder) checkCounts(t *testing.T, total int) {
 	t.Helper()
 	r.mu.Lock()
 	values := append([]int(nil), r.values...)
@@ -37,17 +37,17 @@ func (r *progressRecorder) checkCounts(t *testing.T, from, total int) {
 		}
 	}
 	sort.Ints(values)
-	want := make([]int, 0, total-from+1)
-	for v := from; v <= total; v++ {
+	want := make([]int, 0, total)
+	for v := 1; v <= total; v++ {
 		want = append(want, v)
 	}
 	if len(values) != len(want) {
-		t.Fatalf("OnProgress fired %d times with values %v, want %d values %v..%v",
-			len(values), values, len(want), from, total)
+		t.Fatalf("OnProgress fired %d times with values %v, want %d values 1..%d",
+			len(values), values, len(want), total)
 	}
 	for i, v := range values {
 		if v != want[i] {
-			t.Fatalf("OnProgress values (sorted) = %v, want exactly %d..%d each once", values, from, total)
+			t.Fatalf("OnProgress values (sorted) = %v, want exactly 1..%d each once", values, total)
 		}
 	}
 }
@@ -57,54 +57,5 @@ func (r *progressRecorder) checkCounts(t *testing.T, from, total int) {
 func TestOnProgressFullSweep(t *testing.T) {
 	rec := &progressRecorder{}
 	runFault(t, RunOpts{Workers: 4, OnProgress: rec.record})
-	rec.checkCounts(t, 1, 20)
-}
-
-// A resumed sweep first reports the resumed count, then one callback per
-// remaining group up to the total — never re-reporting resumed groups
-// individually and never duplicating the final count.
-func TestOnProgressResume(t *testing.T) {
-	full := runFault(t, RunOpts{})
-
-	// A checkpoint as a mid-sweep kill would leave it: half the groups
-	// (every second one) already completed.
-	partial := &Checkpoint{
-		Version: CheckpointVersion, NumPrograms: 6, GroupSize: 3,
-		Units: faultCfg.Units, BlocksPerUnit: faultCfg.BlocksPerUnit,
-	}
-	for g := 0; g < len(full.Groups); g += 2 {
-		partial.Groups = append(partial.Groups, full.Groups[g])
-	}
-	resumed := len(partial.Groups)
-
-	rec := &progressRecorder{}
-	runFault(t, RunOpts{Workers: 4, Resume: partial, OnProgress: rec.record})
-	rec.checkCounts(t, resumed, 20)
-
-	// The first callback must be the resume summary, before any worker
-	// reports — the consumer (a progress bar) renders it as the baseline.
-	rec.mu.Lock()
-	first := rec.values[0]
-	rec.mu.Unlock()
-	if first != resumed {
-		t.Fatalf("first OnProgress value = %d, want resumed count %d", first, resumed)
-	}
-}
-
-// Resuming from a complete checkpoint reports exactly one callback: the
-// resume summary already at the total, with nothing dispatched after it.
-func TestOnProgressResumeComplete(t *testing.T) {
-	full := runFault(t, RunOpts{})
-	complete := &Checkpoint{
-		Version: CheckpointVersion, NumPrograms: 6, GroupSize: 3,
-		Units: faultCfg.Units, BlocksPerUnit: faultCfg.BlocksPerUnit,
-		Groups: full.Groups,
-	}
-	rec := &progressRecorder{}
-	runFault(t, RunOpts{Resume: complete, OnProgress: rec.record})
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if len(rec.values) != 1 || rec.values[0] != 20 {
-		t.Fatalf("OnProgress calls = %v, want exactly one call at 20", rec.values)
-	}
+	rec.checkCounts(t, 20)
 }

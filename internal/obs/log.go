@@ -73,7 +73,7 @@ func ParseLogLevel(s string) (slog.Level, error) {
 // A Reporter serializes human-facing output: each Printf formats the
 // whole line first and issues exactly one Write under one mutex, so
 // progress lines emitted by concurrent goroutines (the sweep workers,
-// the checkpoint goroutine, the main loop) can never interleave
+// the profiling passes, the main loop) can never interleave
 // mid-line. A nil Reporter discards output.
 type Reporter struct {
 	mu sync.Mutex

@@ -34,7 +34,7 @@ type ManifestMeta struct {
 // A Manifest is the durable record of one pipeline run: what was asked
 // for (Config), what build ran it (Meta), what the stages cost
 // (Stages), and what the pipeline actually did (Counters, Gauges,
-// Histograms — groups completed/failed/resumed, DP cells evaluated,
+// Histograms — groups completed/failed, DP cells evaluated,
 // cache-sim accesses, per-group latency distribution). It is written
 // through internal/atomicio, so a crash mid-flush never leaves a torn
 // manifest.

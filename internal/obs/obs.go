@@ -15,7 +15,7 @@
 // The split of responsibilities:
 //
 //   - Logger()/SetLogger: diagnostics, on stderr by default. Machine
-//     events (checkpoint flushes, server lifecycle) log here.
+//     events (manifest writes, server lifecycle) log here.
 //   - Progressf/SetProgressWriter: human-facing progress and report
 //     output, on stdout by default, serialized by a single mutex so
 //     lines from concurrent goroutines never interleave mid-line.

@@ -10,7 +10,7 @@ import (
 // This file is the tracer sink of the span model (span.go): a
 // hierarchical, time-resolved trace collector. Every traced span —
 // per-group DP solves, DP pool layers, reuse shards, cache simulations,
-// workload profiling passes, checkpoint flushes, request stages, and
+// workload profiling passes, sweep groups, request stages, and
 // the manifest's stages — ends as a TraceEvent carrying its span ID,
 // its parent's ID, a lane (worker/goroutine row), and wall-clock
 // start/duration relative to the tracer's epoch. The whole set exports

@@ -185,52 +185,6 @@ func TestNewIncrementalPanics(t *testing.T) {
 	NewIncremental(0)
 }
 
-func TestQoSMinAlloc(t *testing.T) {
-	c := mkCurve("a", 100, 1.0, 0.5, 0.2, 0.1, 0.05)
-	mins, err := QoSMinAlloc([]mrc.Curve{c}, []float64{0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mins[0] != 2 {
-		t.Errorf("min = %v, want [2]", mins)
-	}
-	// Unconstrained entries.
-	mins, err = QoSMinAlloc([]mrc.Curve{c}, []float64{math.NaN()})
-	if err != nil || mins[0] != 0 {
-		t.Errorf("NaN target: mins %v err %v", mins, err)
-	}
-	mins, err = QoSMinAlloc([]mrc.Curve{c}, []float64{1.5})
-	if err != nil || mins[0] != 0 {
-		t.Errorf(">=1 target: mins %v err %v", mins, err)
-	}
-	// Unreachable and invalid targets.
-	if _, err = QoSMinAlloc([]mrc.Curve{c}, []float64{0.01}); err == nil {
-		t.Error("unreachable target should error")
-	}
-	if _, err = QoSMinAlloc([]mrc.Curve{c}, []float64{-0.1}); err == nil {
-		t.Error("negative target should error")
-	}
-	if _, err = QoSMinAlloc([]mrc.Curve{c}, nil); err == nil {
-		t.Error("length mismatch should error")
-	}
-}
-
-func TestOptimizeWithQoS(t *testing.T) {
-	a := mkCurve("a", 1000, 1.0, 0.5, 0.2, 0.1, 0.05)
-	b := mkCurve("b", 1000, 0.8, 0.6, 0.4, 0.3, 0.2)
-	sol, err := OptimizeWithQoS([]mrc.Curve{a, b}, 4, []float64{0.2, math.NaN()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.MissRatios[0] > 0.2+1e-12 {
-		t.Errorf("QoS violated: a's mr = %v", sol.MissRatios[0])
-	}
-	// Jointly infeasible ceilings.
-	if _, err := OptimizeWithQoS([]mrc.Curve{a, b}, 4, []float64{0.05, 0.2}); err == nil {
-		t.Error("expected joint infeasibility error")
-	}
-}
-
 func BenchmarkOptimizeParallel4x1024(b *testing.B) {
 	pr := randProblem(1, 4, 1024)
 	b.ResetTimer()

@@ -348,27 +348,6 @@ func TestSTTWNeverBeatsOptimal(t *testing.T) {
 	}
 }
 
-func TestSTTWOnConvexHullBetween(t *testing.T) {
-	// Hull-STTW should never beat the DP, and on cliff curves it should
-	// not be worse than plain STTW.
-	cliffA := mkCurve("a", 1000, 1, 1, 1, 0.05, 0.05)
-	cliffB := mkCurve("b", 800, 1, 1, 0.6, 0.6, 0.1)
-	curves := []mrc.Curve{cliffA, cliffB}
-	units := 4
-	plain := STTW(curves, units)
-	hull := STTWOnConvexHull(curves, units)
-	opt, err := Optimize(Problem{Curves: curves, Units: units})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hull.Objective < opt.Objective-1e-9 {
-		t.Errorf("hull STTW %v beats DP %v — impossible", hull.Objective, opt.Objective)
-	}
-	if hull.Objective > plain.Objective+1e-9 {
-		t.Logf("note: hull STTW (%v) worse than plain (%v) on this instance", hull.Objective, plain.Objective)
-	}
-}
-
 func TestSTTWPanics(t *testing.T) {
 	for i, f := range []func(){
 		func() { STTW(nil, 4) },

@@ -180,21 +180,3 @@ func STTW(curves []mrc.Curve, units int) Solution {
 	}
 	return sol
 }
-
-// STTWOnConvexHull runs STTW on the convex minorants of the curves but
-// evaluates the resulting allocation on the true curves. This is the
-// classical remedy for non-convex curves (Suh et al. §IX) and an ablation
-// point: it repairs some of STTW's losses but still cannot beat the DP.
-func STTWOnConvexHull(curves []mrc.Curve, units int) Solution {
-	hulls := make([]mrc.Curve, len(curves))
-	for i, c := range curves {
-		hulls[i] = c.ConvexMinorant()
-	}
-	hullSol := STTW(hulls, units)
-	pr := Problem{Curves: curves, Units: units}
-	sol, err := Evaluate(pr, hullSol.Alloc)
-	if err != nil {
-		panic(fmt.Sprintf("partition: hull STTW produced invalid allocation: %v", err))
-	}
-	return sol
-}

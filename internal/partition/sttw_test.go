@@ -49,35 +49,15 @@ func referenceSTTW(curves []mrc.Curve, units int) Solution {
 	return sol
 }
 
-// referenceHullSTTW is STTWOnConvexHull over referenceSTTW.
-func referenceHullSTTW(curves []mrc.Curve, units int) Solution {
-	hulls := make([]mrc.Curve, len(curves))
-	for i, c := range curves {
-		hulls[i] = c.ConvexMinorant()
-	}
-	sol, err := Evaluate(Problem{Curves: curves, Units: units}, referenceSTTW(hulls, units).Alloc)
-	if err != nil {
-		panic(err)
-	}
-	return sol
-}
-
-// checkSTTWTieOrder compares STTW and STTWOnConvexHull with the
-// container/heap oracle: the allocation element by element and every
-// float of the solution, GroupMissRatio included, bit for bit.
+// checkSTTWTieOrder compares STTW with the container/heap oracle: the
+// allocation element by element and every float of the solution,
+// GroupMissRatio included, bit for bit.
 func checkSTTWTieOrder(t *testing.T, name string, curves []mrc.Curve, units int) {
 	t.Helper()
-	for _, c := range []struct {
-		scheme    string
-		got, want Solution
-	}{
-		{"STTW", STTW(curves, units), referenceSTTW(curves, units)},
-		{"hull STTW", STTWOnConvexHull(curves, units), referenceHullSTTW(curves, units)},
-	} {
-		if !sameBits(c.got, c.want) {
-			t.Fatalf("%s: %s alloc %v (group mr %v), container/heap %v (group mr %v)",
-				name, c.scheme, c.got.Alloc, c.got.GroupMissRatio, c.want.Alloc, c.want.GroupMissRatio)
-		}
+	got, want := STTW(curves, units), referenceSTTW(curves, units)
+	if !sameBits(got, want) {
+		t.Fatalf("%s: STTW alloc %v (group mr %v), container/heap %v (group mr %v)",
+			name, got.Alloc, got.GroupMissRatio, want.Alloc, want.GroupMissRatio)
 	}
 }
 

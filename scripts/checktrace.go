@@ -3,7 +3,7 @@
 // Checktrace asserts that a -trace-events file written by cmd/experiments
 // is a well-formed Chrome trace_event document: it parses as JSON, holds
 // at least one complete ("X") event, names the expected pipeline spans
-// (a DP solve, a reuse collection, a checkpoint flush), and contains at
+// (a DP solve, a workload profiling pass, a sweep group), and contains at
 // least one parented span — the hierarchy is the feature, so a flat
 // timeline fails the gate. CI runs it against the trace of an
 // `experiments -small -trace-events` run:
@@ -78,7 +78,7 @@ func main() {
 	if lanes == 0 {
 		fail("%s: no thread_name lane metadata", path)
 	}
-	for _, want := range []string{"experiment.dp_solve", "workload.", "experiment.checkpoint_"} {
+	for _, want := range []string{"experiment.dp_solve", "workload.", "experiment.group"} {
 		found := false
 		for n := range names {
 			if strings.HasPrefix(n, strings.TrimSuffix(want, ".")) {
