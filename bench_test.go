@@ -337,7 +337,8 @@ func BenchmarkIncrementalCandidateScan(b *testing.B) {
 
 // BenchmarkProfileProgram measures one full-trace profiling pass (the
 // paper: "on average 23 times slowdown" for full-trace footprint
-// analysis).
+// analysis): workload.Profile's one streaming pass, generation fused
+// into the reuse scan, plus the curve derivation.
 func BenchmarkProfileProgram(b *testing.B) {
 	cfg := workload.TestConfig()
 	spec := workload.Specs()[0]
@@ -350,17 +351,29 @@ func BenchmarkProfileProgram(b *testing.B) {
 }
 
 // BenchmarkCollectReuse pairs the profiling scans on one workload-scale
-// trace: the dense-slice fast path ("after"), the map-based reference scan
-// ("before", preserved as reuse.CollectReference), and the sharded parallel
-// scan. All three produce bit-identical profiles.
+// trace: the hash-free scan over a materialized trace ("dense"), the
+// same scan fed straight from the program's generator ("stream": it
+// also generates the accesses, so compare it with "generate" plus
+// "dense"), the map-based reference scan (reuse.CollectReference), and
+// the sharded parallel scan. All of them produce bit-identical profiles.
 func BenchmarkCollectReuse(b *testing.B) {
 	cfg := workload.TestConfig()
 	spec := workload.Specs()[0]
-	gen := spec.Build(uint32(cfg.CacheBlocks()), cfg.Seed)
-	tr := trace.Generate(gen, cfg.TraceLen)
+	gen := func() trace.Generator { return spec.Build(uint32(cfg.CacheBlocks()), cfg.Seed) }
+	tr := trace.Generate(gen(), cfg.TraceLen)
 	b.Run("dense", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			reuse.Collect(tr)
+		}
+	})
+	b.Run("stream", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			reuse.CollectStream(gen(), cfg.TraceLen)
+		}
+	})
+	b.Run("generate", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			trace.Generate(gen(), cfg.TraceLen)
 		}
 	})
 	b.Run("reference", func(b *testing.B) {

@@ -81,9 +81,9 @@ func TestResultsGolden(t *testing.T) {
 // groups, far longer than signal delivery takes, so neither run can
 // finish before the signal lands.
 func TestInterruptExits130(t *testing.T) {
-	for _, tc := range []struct{ name, after string }{
-		{"profiling", "profiling "},
-		{"sweep", "sweep: "},
+	for _, tc := range []struct{ name, after, stage string }{
+		{"profiling", "profiling ", "profile"},
+		{"sweep", "sweep: ", "sweep"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := t.TempDir()
@@ -136,6 +136,14 @@ func TestInterruptExits130(t *testing.T) {
 			}
 			if m.Tool != "experiments" {
 				t.Errorf("manifest tool = %q, want experiments", m.Tool)
+			}
+			// The interrupted stage is the manifest's last one.
+			var stages []string
+			for _, s := range m.Stages {
+				stages = append(stages, s.Name)
+			}
+			if len(stages) == 0 || stages[len(stages)-1] != tc.stage {
+				t.Errorf("manifest stages = %q, want the interrupted %q last", stages, tc.stage)
 			}
 		})
 	}

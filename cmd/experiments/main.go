@@ -188,10 +188,12 @@ func main() {
 		len(workload.Specs()), cfg.Units, cfg.BlocksPerUnit, cfg.TraceLen)
 	profileCtx, profileSpan := obs.Start(ctx, "profile", obs.CatStage)
 	progs, err := workload.ProfileAll(profileCtx, workload.Specs(), cfg)
+	// End the stage before any exit, so an interrupted run's manifest
+	// still records the stage it was in.
+	profileSpan.End()
 	if err != nil {
 		fatal(err)
 	}
-	profileSpan.End()
 	obs.Progressf("profiled in %v\n", time.Since(start).Round(time.Millisecond))
 
 	opts := experiment.RunOpts{
@@ -204,10 +206,10 @@ func main() {
 	start = time.Now()
 	sweepCtx, sweepSpan := obs.Start(ctx, "sweep", obs.CatStage)
 	res, err := experiment.Run(sweepCtx, progs, *groupSize, cfg.Units, cfg.BlocksPerUnit, opts)
+	sweepSpan.End()
 	if err != nil {
 		fatal(err)
 	}
-	sweepSpan.End()
 	obs.Progressf("evaluated %d co-run groups x 6 schemes in %v (%.1f ms/group)\n\n",
 		len(res.Groups), time.Since(start).Round(time.Millisecond),
 		float64(time.Since(start).Milliseconds())/float64(len(res.Groups)))

@@ -83,15 +83,9 @@ func CollectParallel(ctx context.Context, t trace.Trace, workers int) (Profile, 
 		}
 	}()
 
-	// shardProfile is one segment's scan result: per-datum first and last
-	// absolute positions, the histogram of segment-internal reuse times,
-	// and the largest datum ID seen (to size the merge's global table).
-	type shardProfile struct {
-		first, last *posTable
-		reuse       []int32
-		maxAddr     uint32
-	}
-	shards := make([]shardProfile, workers)
+	// Each shard runs the serial scan kernel over its segment, at the
+	// segment's absolute positions.
+	shards := make([]*scanner, workers)
 	var wg sync.WaitGroup
 	for s := 0; s < workers; s++ {
 		start, end := s*n/workers, (s+1)*n/workers
@@ -101,30 +95,14 @@ func CollectParallel(ctx context.Context, t trace.Trace, workers int) (Profile, 
 			_, ss := obs.Start(obs.WithTraceLane(ctx, int64(s+1)), spanShard, "profile")
 			defer ss.Arg("accesses", int64(end-start)).End()
 			seg := t[start:end]
-			var maxAddr uint32
-			for _, d := range seg {
-				if d > maxAddr {
-					maxAddr = d
-				}
-			}
-			sp := shardProfile{
-				first:   newPosTable(maxAddr),
-				last:    newPosTable(maxAddr),
-				reuse:   make([]int32, end-start+1),
-				maxAddr: maxAddr,
-			}
-			for i, d := range seg {
-				if i&(cancelStride-1) == 0 && canceled.Load() {
+			sc := newScanner(start, end-start)
+			for i := 0; i < len(seg); i += cancelStride {
+				if canceled.Load() {
 					return
 				}
-				pos := int32(start+i) + 1
-				if prev := sp.last.set(d, pos); prev != 0 {
-					sp.reuse[pos-prev]++
-				} else {
-					sp.first.set(d, pos)
-				}
+				sc.scan(seg[i:min(i+cancelStride, len(seg))])
 			}
-			shards[s] = sp
+			shards[s] = sc
 			// Per-worker tally: one batched add per completed shard, so
 			// the scan loop itself carries no instrumentation cost.
 			if reg := obs.Enabled(); reg != nil {
@@ -139,48 +117,27 @@ func CollectParallel(ctx context.Context, t trace.Trace, workers int) (Profile, 
 
 	// Merge in segment order: internal reuse histograms add directly;
 	// boundary pairs connect each shard's first access to the datum's most
-	// recent access in any earlier shard.
-	var maxAddr uint32
-	for _, sp := range shards {
-		if sp.maxAddr > maxAddr {
-			maxAddr = sp.maxAddr
-		}
-	}
-	global := newPosTable(maxAddr)
-	reuseHist := make([]int32, n+1)
-	firstHist := make([]int32, n+1)
-	m := 0
+	// recent access in any earlier shard. A shard's first-access list
+	// holds positions, and the trace names the datum at each one.
+	g := newScanner(0, n)
 	boundary := int64(0)
-	for _, sp := range shards {
-		for v, c := range sp.reuse {
-			if c != 0 {
-				reuseHist[v] += c
-			}
-		}
-		sp.first.each(func(d uint32, f int32) {
-			if prev := global.set(d, sp.last.get(d)); prev != 0 {
-				reuseHist[f-prev]++
+	for i, sh := range shards {
+		sh.reused.each(func(v uint32) { g.addReuse(int32(v), sh.reuse[v]) })
+		for _, f := range sh.first {
+			d := t[f-1]
+			if prev := g.pt.set(d, sh.pt.get(d)); prev != 0 {
+				g.addReuse(f-prev, 1)
 				boundary++
 			} else {
-				firstHist[f]++
-				m++
+				g.first = append(g.first, f)
 			}
-		})
+		}
+		shards[i] = nil
 	}
 	if reg := obs.Enabled(); reg != nil {
 		reg.Counter(mParallelCollects).Inc()
 		reg.Counter(mShards).Add(int64(workers))
 		reg.Counter(mBoundaryReuses).Add(boundary)
 	}
-	lastHist := make([]int32, n+1)
-	global.each(func(_ uint32, p int32) {
-		lastHist[int32(n)-p+1]++
-	})
-	return Profile{
-		N:     int64(n),
-		M:     int64(m),
-		Reuse: newTailSumDense(reuseHist),
-		First: newTailSumDense(firstHist),
-		Last:  newTailSumDense(lastHist),
-	}, nil
+	return g.profile(), nil
 }

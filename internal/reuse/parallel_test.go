@@ -1,6 +1,7 @@
 package reuse
 
 import (
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -105,4 +106,67 @@ func TestCollectParallelRepeatedDatum(t *testing.T) {
 		tr[i] = uint32(i % 3) // three data, each reused constantly across all shards
 	}
 	profilesEqual(t, "repeated", mustCollectParallel(t, tr, 4), CollectReference(tr))
+}
+
+// replay is a Generator that plays a fixed trace back.
+type replay struct {
+	t []uint32
+	i int
+}
+
+func (r *replay) Next() uint32 {
+	d := r.t[r.i]
+	r.i++
+	return d
+}
+
+func (r *replay) MaxData() uint32 { return math.MaxUint32 }
+
+// TestCollectStreamBitExact feeds CollectStream traces shorter than,
+// equal to, and several chunks longer than its generation buffer, ending
+// mid-chunk, and requires Collect's profile field for field.
+func TestCollectStreamBitExact(t *testing.T) {
+	for _, n := range []int{1, 2, 100, streamChunk - 1, streamChunk, streamChunk + 1, 5*streamChunk + 77} {
+		rng := rand.New(rand.NewPCG(uint64(n), 11))
+		tr := randTrace(rng, n)
+		want := CollectReference(tr)
+		profilesEqual(t, "stream", CollectStream(&replay{t: tr}, n), want)
+		profilesEqual(t, "dense", Collect(tr), want)
+	}
+}
+
+// TestCollectHighIDs puts data at and above the streaming region's base
+// (1<<28, where the workload suite places its streaming component) and
+// at the top of the ID space, so the position table's page index grows
+// on demand well past its first pages, out of order, and reaches its
+// largest size. Every path must match the reference.
+func TestCollectHighIDs(t *testing.T) {
+	ids := []uint32{
+		1 << 28, 1<<28 + 1, 1<<28 + posPageSize, 1<<28 - 1,
+		math.MaxUint32, math.MaxUint32 - 1, math.MaxUint32 - posPageSize,
+		0, 1, posPageSize, 1 << 31,
+	}
+	rng := rand.New(rand.NewPCG(5, 55))
+	tr := make(trace.Trace, 3*minShardLen)
+	for i := range tr {
+		tr[i] = ids[rng.IntN(len(ids))]
+	}
+	// One datum touched once, last in the trace, at the very top page.
+	tr[len(tr)-1] = math.MaxUint32 - 7
+	want := CollectReference(tr)
+	profilesEqual(t, "dense", Collect(tr), want)
+	profilesEqual(t, "stream", CollectStream(&replay{t: tr}, len(tr)), want)
+	for workers := 2; workers <= 3; workers++ {
+		profilesEqual(t, "parallel", mustCollectParallel(t, tr, workers), want)
+	}
+	sameHistograms(t, "short", Collect(tr[:len(ids)]), CollectReference(tr[:len(ids)]))
+
+	var pt posTable
+	pt.set(math.MaxUint32, 1)
+	if got, want := len(pt.pages), math.MaxUint32>>posPageBits+1; got != want {
+		t.Errorf("page index after ID MaxUint32 has %d pages, want %d", got, want)
+	}
+	if pt.get(1<<28) != 0 || pt.get(math.MaxUint32) != 1 {
+		t.Error("page index lookups disagree with the recorded positions")
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"partitionshare/internal/trace"
@@ -55,37 +56,15 @@ func NewTailSum(hist map[int64]int64) TailSum {
 	return NewTailSumSorted(values, counts)
 }
 
-// newTailSumDense builds a TailSum from a dense histogram indexed by value:
-// hist[v] is the multiplicity of value v. Index 0 must hold count 0 (all
-// TailSum values are positive). A dense scan yields values in ascending
-// order directly, so the result is field-for-field identical to
-// NewTailSum over the equivalent map — the suffix sums see the same values
-// and counts in the same order.
-func newTailSumDense(hist []int32) TailSum {
-	k := 0
-	for _, c := range hist {
-		if c != 0 {
-			k++
-		}
-	}
-	values, counts := make([]int64, 0, k), make([]int64, 0, k)
-	for v, c := range hist {
-		if c != 0 {
-			values = append(values, int64(v))
-			counts = append(counts, int64(c))
-		}
-	}
-	return NewTailSumSorted(values, counts)
-}
-
 // NewTailSumSorted builds a TailSum from parallel slices: values strictly
-// ascending and positive, counts[i] > 0 the multiplicity of values[i]. It
-// is the one place suffix sums are built — NewTailSum, the dense scans and
-// the profile reader all end here. The TailSum keeps values as its own
-// storage, so the caller must not modify it afterwards; counts is only
-// read. It panics on input that breaks the contract.
+// ascending and positive, counts[i] > 0 the multiplicity of values[i]; a
+// nil counts means every multiplicity is 1. It is the one place suffix
+// sums are built — NewTailSum, the profiling scans and the profile reader
+// all end here. The TailSum keeps values as its own storage, so the
+// caller must not modify it afterwards; counts is only read. It panics on
+// input that breaks the contract.
 func NewTailSumSorted(values, counts []int64) TailSum {
-	if len(values) != len(counts) {
+	if counts != nil && len(values) != len(counts) {
 		panic(fmt.Sprintf("reuse: %d TailSum values but %d counts", len(values), len(counts)))
 	}
 	ts := TailSum{
@@ -94,7 +73,10 @@ func NewTailSumSorted(values, counts []int64) TailSum {
 	}
 	unit := true
 	for i := len(values) - 1; i >= 0; i-- {
-		v, c := values[i], counts[i]
+		v, c := values[i], int64(1)
+		if counts != nil {
+			c = counts[i]
+		}
 		if v <= 0 || c <= 0 || (i > 0 && values[i-1] >= v) {
 			panic(fmt.Sprintf("reuse: TailSum entry %d (value %d, count %d) is not a positive count at a positive, strictly ascending value", i, v, c))
 		}
@@ -250,9 +232,9 @@ func (p Profile) Validate() error {
 //
 // The scan is hash-free: every quantity it histograms is bounded — reuse,
 // first-access, and last-access times by the trace length, datum IDs by
-// uint32 — so the histograms are dense count slices indexed by value and
-// the per-datum last-position table is a two-level paged array (posTable)
-// instead of a map. The resulting TailSums are field-for-field identical
+// uint32 — so the per-datum last-position table is a two-level paged
+// array (posTable) instead of a map, and the histograms are built
+// sparsely (scanner). The resulting TailSums are field-for-field identical
 // to the map-based reference implementation (CollectReference), which
 // remains the oracle in the differential tests and the fallback for traces
 // too long for 32-bit positions.
@@ -263,49 +245,169 @@ func Collect(t trace.Trace) Profile {
 	if int64(len(t)) >= math.MaxInt32 {
 		return CollectReference(t)
 	}
-	n := len(t)
-	var maxAddr uint32
-	for _, d := range t {
-		if d > maxAddr {
-			maxAddr = d
-		}
+	s := newScanner(0, len(t))
+	s.scan(t)
+	return s.profile()
+}
+
+// streamChunk is how many accesses CollectStream draws from its
+// generator per scan call: 16 KB of IDs, which stay in L1 between the
+// two.
+const streamChunk = 1 << 12
+
+// CollectStream profiles the next n accesses of g in one pass: the same
+// Profile as Collect(trace.Generate(g, n)), field for field, without
+// materializing the trace. Accesses are drawn a chunk at a time into one
+// small buffer and fed to Collect's scan kernel. It panics if n < 1.
+func CollectStream(g trace.Generator, n int) Profile {
+	if n < 1 {
+		panic("reuse: cannot profile an empty trace")
 	}
-	pt := newPosTable(maxAddr)
-	reuseHist := make([]int32, n+1)
-	firstHist := make([]int32, n+1)
-	m := 0
-	for i, d := range t {
-		pos := int32(i) + 1
-		pg := pt.pages[d>>posPageBits]
-		if pg == nil {
-			pg = pt.page(d >> posPageBits)
-		}
+	if int64(n) >= math.MaxInt32 {
+		return CollectReference(trace.Generate(g, n))
+	}
+	s := newScanner(0, n)
+	buf := make([]uint32, min(n, streamChunk))
+	for left := n; left > 0; left -= len(buf) {
+		buf = buf[:min(left, len(buf))]
+		trace.Fill(g, buf)
+		s.scan(buf)
+	}
+	return s.profile()
+}
+
+// scanner is the one profiling kernel, shared by Collect, CollectStream
+// and CollectParallel's shards. It consumes a run of n accesses at
+// positions start+1 … start+n, one chunk at a time, and histograms them
+// without a dense pass over any length-n array:
+//
+//   - reuse times go to a dense count array whose non-zero entries are
+//     marked in a bitmap, so the TailSum is built in O(k + n/64) for k
+//     distinct reuse times;
+//   - every datum has exactly one first access and positions arrive in
+//     ascending order, so the first-access histogram is the list of
+//     positions where the datum was unseen;
+//   - the last-access histogram is read off the position table at the
+//     end (profile).
+type scanner struct {
+	pt     posTable
+	pos    int32   // position of the last access scanned
+	n      int32   // accesses in the run
+	reuse  []int32 // reuse[v] = pairs with reuse time v
+	reused bitset  // bit v set iff reuse[v] != 0
+	first  []int32 // first-access positions, ascending
+}
+
+// newScanner returns a scanner for the n accesses at positions start+1
+// … start+n. Reuse times inside the run are below n.
+func newScanner(start, n int) *scanner {
+	return &scanner{
+		pos:    int32(start),
+		n:      int32(n),
+		reuse:  make([]int32, n),
+		reused: newBitset(n),
+	}
+}
+
+// scan consumes the next len(chunk) accesses.
+func (s *scanner) scan(chunk []uint32) {
+	pos, reuse, reused := s.pos, s.reuse, s.reused
+	for _, d := range chunk {
+		pos++
+		pg := s.pt.page(d)
 		prev := pg[d&posPageMask]
 		pg[d&posPageMask] = pos
 		if prev != 0 {
-			reuseHist[pos-prev]++
+			r := uint32(pos - prev)
+			if reuse[r] == 0 {
+				reused.set(r)
+			}
+			reuse[r]++
 		} else {
-			firstHist[pos]++
-			m++
+			s.first = append(s.first, pos)
 		}
 	}
-	lastHist := make([]int32, n+1)
-	pt.each(func(_ uint32, p int32) {
-		lastHist[int32(n)-p+1]++
+	s.pos = pos
+}
+
+// addReuse records c reuse pairs of time r.
+func (s *scanner) addReuse(r, c int32) {
+	s.reuse[r] += c
+	s.reused.set(uint32(r))
+}
+
+// profile builds the Profile of a whole trace of n accesses, once the
+// scanner holds all of it: every datum's last position in pt, every
+// first-access position in first and every reuse pair in reuse — after
+// a scanner started at position 0 has scanned all n accesses, or after
+// CollectParallel's merge has filled one. Every TailSum slice is
+// allocated at its exact final length: k from the bitmap's popcount, m
+// from the first-access list.
+func (s *scanner) profile() Profile {
+	n, m := int64(s.n), int64(len(s.first))
+	// Last positions, one bit each, read from the top down: the reverse
+	// last-access time n−p+1 ascends as p descends.
+	lastPos := newBitset(int(s.n) + 1)
+	s.pt.each(func(_ uint32, p int32) { lastPos.set(uint32(p)) })
+	last := make([]int64, 0, m)
+	for w := len(lastPos) - 1; w >= 0; w-- {
+		for x := lastPos[w]; x != 0; {
+			b := 63 - bits.LeadingZeros64(x)
+			x &^= 1 << b
+			last = append(last, n-int64(w<<6|b)+1)
+		}
+	}
+	first := make([]int64, m)
+	for i, p := range s.first {
+		first[i] = int64(p)
+	}
+	k := s.reused.count()
+	values, counts := make([]int64, 0, k), make([]int64, 0, k)
+	s.reused.each(func(v uint32) {
+		values = append(values, int64(v))
+		counts = append(counts, int64(s.reuse[v]))
 	})
 	return Profile{
-		N:     int64(n),
-		M:     int64(m),
-		Reuse: newTailSumDense(reuseHist),
-		First: newTailSumDense(firstHist),
-		Last:  newTailSumDense(lastHist),
+		N:     n,
+		M:     m,
+		Reuse: NewTailSumSorted(values, counts),
+		First: NewTailSumSorted(first, nil),
+		Last:  NewTailSumSorted(last, nil),
+	}
+}
+
+// bitset is a fixed-size bitmap over [0, 64·len).
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)>>6) }
+
+func (b bitset) set(i uint32) { b[i>>6] |= 1 << (i & 63) }
+
+// count returns the number of set bits.
+func (b bitset) count() int {
+	c := 0
+	for _, w := range b {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// each calls fn for every set bit in ascending order.
+func (b bitset) each(fn func(i uint32)) {
+	for w, x := range b {
+		for x != 0 {
+			t := bits.TrailingZeros64(x)
+			x &= x - 1
+			fn(uint32(w<<6 | t))
+		}
 	}
 }
 
 // posTable maps uint32 datum IDs to 1-based access positions through a
 // two-level paged array: O(1) hash-free lookup, with memory proportional to
 // the ID pages actually touched (region-based traces touch contiguous IDs,
-// so pages fill densely). Position 0 means "never seen".
+// so pages fill densely). Position 0 means "never seen". The page index
+// grows on demand, so no pass over the IDs is needed to size it.
 type posTable struct {
 	pages [][]int32
 }
@@ -316,12 +418,25 @@ const (
 	posPageMask = posPageSize - 1
 )
 
-func newPosTable(maxAddr uint32) *posTable {
-	return &posTable{pages: make([][]int32, (maxAddr>>posPageBits)+1)}
+// page returns datum d's page, materializing it if needed.
+func (pt *posTable) page(d uint32) []int32 {
+	pi := d >> posPageBits
+	if pi < uint32(len(pt.pages)) {
+		if pg := pt.pages[pi]; pg != nil {
+			return pg
+		}
+	}
+	return pt.grow(pi)
 }
 
-// page materializes page pi.
-func (pt *posTable) page(pi uint32) []int32 {
+// grow materializes page pi, first extending the page index to cover
+// it.
+func (pt *posTable) grow(pi uint32) []int32 {
+	if pi >= uint32(len(pt.pages)) {
+		pages := make([][]int32, max(int(pi)+1, 2*len(pt.pages)))
+		copy(pages, pt.pages)
+		pt.pages = pages
+	}
 	pg := make([]int32, posPageSize)
 	pt.pages[pi] = pg
 	return pg
@@ -330,10 +445,7 @@ func (pt *posTable) page(pi uint32) []int32 {
 // set records datum d at position pos and returns the previous position
 // (0 if unseen).
 func (pt *posTable) set(d uint32, pos int32) int32 {
-	pg := pt.pages[d>>posPageBits]
-	if pg == nil {
-		pg = pt.page(d >> posPageBits)
-	}
+	pg := pt.page(d)
 	prev := pg[d&posPageMask]
 	pg[d&posPageMask] = pos
 	return prev
@@ -341,11 +453,11 @@ func (pt *posTable) set(d uint32, pos int32) int32 {
 
 // get returns datum d's recorded position (0 if unseen).
 func (pt *posTable) get(d uint32) int32 {
-	pg := pt.pages[d>>posPageBits]
-	if pg == nil {
+	pi := d >> posPageBits
+	if pi >= uint32(len(pt.pages)) || pt.pages[pi] == nil {
 		return 0
 	}
-	return pg[d&posPageMask]
+	return pt.pages[pi][d&posPageMask]
 }
 
 // each calls fn for every datum with a recorded position.

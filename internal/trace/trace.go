@@ -69,10 +69,21 @@ type Generator interface {
 // Generate draws n accesses from g.
 func Generate(g Generator, n int) Trace {
 	t := make(Trace, n)
+	Fill(g, t)
+	return t
+}
+
+// Fill overwrites t with the next len(t) accesses of g. Generate is
+// Fill into a new trace; a caller consuming a long stream chunk by chunk
+// fills one reused buffer instead.
+func Fill(g Generator, t []uint32) {
+	if m, ok := g.(*DeterministicMix); ok {
+		m.fill(t)
+		return
+	}
 	for i := range t {
 		t[i] = g.Next()
 	}
-	return t
 }
 
 // Streaming emits fresh data forever: datum IDs increase by one every
@@ -358,15 +369,28 @@ func (m *Mixture) MaxData() uint32 {
 // DeterministicMix interleaves sub-generators deterministically in
 // proportion to their weights using a largest-deficit scheduler: at every
 // step the component whose emitted share lags its weight the most goes
-// next. Unlike Mixture, the gap between consecutive accesses of a
-// component is (nearly) constant, so a cyclic component's reuse times are
-// sharply concentrated — producing the crisp working-set cliffs of real
-// loop nests rather than randomly smeared ones.
+// next, the lowest index winning ties. Unlike Mixture, the gap between
+// consecutive accesses of a component is (nearly) constant, so a cyclic
+// component's reuse times are sharply concentrated — producing the crisp
+// working-set cliffs of real loop nests rather than randomly smeared ones.
 type DeterministicMix struct {
-	Gens    []Generator
-	weights []float64
-	emitted []float64
-	step    float64
+	comps []mixComponent
+	step  float64
+}
+
+// mixComponent is one DeterministicMix component. fill calls the
+// generator types the workloads mix through typed pointers rather than
+// the Generator interface: the Region wrappers around a component are
+// peeled into base (uint32 addition wraps, so a chain of Regions is one
+// offset), and the Sawtooth, Loop and Streaming cores get a direct call.
+type mixComponent struct {
+	weight  float64
+	emitted float64
+	core    Generator // the component with its Regions peeled
+	base    uint32
+	saw     *Sawtooth
+	loop    *Loop
+	stream  *Streaming
 }
 
 // NewDeterministicMix returns a deterministic proportional mixture. It
@@ -386,35 +410,70 @@ func NewDeterministicMix(gens []Generator, weights []float64) *DeterministicMix 
 	if sum <= 0 {
 		panic("trace: mix weights sum to zero")
 	}
-	m := &DeterministicMix{
-		Gens:    gens,
-		weights: make([]float64, len(weights)),
-		emitted: make([]float64, len(weights)),
-	}
-	for i, w := range weights {
-		m.weights[i] = w / sum
+	m := &DeterministicMix{comps: make([]mixComponent, len(gens))}
+	for i, g := range gens {
+		c := mixComponent{weight: weights[i] / sum, core: g}
+		for {
+			r, ok := c.core.(Region)
+			if !ok {
+				break
+			}
+			c.core, c.base = r.Gen, c.base+r.Base
+		}
+		switch core := c.core.(type) {
+		case *Sawtooth:
+			c.saw = core
+		case *Loop:
+			c.loop = core
+		case *Streaming:
+			c.stream = core
+		}
+		m.comps[i] = c
 	}
 	return m
 }
 
 // Next implements Generator.
 func (m *DeterministicMix) Next() uint32 {
-	m.step++
-	best, bestDef := 0, m.weights[0]*m.step-m.emitted[0]
-	for i := 1; i < len(m.weights); i++ {
-		if def := m.weights[i]*m.step - m.emitted[i]; def > bestDef {
-			best, bestDef = i, def
+	var d [1]uint32
+	m.fill(d[:])
+	return d[0]
+}
+
+// fill writes the next len(t) accesses to t. It is the mix's one
+// scheduling loop: Next is fill of one access, and Fill hands it whole
+// chunks, so the step count stays in a register across a chunk.
+func (m *DeterministicMix) fill(t []uint32) {
+	step, comps := m.step, m.comps
+	for j := range t {
+		step++
+		best, bestDef := 0, comps[0].weight*step-comps[0].emitted
+		for i := 1; i < len(comps); i++ {
+			if def := comps[i].weight*step - comps[i].emitted; def > bestDef {
+				best, bestDef = i, def
+			}
+		}
+		c := &comps[best]
+		c.emitted++
+		switch {
+		case c.saw != nil:
+			t[j] = c.saw.Next() + c.base
+		case c.loop != nil:
+			t[j] = c.loop.Next() + c.base
+		case c.stream != nil:
+			t[j] = c.stream.Next() + c.base
+		default:
+			t[j] = c.core.Next() + c.base
 		}
 	}
-	m.emitted[best]++
-	return m.Gens[best].Next()
+	m.step = step
 }
 
 // MaxData implements Generator.
 func (m *DeterministicMix) MaxData() uint32 {
 	var max uint32
-	for _, g := range m.Gens {
-		if v := g.MaxData(); v > max {
+	for _, c := range m.comps {
+		if v := c.core.MaxData() + c.base; v > max {
 			max = v
 		}
 	}

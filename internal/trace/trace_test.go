@@ -363,3 +363,67 @@ func TestToBlocksLineSizeStudy(t *testing.T) {
 		prevDistinct = distinct
 	}
 }
+
+// TestDeterministicMixTiesAndRegions pins the scheduler's tie rule and
+// the Region peeling: with equal weights every step is a tie among the
+// components that have emitted least, which the lowest index wins, so
+// the mix is a round robin from component 0; nested Regions (including
+// a base that wraps past 2³²) shift IDs exactly as Region.Next would,
+// and components the mix does not call directly (Zipf, Phased) go
+// through the interface.
+func TestDeterministicMixTiesAndRegions(t *testing.T) {
+	build := func() []Generator {
+		return []Generator{
+			Region{Gen: Region{Gen: NewSawtooth(4), Base: 100}, Base: 1000},
+			Region{Gen: NewStreaming(2), Base: 1 << 28},
+			Region{Gen: NewLoop(3, 1), Base: 1<<32 - 1},
+			NewZipf(16, 1, 7),
+			NewPhased(Phase{Gen: NewLoop(2, 1), Len: 3}, Phase{Gen: Region{Gen: NewSawtooth(3), Base: 50}, Len: 2}),
+		}
+	}
+	ref := build()
+	m := NewDeterministicMix(build(), []float64{1, 1, 1, 1, 1})
+	for step := 0; step < 200; step++ {
+		if got, want := m.Next(), ref[step%len(ref)].Next(); got != want {
+			t.Fatalf("step %d: mix emitted %d, want %d from component %d", step, got, want, step%len(ref))
+		}
+	}
+	var max uint32
+	for _, g := range ref {
+		if v := g.MaxData(); v > max {
+			max = v
+		}
+	}
+	if got := m.MaxData(); got != max {
+		t.Errorf("MaxData = %d, want %d", got, max)
+	}
+}
+
+// TestDeterministicMixFillMatchesNext draws one mix access by access
+// and a twin in uneven chunks through Fill: the streams must agree.
+func TestDeterministicMixFillMatchesNext(t *testing.T) {
+	build := func() *DeterministicMix {
+		return NewDeterministicMix([]Generator{
+			Region{Gen: NewSawtooth(50), Base: 10},
+			NewStreaming(3),
+			Region{Gen: NewLoop(20, 2), Base: 500},
+			NewZipf(40, 0.9, 3),
+		}, []float64{0.7, 0.1, 0.15, 0.05})
+	}
+	a, b := build(), build()
+	want := make([]uint32, 5000)
+	for i := range want {
+		want[i] = a.Next()
+	}
+	got := make([]uint32, 0, len(want))
+	for _, n := range []int{1, 7, 999, 3000, 993} {
+		chunk := make([]uint32, n)
+		Fill(b, chunk)
+		got = append(got, chunk...)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("access %d: Fill gave %d, Next gave %d", i, got[i], want[i])
+		}
+	}
+}

@@ -27,15 +27,15 @@ import (
 	"partitionshare/internal/footprint"
 	"partitionshare/internal/mrc"
 	"partitionshare/internal/obs"
+	"partitionshare/internal/reuse"
 	"partitionshare/internal/trace"
 )
 
 // Observability names for profiling, package-prefixed dotted.snake per
 // the obsname registry convention.
 const (
-	spanProfile       = "workload.profile"
-	spanTraceGenerate = "workload.trace_generate"
-	spanReuseCollect  = "workload.reuse_collect"
+	spanProfile      = "workload.profile"
+	spanReuseCollect = "workload.reuse_collect"
 
 	mProgramsProfiled = "workload.programs_profiled"
 	mTraceAccesses    = "workload.trace_accesses"
@@ -235,23 +235,19 @@ func Profile(spec Spec, cfg Config) (Program, error) {
 }
 
 // profileCtx is Profile with a trace-span parent: the whole pass records
-// as a "workload.profile" span with "workload.trace_generate" and
-// "workload.reuse_collect"
-// children, so -trace-events timelines show where profiling time goes.
+// as a "workload.profile" span with a "workload.reuse_collect" child, the
+// one streaming pass that generates the program's accesses and scans them
+// (accesses in its args), so -trace-events timelines show where profiling
+// time goes.
 func profileCtx(ctx context.Context, spec Spec, cfg Config) (Program, error) {
 	if err := cfg.validate(); err != nil {
 		return Program{}, err
 	}
 	ctx, ps := obs.Start(ctx, spanProfile, "profile")
 	defer ps.End()
-	seed := cfg.Seed*0x100000001b3 ^ hashName(spec.Name)
-	gen := spec.Build(uint32(cfg.CacheBlocks()), seed)
-	_, gs := obs.Start(ctx, spanTraceGenerate, "profile")
-	tr := trace.Generate(gen, cfg.TraceLen)
-	gs.Arg("accesses", int64(len(tr))).End()
 	_, cs := obs.Start(ctx, spanReuseCollect, "profile")
-	fp := footprint.FromTrace(tr)
-	cs.End()
+	fp := footprint.New(collect(spec, cfg))
+	cs.Arg("accesses", int64(cfg.TraceLen)).End()
 	curve := mrc.FromFootprint(spec.Name, fp, cfg.Units, cfg.BlocksPerUnit, spec.Rate)
 	// Co-run programs run for the same wall time, so program i issues
 	// rate_i·T accesses: weight miss counts by access rate, as the paper
@@ -263,6 +259,20 @@ func profileCtx(ctx context.Context, spec Spec, cfg Config) (Program, error) {
 		Fp:    fp,
 		Curve: curve,
 	}, nil
+}
+
+// generator returns the program's access generator, seeded from the
+// suite seed and the program's name.
+func generator(spec Spec, cfg Config) trace.Generator {
+	seed := cfg.Seed*0x100000001b3 ^ hashName(spec.Name)
+	return spec.Build(uint32(cfg.CacheBlocks()), seed)
+}
+
+// collect profiles the program's cfg.TraceLen accesses in one streaming
+// pass: the accesses go from the generator straight into the reuse scan,
+// and no trace is materialized.
+func collect(spec Spec, cfg Config) reuse.Profile {
+	return reuse.CollectStream(generator(spec, cfg), cfg.TraceLen)
 }
 
 func hashName(s string) uint64 {
