@@ -80,6 +80,23 @@ type refineLevel struct {
 	espan [][2]int
 }
 
+// certifyCostRow reports whether every cost in row is +0, positive or
+// +Inf, and returns the row's maximum (0 for an empty row). It reads
+// the costs as bits: non-negative floats order like their bit patterns,
+// and every rejected value — negative, −0 or NaN — has a pattern above
+// +Inf's, so one branch-free running max decides the whole row.
+func certifyCostRow(row []float64) (layerMax float64, ok bool) {
+	var maxBits uint64
+	for _, c := range row {
+		maxBits = max(maxBits, math.Float64bits(c))
+	}
+	return math.Float64frombits(maxBits), maxBits <= posInfBits
+}
+
+// posInfBits is +Inf's bit pattern, the largest one certifyCostRow
+// accepts.
+const posInfBits = 0x7ff0000000000000
+
 // refineSolve attempts the refinement rung. On success it fills s.rows and
 // s.metas exactly as the per-layer loop would (values at unpruned cells,
 // inf elsewhere) and returns true; on ineligibility or any guard failure
@@ -130,15 +147,10 @@ func refineSolve(ctx context.Context, pr *Problem, s *scratch, path *solvePath) 
 			}
 			costs[p] = row
 		}
-		layerMax := 0.0
-		for _, c := range costs[p] {
-			if !(c >= 0) || (c == 0 && math.Signbit(c)) {
-				path.refineFallback = true
-				return false, nil
-			}
-			if c > layerMax {
-				layerMax = c
-			}
+		layerMax, ok := certifyCostRow(costs[p])
+		if !ok {
+			path.refineFallback = true
+			return false, nil
 		}
 		costBound += layerMax
 	}

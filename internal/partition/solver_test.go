@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -259,6 +260,79 @@ func TestParseSolverRoundTrip(t *testing.T) {
 	for _, name := range []string{"dc", "refine", "bogus"} {
 		if _, err := ParseSolver(name); err == nil {
 			t.Errorf("ParseSolver(%q) accepted", name)
+		}
+	}
+}
+
+// certifyCostRowReference is the per-value predicate certifyCostRow
+// replaced: reject at the first negative, −0 or NaN cost, else return
+// the row's maximum from 0.
+func certifyCostRowReference(row []float64) (float64, bool) {
+	layerMax := 0.0
+	for _, c := range row {
+		if !(c >= 0) || (c == 0 && math.Signbit(c)) {
+			return 0, false
+		}
+		if c > layerMax {
+			layerMax = c
+		}
+	}
+	return layerMax, true
+}
+
+// TestCertifyCostRowMatchesPredicate: the bitwise certificate makes the
+// same accept/reject decision as the per-value predicate, and the same
+// row maximum bit for bit, with every edge value of float64 in the
+// first, a middle and the last slot of a row.
+func TestCertifyCostRowMatchesPredicate(t *testing.T) {
+	const n = 1025
+	decreasing := make([]float64, n)
+	for u := range decreasing {
+		decreasing[u] = 1e6 / float64(u+1)
+	}
+	bases := map[string][]float64{"decreasing": decreasing, "zeros": make([]float64, n)}
+	specials := map[string]float64{
+		"+0":           0,
+		"-0":           math.Copysign(0, -1),
+		"-tiny":        -math.SmallestNonzeroFloat64,
+		"-1":           -1,
+		"+NaN":         math.NaN(),
+		"-NaN":         math.Copysign(math.NaN(), -1),
+		"NaN-payload":  math.Float64frombits(0x7ff0000000000001),
+		"+Inf":         math.Inf(1),
+		"-Inf":         math.Inf(-1),
+		"MaxFloat64":   math.MaxFloat64,
+		"-MaxFloat64":  -math.MaxFloat64,
+		"+subnormal":   math.SmallestNonzeroFloat64,
+		"+subnormal-1": math.Float64frombits(0x000fffffffffffff),
+		"-subnormal":   math.Float64frombits(0x800fffffffffffff),
+		"+normal-min":  math.Float64frombits(0x0010000000000000),
+	}
+	check := func(label string, row []float64) {
+		t.Helper()
+		wantMax, wantOK := certifyCostRowReference(row)
+		gotMax, gotOK := certifyCostRow(row)
+		if gotOK != wantOK {
+			t.Fatalf("%s: accepted %v, predicate %v", label, gotOK, wantOK)
+		}
+		if gotOK && math.Float64bits(gotMax) != math.Float64bits(wantMax) {
+			t.Fatalf("%s: layerMax %x, predicate %x", label, math.Float64bits(gotMax), math.Float64bits(wantMax))
+		}
+	}
+	for bname, base := range bases {
+		check(bname, base)
+		for sname, v := range specials {
+			for _, slot := range []int{0, n / 2, n - 1} {
+				row := append([]float64(nil), base...)
+				row[slot] = v
+				check(fmt.Sprintf("%s/%s@%d", bname, sname, slot), row)
+				// Pairs: the special value beside +Inf and beside a NaN.
+				for _, w := range []float64{math.Inf(1), math.NaN()} {
+					row2 := append([]float64(nil), row...)
+					row2[(slot+1)%n] = w
+					check(fmt.Sprintf("%s/%s@%d+%v", bname, sname, slot, w), row2)
+				}
+			}
 		}
 	}
 }

@@ -47,12 +47,12 @@ func errorCode(err error) (int, string) {
 	}
 }
 
+// writeJSON writes v as compact JSON, one value per response followed
+// by a newline.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already out; nothing to do on error
+	_ = json.NewEncoder(w).Encode(v) // the status line is already out; nothing to do on error
 }
 
 // writeError renders err as the typed envelope, stamped with the

@@ -69,9 +69,9 @@ func (s *Service) handlePlanHistory(w http.ResponseWriter, r *http.Request) erro
 }
 
 // handlePlanChanges serves the change feed. Default mode is long-poll:
-// the request returns as soon as an epoch newer than ?since_epoch
-// exists (immediately, when history already has one), or with an empty
-// event list once ?wait_ms expires — wait_ms is capped by the default
+// the request returns as soon as the audit history holds an epoch newer
+// than ?since_epoch (immediately, when it already does), or with an
+// empty event list once ?wait_ms expires — wait_ms is capped by the default
 // request deadline, exactly like ?deadline_ms, so a poll can never pin
 // a connection longer than any other request. ?stream=sse (or an
 // Accept: text/event-stream header) upgrades to a server-sent-event
@@ -102,8 +102,7 @@ func (s *Service) handlePlanChanges(w http.ResponseWriter, r *http.Request) erro
 	// two is then either already in history or guaranteed to wake us.
 	sub := s.feed.Subscribe()
 	defer sub.Close()
-	respond := func() error {
-		events := s.audit.History(since)
+	respond := func(events []EpochRecord) error {
 		last := s.audit.LastEpoch()
 		obs.RequestFrom(r.Context()).SetEpoch(last)
 		writeJSON(w, http.StatusOK, planHistoryResponse{
@@ -113,22 +112,30 @@ func (s *Service) handlePlanChanges(w http.ResponseWriter, r *http.Request) erro
 		})
 		return nil
 	}
-	if len(s.audit.History(since)) > 0 {
-		return respond()
+	if events := s.audit.History(since); len(events) > 0 {
+		return respond(events)
 	}
 	wctx, cancel := context.WithTimeout(r.Context(), wait)
 	defer cancel()
-	if _, _, err := sub.Next(wctx); err != nil {
+	// A wake-up is only a hint: the feed may deliver an epoch at or
+	// below since (a late publish of the poll's own starting epoch) or
+	// one whose audit append failed, so history decides, and the poll
+	// waits on until it holds an event or the window closes.
+	for {
+		_, _, err := sub.Next(wctx)
 		switch {
+		case err == nil:
 		case errors.Is(wctx.Err(), context.DeadlineExceeded) && r.Context().Err() == nil:
-			return respond() // wait window over: an empty poll, not an error
+			return respond(s.audit.History(since)) // wait window over: an empty poll, not an error
 		case errors.Is(err, ErrFeedClosed):
 			return fmt.Errorf("plan change feed: %w", ErrDraining)
 		default:
 			return err
 		}
+		if events := s.audit.History(since); len(events) > 0 {
+			return respond(events)
+		}
 	}
-	return respond()
 }
 
 // streamPlanChanges is the SSE mode: the history backlog after since,

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -102,6 +103,141 @@ func TestInputDigestDeterministicAndSensitive(t *testing.T) {
 	// Name/curve boundary shifts must not collide (length-prefixing).
 	if InputDigest([]string{"ab"}, curves[:1], 64) == InputDigest([]string{"a"}, curves[:1], 64) {
 		t.Fatal("digest is not boundary-safe on names")
+	}
+}
+
+// TestInputDigestPinned pins the digest's definition on a tiny input:
+// the first 16 bytes of SHA-256(units, n, d₁ … dₙ), where each dᵢ is
+// SHA-256(len(name), name, len(MR), MR bits, Accesses, AccessRate),
+// every count and float a little-endian uint64.
+func TestInputDigestPinned(t *testing.T) {
+	curves := []mrc.Curve{
+		{MR: []float64{1, 0.5, 0.25}, Accesses: 1000, AccessRate: 10},
+		{MR: []float64{1, 0.5, 0.125}, Accesses: 1000, AccessRate: 10},
+	}
+	if got, want := InputDigest([]string{"a", "b"}, curves, 64), "23c5fb07c492f7c9c60c9a140e1ae288"; got != want {
+		t.Fatalf("InputDigest = %s, want %s", got, want)
+	}
+	if got, want := InputDigest(nil, nil, 64), "02c75b9703b2bba7438368af38658847"; got != want {
+		t.Fatalf("empty-group InputDigest = %s, want %s", got, want)
+	}
+}
+
+// wantDigest recomputes a plan's input digest from scratch with the
+// exported InputDigest over the curves the service serves for its
+// tenants at its geometry.
+func wantDigest(t *testing.T, svc *Service, p Plan) string {
+	t.Helper()
+	curves := make([]mrc.Curve, len(p.Tenants))
+	for i, n := range p.Tenants {
+		c, err := svc.CurveFor(n, p.Units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curves[i] = c
+	}
+	return InputDigest(p.Tenants, curves, p.Units)
+}
+
+// TestCachedDigestMatchesInputDigest: the digest a served plan carries,
+// built from tenant digests cached at registration (or computed on
+// demand off the configured geometry), equals the exported InputDigest
+// on every path that changes a tenant's cached input.
+func TestCachedDigestMatchesInputDigest(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(testConfig(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	svc.Start(ctx)
+	var lastEpoch int64
+	check := func(step string, group []string) string {
+		t.Helper()
+		adhoc, err := svc.PlanFor(context.Background(), group, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := adhoc.Provenance.InputDigest, wantDigest(t, svc, adhoc); got != want {
+			t.Fatalf("%s: ad-hoc digest %s, InputDigest %s", step, got, want)
+		}
+		// A replacement keeps the group, so wait for a newer epoch too.
+		epoch := waitForEpoch(t, svc, group)
+		for deadline := time.Now().Add(5 * time.Second); epoch.Epoch <= lastEpoch; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: no epoch after %d", step, lastEpoch)
+			}
+			time.Sleep(2 * time.Millisecond)
+			epoch = waitForEpoch(t, svc, group)
+		}
+		lastEpoch = epoch.Epoch
+		if got := epoch.Provenance.InputDigest; got != adhoc.Provenance.InputDigest {
+			t.Fatalf("%s: epoch digest %s, ad-hoc %s", step, got, adhoc.Provenance.InputDigest)
+		}
+		off, err := svc.PlanFor(context.Background(), group, 48)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := off.Provenance.InputDigest, wantDigest(t, svc, off); got != want || got == adhoc.Provenance.InputDigest {
+			t.Fatalf("%s: digest at 48 units %s, InputDigest %s (at 64: %s)", step, got, want, adhoc.Provenance.InputDigest)
+		}
+		return adhoc.Provenance.InputDigest
+	}
+
+	for i := uint64(1); i <= 3; i++ {
+		if err := svc.Register(nil, fmt.Sprintf("t%d", i), testProfile(t, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	registered := check("register", []string{"t1", "t2", "t3"})
+
+	if err := svc.Register(nil, "t2", testProfile(t, 7)); err != nil {
+		t.Fatal(err)
+	}
+	replaced := check("replace", []string{"t1", "t2", "t3"})
+	if replaced == registered {
+		t.Fatal("replacing a tenant's profile left the digest unchanged")
+	}
+
+	if err := svc.Unregister(nil, "t1"); err != nil {
+		t.Fatal(err)
+	}
+	check("delete", []string{"t2", "t3"})
+	if err := svc.Register(nil, "t1", testProfile(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	reordered := check("re-register", []string{"t2", "t3", "t1"})
+
+	cancel()
+	<-svc.Stopped()
+	svc.Close()
+	store.Close()
+	store, err = OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	svc, err = New(testConfig(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	svc.Start(ctx)
+	// A reopened store lists tenants sorted, so the epoch group is
+	// t1, t2, t3 again; the ad-hoc group keeps the pre-restart order.
+	check("reopen", []string{"t1", "t2", "t3"})
+	adhoc, err := svc.PlanFor(context.Background(), []string{"t2", "t3", "t1"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adhoc.Provenance.InputDigest != reordered {
+		t.Fatalf("reopen changed the digest: %s, before %s", adhoc.Provenance.InputDigest, reordered)
 	}
 }
 
@@ -303,6 +439,99 @@ func TestHTTPPlanChangesLongPoll(t *testing.T) {
 	}
 	if resp.LastEpoch != plan2.Epoch {
 		t.Fatalf("empty poll last_epoch = %d, want %d", resp.LastEpoch, plan2.Epoch)
+	}
+}
+
+// TestLongPollOutlivesStaleWake: a feed event at or below since_epoch
+// (a late publish of the poll's own starting epoch) wakes a parked
+// long-poll but must not end it. The test drives the audit log and the
+// feed by hand, so each wake-up is placed after the poll subscribed.
+func TestLongPollOutlivesStaleWake(t *testing.T) {
+	cfg := testConfig()
+	cfg.DefaultDeadline = 30 * time.Second // the poll window never closes here
+	svc := newTestService(t, cfg)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	if err := svc.audit.Append(testEpochRecord(1)); err != nil {
+		t.Fatal(err)
+	}
+
+	type result struct {
+		status int
+		resp   planHistoryResponse
+		err    error
+	}
+	poll := func(since int64) <-chan result {
+		done := make(chan result, 1)
+		go func() {
+			var r result
+			resp, err := http.Get(fmt.Sprintf("%s/v1/plan/changes?since_epoch=%d&wait_ms=30000", ts.URL, since))
+			if err != nil {
+				done <- result{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			r.status = resp.StatusCode
+			r.err = json.NewDecoder(resp.Body).Decode(&r.resp)
+			done <- r
+		}()
+		return done
+	}
+	waitSubscribers := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			svc.feed.mu.Lock()
+			n := len(svc.feed.subs)
+			svc.feed.mu.Unlock()
+			if n == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("feed has %d subscribers, want %d", n, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	await := func(done <-chan result) result {
+		t.Helper()
+		select {
+		case r := <-done:
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			return r
+		case <-time.After(10 * time.Second):
+			t.Fatal("long-poll never returned")
+			return result{}
+		}
+	}
+
+	// A stale wake, then a real epoch: the poll returns the real one.
+	done := poll(1)
+	waitSubscribers(1)
+	svc.feed.Publish(testEpochRecord(1))
+	if err := svc.audit.Append(testEpochRecord(2)); err != nil {
+		t.Fatal(err)
+	}
+	svc.feed.Publish(testEpochRecord(2))
+	r := await(done)
+	if r.status != http.StatusOK || len(r.resp.Events) != 1 || r.resp.Events[0].Provenance.Epoch != 2 {
+		t.Fatalf("poll after a stale wake = %d %+v, want epoch 2", r.status, r.resp)
+	}
+
+	// A stale wake, then the feed closes: the poll must still be parked
+	// when the close arrives (a typed draining refusal), not answer the
+	// stale wake with an empty 200. The feed hands a waiter its pending
+	// records before it reports the close, so this is deterministic.
+	waitSubscribers(0) // the first poll has unsubscribed
+	done = poll(2)
+	waitSubscribers(1)
+	svc.feed.Publish(testEpochRecord(2))
+	svc.feed.Close()
+	r = await(done)
+	if r.status != http.StatusServiceUnavailable {
+		t.Fatalf("poll woken only by a stale epoch answered %d %+v, want 503 draining", r.status, r.resp)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"slices"
 
 	"partitionshare/internal/mrc"
 )
@@ -46,33 +47,53 @@ type PlanProvenance struct {
 	UnixNS      int64  `json:"unix_ns"`
 }
 
-// InputDigest computes the deterministic digest of a solve's input: the
-// cache size, the tenant names in solve order, and every curve's full
-// numeric content (miss ratios bit-for-bit, access count, access rate).
-// The encoding is length-prefixed little-endian, so no two distinct
-// inputs share an encoding; the digest is the first 16 bytes of the
-// SHA-256, hex-encoded (32 characters). names and curves must be
-// parallel slices, exactly as handed to the optimizer.
-func InputDigest(names []string, curves []mrc.Curve, units int) string {
-	h := sha256.New()
-	var b [8]byte
-	wu := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
+// A tenantDigest is the SHA-256 of one tenant's solve input, as
+// appendTenantInput encodes it. The service computes it once, when the
+// curve is derived, and an input digest combines the tenants' digests.
+type tenantDigest [sha256.Size]byte
+
+// appendTenantInput appends the encoding a tenantDigest hashes: the
+// tenant's name and its curve's full numeric content (miss ratios
+// bit-for-bit, access count, access rate), length-prefixed
+// little-endian, so no two distinct tenants share an encoding.
+func appendTenantInput(buf []byte, name string, c mrc.Curve) []byte {
+	buf = slices.Grow(buf, 32+len(name)+8*len(c.MR))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(name)))
+	buf = append(buf, name...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(c.MR)))
+	for _, v := range c.MR {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-	wu(uint64(units))
-	wu(uint64(len(names)))
-	for i, n := range names {
-		wu(uint64(len(n)))
-		h.Write([]byte(n))
-		c := curves[i]
-		wu(uint64(len(c.MR)))
-		for _, v := range c.MR {
-			wu(math.Float64bits(v))
-		}
-		wu(uint64(c.Accesses))
-		wu(math.Float64bits(c.AccessRate))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Accesses))
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.AccessRate))
+}
+
+// inputDigest combines per-tenant digests, in solve order, with the
+// cache size: the first 16 bytes of SHA-256(units, n, d₁ … dₙ) (counts
+// as little-endian uint64s), hex-encoded (32 characters).
+func inputDigest(units int, digests []tenantDigest) string {
+	buf := make([]byte, 0, 16+len(digests)*sha256.Size)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(units))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(digests)))
+	for i := range digests {
+		buf = append(buf, digests[i][:]...)
 	}
-	sum := h.Sum(nil)
+	sum := sha256.Sum256(buf)
 	return hex.EncodeToString(sum[:16])
+}
+
+// InputDigest computes the deterministic digest of a solve's input: the
+// cache size, and each tenant's name and curve in solve order. Two plans
+// with equal digests were computed from bit-identical inputs. names and
+// curves must be parallel slices, exactly as handed to the optimizer.
+// It hashes every curve from scratch; the service's own plans get the
+// same value from tenant digests cached at registration.
+func InputDigest(names []string, curves []mrc.Curve, units int) string {
+	digests := make([]tenantDigest, len(names))
+	var buf []byte
+	for i, n := range names {
+		buf = appendTenantInput(buf[:0], n, curves[i])
+		digests[i] = sha256.Sum256(buf)
+	}
+	return inputDigest(units, digests)
 }

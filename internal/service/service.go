@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -165,9 +166,9 @@ type Service struct {
 	feed  *ChangeFeed
 
 	mu         sync.Mutex
-	curves     map[string]mrc.Curve // derived at cfg geometry
-	order      []string             // registration order: the epoch group's tenant order
-	churnTrace string               // trace ID of the last churn request, for epoch provenance
+	inputs     map[string]tenantInput // derived at cfg geometry
+	order      []string               // registration order: the epoch group's tenant order
+	churnTrace string                 // trace ID of the last churn request, for epoch provenance
 
 	rng *rand.Rand // owned by the reopt goroutine exclusively
 
@@ -198,7 +199,7 @@ func New(cfg Config, store *Store) (*Service, error) {
 		limiter: NewLimiter(cfg.MaxInflight, cfg.QueueDepth),
 		audit:   audit,
 		feed:    NewChangeFeed(cfg.FeedBuffer),
-		curves:  make(map[string]mrc.Curve),
+		inputs:  make(map[string]tenantInput),
 		rng:     rand.New(rand.NewPCG(cfg.Seed, 0x9e3779b97f4a7c15)),
 		churn:   make(chan struct{}, 1),
 		stopped: make(chan struct{}),
@@ -210,7 +211,7 @@ func New(cfg Config, store *Store) (*Service, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.curves[name] = s.deriveCurve(name, p, cfg.Units)
+		s.inputs[name] = s.deriveInput(name, p, cfg.Units)
 		s.order = append(s.order, name)
 	}
 	return s, nil
@@ -228,13 +229,21 @@ func (s *Service) Close() error {
 	return s.audit.Close()
 }
 
-func (s *Service) deriveCurve(name string, p profileio.Profile, units int) mrc.Curve {
+// A tenantInput is one tenant's solve input at some geometry: its curve
+// and the curve's tenantDigest, computed together so a plan's input
+// digest never re-hashes a curve.
+type tenantInput struct {
+	curve  mrc.Curve
+	digest tenantDigest
+}
+
+func (s *Service) deriveInput(name string, p profileio.Profile, units int) tenantInput {
 	c := mrc.FromFootprint(name, p.Footprint(), units, s.cfg.BlocksPerUnit, p.Rate)
 	// Weight the program by its access rate, exactly as cmd/optpart does:
 	// the group objective weighs programs by Accesses, so the scaling must
 	// match for daemon-served and offline plans to agree bit-for-bit.
 	c.Accesses = int64(float64(c.Accesses) * p.Rate)
-	return c
+	return tenantInput{curve: c, digest: sha256.Sum256(appendTenantInput(nil, name, c))}
 }
 
 // Config returns the service's normalized configuration.
@@ -280,10 +289,10 @@ func (s *Service) Register(ctx context.Context, name string, p profileio.Profile
 		return err
 	}
 	s.mu.Lock()
-	if _, known := s.curves[name]; !known {
+	if _, known := s.inputs[name]; !known {
 		s.order = append(s.order, name)
 	}
-	s.curves[name] = s.deriveCurve(name, p, s.cfg.Units)
+	s.inputs[name] = s.deriveInput(name, p, s.cfg.Units)
 	s.noteChurnTraceLocked(ctx)
 	s.mu.Unlock()
 	obs.Enabled().Counter(mTenantsRegistered).Add(1)
@@ -324,7 +333,7 @@ func (s *Service) Unregister(ctx context.Context, name string) error {
 		return err
 	}
 	s.mu.Lock()
-	delete(s.curves, name)
+	delete(s.inputs, name)
 	for i, n := range s.order {
 		if n == name {
 			s.order = append(s.order[:i], s.order[i+1:]...)
@@ -353,19 +362,27 @@ func (s *Service) CurveFor(name string, units int) (mrc.Curve, error) {
 	if units <= 0 {
 		units = s.cfg.Units
 	}
+	in, err := s.inputFor(name, units)
+	return in.curve, err
+}
+
+// inputFor returns the named tenant's solve input at units: the cached
+// one at the configured geometry, otherwise derived (and digested) on
+// demand from the stored profile.
+func (s *Service) inputFor(name string, units int) (tenantInput, error) {
 	if units == s.cfg.Units {
 		s.mu.Lock()
-		c, ok := s.curves[name]
+		in, ok := s.inputs[name]
 		s.mu.Unlock()
 		if ok {
-			return c, nil
+			return in, nil
 		}
 	}
 	p, err := s.store.Get(name)
 	if err != nil {
-		return mrc.Curve{}, err
+		return tenantInput{}, err
 	}
-	return s.deriveCurve(name, p, units), nil
+	return s.deriveInput(name, p, units), nil
 }
 
 // PlanFor solves the optimal partition for an ad-hoc co-run group under
@@ -400,13 +417,14 @@ func (s *Service) PlanFor(ctx context.Context, names []string, units int) (Plan,
 
 	_, curvesSpan := obs.Start(ctx, spanReqCurves, "service")
 	curves := make([]mrc.Curve, len(names))
+	digests := make([]tenantDigest, len(names))
 	for i, n := range names {
-		c, err := s.CurveFor(n, units)
+		in, err := s.inputFor(n, units)
 		if err != nil {
 			curvesSpan.End()
 			return Plan{}, err
 		}
-		curves[i] = c
+		curves[i], digests[i] = in.curve, in.digest
 	}
 	curvesSpan.End()
 	sctx, solve := obs.Start(ctx, spanReqSolve, "service")
@@ -417,7 +435,7 @@ func (s *Service) PlanFor(ctx context.Context, names []string, units int) (Plan,
 	if err := sctx.Err(); err != nil {
 		return Plan{}, fmt.Errorf("service: solve: %w", err)
 	}
-	plan, err := solvePlan(sctx, names, curves, units)
+	plan, err := solvePlan(sctx, names, curves, digests, units)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -431,8 +449,9 @@ func (s *Service) PlanFor(ctx context.Context, names []string, units int) (Plan,
 // solvePlan is the one solve every plan comes from: the solver ladder,
 // bit-exact with ReferenceOptimize. workers=1 keeps it serial but
 // cancellable — the kernel polls ctx between DP layers, so the caller's
-// deadline reaches every solve. Callers stamp the result.
-func solvePlan(ctx context.Context, names []string, curves []mrc.Curve, units int) (*Plan, error) {
+// deadline reaches every solve. digests are the curves' tenant digests,
+// parallel to names. Callers stamp the result.
+func solvePlan(ctx context.Context, names []string, curves []mrc.Curve, digests []tenantDigest, units int) (*Plan, error) {
 	start := time.Now()
 	sol, err := partition.OptimizeParallel(ctx, partition.Problem{Curves: curves, Units: units}, 1)
 	if err != nil {
@@ -448,7 +467,7 @@ func solvePlan(ctx context.Context, names []string, curves []mrc.Curve, units in
 		MissRatios:     append([]float64(nil), sol.MissRatios...),
 		SolverPath:     sol.SolverPath,
 		Provenance: &PlanProvenance{
-			InputDigest: InputDigest(names, curves, units),
+			InputDigest: inputDigest(units, digests),
 			SolverPath:  sol.SolverPath,
 			ComputeNS:   computeNS,
 		},
@@ -502,16 +521,19 @@ func (s *Service) signalChurn() {
 	}
 }
 
-// snapshotGroup copies the current co-run group in registration order.
-func (s *Service) snapshotGroup() ([]string, []mrc.Curve) {
+// snapshotGroup copies the current co-run group in registration order,
+// with each tenant's curve and digest.
+func (s *Service) snapshotGroup() ([]string, []mrc.Curve, []tenantDigest) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	names := append([]string(nil), s.order...)
 	curves := make([]mrc.Curve, len(names))
+	digests := make([]tenantDigest, len(names))
 	for i, n := range names {
-		curves[i] = s.curves[n]
+		in := s.inputs[n]
+		curves[i], digests[i] = in.curve, in.digest
 	}
-	return names, curves
+	return names, curves, digests
 }
 
 func (s *Service) reoptLoop(ctx context.Context) {
@@ -534,12 +556,12 @@ func (s *Service) reoptLoop(ctx context.Context) {
 func (s *Service) reoptimize(ctx context.Context) {
 	reg := obs.Enabled()
 	for attempt := 0; ; attempt++ {
-		names, curves := s.snapshotGroup()
+		names, curves, digests := s.snapshotGroup()
 		if len(curves) == 0 {
 			s.retireEpoch()
 			return
 		}
-		plan, err := s.solveEpoch(ctx, names, curves)
+		plan, err := s.solveEpoch(ctx, names, curves, digests)
 		if err == nil {
 			s.publishEpoch(plan)
 			reg.Counter(mReoptEpochs).Add(1)
@@ -618,7 +640,7 @@ func (s *Service) retireEpoch() {
 		Provenance: PlanProvenance{
 			Epoch:       epoch,
 			Cause:       CauseChurn,
-			InputDigest: InputDigest(nil, nil, s.cfg.Units),
+			InputDigest: inputDigest(s.cfg.Units, nil),
 			TraceID:     s.takeChurnTrace(),
 			UnixNS:      time.Now().UnixNano(),
 		},
@@ -657,7 +679,7 @@ func (s *Service) sleepBackoff(ctx context.Context, attempt int) bool {
 
 // solveEpoch solves the full group under the epoch deadline;
 // publishEpoch stamps the result.
-func (s *Service) solveEpoch(ctx context.Context, names []string, curves []mrc.Curve) (*Plan, error) {
+func (s *Service) solveEpoch(ctx context.Context, names []string, curves []mrc.Curve, digests []tenantDigest) (*Plan, error) {
 	dctx, cancel := context.WithTimeout(ctx, s.cfg.ReoptDeadline)
 	defer cancel()
 	sctx, span := obs.Start(dctx, spanReoptEpoch, "service")
@@ -668,7 +690,7 @@ func (s *Service) solveEpoch(ctx context.Context, names []string, curves []mrc.C
 	if err := sctx.Err(); err != nil {
 		return nil, fmt.Errorf("service: reopt: %w", err)
 	}
-	plan, err := solvePlan(sctx, names, curves, s.cfg.Units)
+	plan, err := solvePlan(sctx, names, curves, digests, s.cfg.Units)
 	if err != nil {
 		return nil, err
 	}
