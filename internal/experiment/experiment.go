@@ -70,15 +70,33 @@ func (s Scheme) String() string {
 }
 
 // GroupResult holds one co-run group's evaluation. Per-member miss
-// ratios are not stored (see ProgramMR), which keeps a full sweep's
-// Result — 1820 groups × six schemes — about half the size.
+// ratios are not stored (see ProgramMR), and every scheme's allocation
+// shares the members' backing array (see Alloc), which keeps a full
+// sweep's Result — 1820 groups × six schemes — at ~540 KB.
 type GroupResult struct {
-	// Members are indices into the program list.
+	// Members are indices into the program list. Their backing array
+	// holds the allocations after them: cap(Members) is
+	// (1+NumSchemes)·len(Members).
 	Members []int
 	// GroupMR[s] is the group miss ratio under scheme s.
 	GroupMR [NumSchemes]float64
-	// Alloc[s][i] is member i's allocation in units under scheme s.
-	Alloc [NumSchemes][]int
+}
+
+// newGroupResult returns a GroupResult for members with room for every
+// scheme's allocation in one backing array.
+func newGroupResult(members []int) GroupResult {
+	n := len(members)
+	buf := make([]int, (1+int(NumSchemes))*n)
+	copy(buf, members)
+	return GroupResult{Members: buf[:n]}
+}
+
+// Alloc returns the members' allocations in units under scheme s, in
+// member order. The slice aliases the result; callers must not modify it.
+func (gr GroupResult) Alloc(s Scheme) []int {
+	n := len(gr.Members)
+	lo := n * (1 + int(s))
+	return gr.Members[lo : lo+n : lo+n]
 }
 
 // ProgramMR returns member i's miss ratio under scheme s, given the
@@ -86,7 +104,7 @@ type GroupResult struct {
 // evaluated as a whole-unit allocation, so this is the member's curve at
 // its allocation: bit for bit the value the scheme's evaluation computed.
 func (gr GroupResult) ProgramMR(progs []workload.Program, s Scheme, i int) float64 {
-	return progs[gr.Members[i]].Curve.MissRatio(gr.Alloc[s][i])
+	return progs[gr.Members[i]].Curve.MissRatio(gr.Alloc(s)[i])
 }
 
 // Result is a full evaluation run.
@@ -214,12 +232,12 @@ func evaluateGroup(ctx context.Context, progs []workload.Program, members []int,
 			groupTab[i] = costTab[m]
 		}
 	}
-	res := GroupResult{Members: append([]int(nil), members...)}
+	res := newGroupResult(members)
 	pr := partition.Problem{Curves: curves, Units: units, CostTable: groupTab, Solver: solver}
 
 	record := func(s Scheme, sol partition.Solution) {
 		res.GroupMR[s] = sol.GroupMissRatio
-		res.Alloc[s] = sol.Alloc
+		copy(res.Alloc(s), sol.Alloc)
 	}
 
 	// Equal: fixed even split.

@@ -79,11 +79,11 @@ func TestRunProducesAllGroups(t *testing.T) {
 			t.Fatalf("group %d has %d members", g, len(gr.Members))
 		}
 		for s := Scheme(0); s < NumSchemes; s++ {
-			if len(gr.Alloc[s]) != 4 {
+			if len(gr.Alloc(s)) != 4 {
 				t.Fatalf("group %d scheme %v: missing per-program data", g, s)
 			}
 			total := 0
-			for _, u := range gr.Alloc[s] {
+			for _, u := range gr.Alloc(s) {
 				total += u
 			}
 			if total != res.Units {

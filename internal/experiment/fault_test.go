@@ -78,10 +78,30 @@ func TestRunWorkerBounds(t *testing.T) {
 	want := runFault(t, RunOpts{})
 	for _, workers := range []int{1, -5, 10000} {
 		got := runFault(t, RunOpts{Workers: workers})
-		if !reflect.DeepEqual(got.Groups, want.Groups) {
+		if !sameGroups(got.Groups, want.Groups) {
 			t.Fatalf("Workers=%d: results differ from default run", workers)
 		}
 	}
+}
+
+// sameGroups compares members, group miss ratios and every scheme's
+// allocation. reflect.DeepEqual would miss the allocations: they live in
+// Members' backing array past its length.
+func sameGroups(a, b []GroupResult) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for g := range a {
+		if !reflect.DeepEqual(a[g].Members, b[g].Members) || a[g].GroupMR != b[g].GroupMR {
+			return false
+		}
+		for s := Scheme(0); s < NumSchemes; s++ {
+			if !reflect.DeepEqual(a[g].Alloc(s), b[g].Alloc(s)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // A panicking group must surface as a typed GroupError naming the group,

@@ -32,7 +32,7 @@ const (
 // keeps the running minimum in a register instead of read-modify-writing
 // next[t] per candidate as the scatter form does.
 //
-// Three observations make the layer loop tight without changing a single
+// Four observations make the layer loop tight without changing a single
 // output bit relative to the original scatter implementation:
 //
 //  1. Specialization: the Sum/Minimax branch is hoisted out of the inner
@@ -50,6 +50,13 @@ const (
 //     paired with cost(t−j) (descending unit). Storing the layer costs
 //     reversed makes both streams ascend, so the inner loop is two
 //     contiguous reads, an add (or max), and a register compare.
+//
+//  4. One min-plus kernel: every unchecked Sum scan is minPlus (minplus.go,
+//     SSE2 on amd64), which takes min over candidates in any order and
+//     with MINPD. That is exact here: float64 min never rounds, and the
+//     only operands MINPD and a strict-< scan disagree on — NaN and a ±0
+//     tie — never reach an unchecked scan (non-finite costs force checked
+//     mode, and from the +0 base row no sum is −0; DESIGN.md §13.4).
 //
 // Values-only rows + lazy reconstruction: the kernels compute DP values
 // only — no per-cell choice table. Every layer's full row is retained in
@@ -124,7 +131,10 @@ func runLayerRange(sp *layerSpec, tLo, tHi int) {
 		case sp.minimax:
 			next[t] = cellMinimaxVal(dp, sp.costsRev, sp.hi-t, j0, j1)
 		default:
-			next[t] = cellSumVal(dp, sp.costsRev, sp.hi-t, j0, j1)
+			// Unchecked Sum: every dp[j] in [j0, j1] is finite by the
+			// interval invariant and cost magnitudes are bounded.
+			off := sp.hi - t
+			next[t] = minPlus(dp[j0:j1+1], sp.costsRev[off+j0:off+j1+1])
 		}
 	}
 }
@@ -143,10 +153,9 @@ const (
 )
 
 // runLayerRangeBlockedSum is the cache-blocked form of the Sum layer loop.
-// For each (t, j) tile it merges tile minima into next[t] with the same
-// strict compare, visiting j strictly ascending across tiles — the running
-// minimum evolves through the identical sequence of float compares as the
-// flat scan, so every value bit matches.
+// For each (t, j) tile it merges the tile's minPlus minimum into next[t]
+// with a strict compare. Float64 min is exact, so splitting a cell's window
+// into tiles changes no value bit (observation 4).
 func runLayerRangeBlockedSum(sp *layerSpec, tLo, tHi int) {
 	newLo := sp.prevLo + sp.lo
 	newHi := sp.prevHi + sp.hi
@@ -191,54 +200,18 @@ func runLayerRangeBlockedSum(sp *layerSpec, tLo, tHi int) {
 					continue
 				}
 				off := sp.hi - t
-				dpw := dp[j0 : j1+1]
-				cw := sp.costsRev[off+j0 : off+j1+1 : off+j1+1]
-				cw = cw[:len(dpw)]
-				best := next[t]
-				for i, v := range dpw {
-					if cand := v + cw[i]; cand < best {
-						best = cand
-					}
+				if v := minPlus(dp[j0:j1+1], sp.costsRev[off+j0:off+j1+1]); v < next[t] {
+					next[t] = v
 				}
-				next[t] = best
 			}
 		}
 	}
 }
 
-// cellSumVal scans candidates for one cell with no feasibility check: every
-// dp[j] in [j0, j1] is finite by the interval invariant, and cost magnitudes
-// are bounded, so the first candidate always improves on inf.
-func cellSumVal(dp, costsRev []float64, off, j0, j1 int) float64 {
-	dpw := dp[j0 : j1+1]
-	cw := costsRev[off+j0 : off+j1+1 : off+j1+1]
-	cw = cw[:len(dpw)]
-	// Two independent accumulators break the serial min dependency chain;
-	// float64 min is exact (no rounding), so any accumulation order gives
-	// the bit-identical value.
-	best, best2 := inf, inf
-	i := 0
-	for ; i+1 < len(dpw); i += 2 {
-		if cand := dpw[i] + cw[i]; cand < best {
-			best = cand
-		}
-		if cand := dpw[i+1] + cw[i+1]; cand < best2 {
-			best2 = cand
-		}
-	}
-	if i < len(dpw) {
-		if cand := dpw[i] + cw[i]; cand < best {
-			best = cand
-		}
-	}
-	if best2 < best {
-		best = best2
-	}
-	return best
-}
-
-// cellMinimaxVal is cellSumVal with the max combine. math.Max is used (not
-// a hand-rolled compare) so NaN and signed-zero handling match the original.
+// cellMinimaxVal scans candidates for one Minimax cell with no feasibility
+// check: every dp[j] in [j0, j1] is finite by the interval invariant.
+// math.Max is used (not a hand-rolled compare) so NaN and signed-zero
+// handling match the original.
 func cellMinimaxVal(dp, costsRev []float64, off, j0, j1 int) float64 {
 	dpw := dp[j0 : j1+1]
 	cw := costsRev[off+j0 : off+j1+1 : off+j1+1]
@@ -299,15 +272,16 @@ type scratch struct {
 	// still being read (banding) while the next level's are written. None
 	// of them is cleared on reuse: every cell the refinement reads is
 	// written first, by construction.
-	costBuf  []float64
-	lvlBuf0  []float64
-	lvlBuf1  []float64
-	upBuf    []float64
-	cminBuf  []float64
-	sweepBuf []float64
-	chBuf    []int32
-	dqBuf    []int32
-	maskBuf  []bool
+	costBuf    []float64
+	cminRevBuf []float64
+	lvlBuf0    []float64
+	lvlBuf1    []float64
+	upBuf      []float64
+	cminBuf    []float64
+	sweepBuf   []float64
+	chBuf      []int32
+	dqBuf      []int32
+	maskBuf    []bool
 }
 
 // maxPooledCells caps the arena size kept alive by the pool: large-C solves
@@ -516,16 +490,26 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 		spec.checked = spec.checked || !(costBound < costSafeLimit)
 		spec.blocked = !spec.minimax && !spec.checked &&
 			spec.prevHi-spec.prevLo+1 >= blockedMinWindow
+		// The last layer computes only next[C]: finishSolve reads nothing
+		// else of the final row, and reconstructAlloc reads rows 0..n−1.
+		tLo := 0
+		if p == n-1 {
+			tLo = C
+		}
 		if pool != nil {
 			_, ls := obs.Start(ctx, spanDPLayer, "dp")
-			pool.runLayer(&spec)
+			if tLo == 0 {
+				pool.runLayer(&spec)
+			} else {
+				runLayerRange(&spec, tLo, C)
+			}
 			ls.Arg("layer", int64(p)).End()
 		} else {
-			runLayerRange(&spec, 0, C)
+			runLayerRange(&spec, tLo, C)
 		}
 		path.exactLayers++
 		s.metas[p] = layerMeta{lo: lo, hi: hi, prevLo: prevLo, prevHi: prevHi}
-		path.cells += int64(C + 1)
+		path.cells += int64(C + 1 - tLo)
 		prevLo += lo
 		if prevHi += hi; prevHi > C {
 			prevHi = C

@@ -203,8 +203,8 @@ func refineSolve(ctx context.Context, pr *Problem, s *scratch, path *solvePath) 
 					if b > C {
 						b = C
 					}
-					// Paired accumulators as in cellSumVal: min is exact, so
-					// the split changes no bits, only the dependency chain.
+					// Paired accumulators as in minPlusGeneric: min is exact,
+					// so the split changes no bits, only the dependency chain.
 					m, m2 := row[a], inf
 					u := a + 1
 					for ; u+1 <= b; u += 2 {
@@ -374,6 +374,27 @@ func refineComputeLevel(n, C, g int, costs [][]float64, cmin []float64, allowF, 
 		}
 		chUp = growInt32s(&s.chBuf, n*TB)
 	}
+	// Block minima reversed per program, so both streams of a bound scan
+	// ascend and it is one minPlus call: the candidates for S pair
+	// prev[j], j ascending, with cmin[S−j] = cminRev[TB−1−S+j].
+	cminRev := growFloats(s.cminRevBuf, n*TB)
+	s.cminRevBuf = cminRev
+	for p := 0; p < n; p++ {
+		rv := cminRev[p*TB : (p+1)*TB]
+		for T, v := range cmin[p*TB : (p+1)*TB] {
+			rv[TB-1-T] = v
+		}
+	}
+	// boundScan is min over T in [t0, t1] of prev[S−T] + cmin_p[T] for
+	// program p's reversed row rv, or inf when the window is empty. inf
+	// predecessors need no guard: inf + a non-negative cost is ≥ inf, so it
+	// never undercuts the sentinel the scan starts from.
+	boundScan := func(prev, rv []float64, S, t0, t1 int) float64 {
+		if t0 > t1 {
+			return inf
+		}
+		return minPlus(prev[S-t1:S-t0+1], rv[TB-1-t1:TB-t0])
+	}
 	rowRange := func(rng [][2]int, p int) (int, int) {
 		if rng == nil {
 			return 0, TB - 1
@@ -406,7 +427,7 @@ func refineComputeLevel(n, C, g int, costs [][]float64, cmin []float64, allowF, 
 	lv.dspan[0] = [2]int{pMin, pMax}
 	for p := 1; p < n; p++ {
 		dl, dlPrev := lv.dlow[p], lv.dlow[p-1]
-		cm := cmin[p*TB : (p+1)*TB]
+		rv := cminRev[p*TB : (p+1)*TB]
 		var dupRow, dupPrev, crow []float64
 		if upper {
 			dupRow, dupPrev = dup[p*TB:(p+1)*TB], dup[(p-1)*TB:p*TB]
@@ -430,16 +451,13 @@ func refineComputeLevel(n, C, g int, costs [][]float64, cmin []float64, allowF, 
 			if t1 > S {
 				t1 = S
 			}
-			// inf predecessors need no guard: inf + finite = inf loses every
-			// strict comparison, so skipping the check changes no result.
-			bestL := inf
+			bestL := boundScan(dlPrev, rv, S, t0, t1)
 			if upper {
+				// The upper solve needs its argmin, so it stays a scalar
+				// leftmost strict-improve scan.
 				bestU := inf
 				bestT := int32(0)
 				for T := t0; T <= t1; T++ {
-					if cand := dlPrev[S-T] + cm[T]; cand < bestL {
-						bestL = cand
-					}
 					if cand := dupPrev[S-T] + crow[T]; cand < bestU {
 						bestU = cand
 						bestT = int32(T)
@@ -447,27 +465,6 @@ func refineComputeLevel(n, C, g int, costs [][]float64, cmin []float64, allowF, 
 				}
 				dupRow[S] = bestU
 				chUp[p*TB+S] = bestT
-			} else {
-				// Paired accumulators as in cellSumVal: min is exact, so the
-				// split changes no bits, only the dependency chain.
-				bestL2 := inf
-				T := t0
-				for ; T+1 <= t1; T += 2 {
-					if cand := dlPrev[S-T] + cm[T]; cand < bestL {
-						bestL = cand
-					}
-					if cand := dlPrev[S-T-1] + cm[T+1]; cand < bestL2 {
-						bestL2 = cand
-					}
-				}
-				if T <= t1 {
-					if cand := dlPrev[S-T] + cm[T]; cand < bestL {
-						bestL = cand
-					}
-				}
-				if bestL2 < bestL {
-					bestL = bestL2
-				}
 			}
 			dl[S] = bestL
 			if bestL != inf {
@@ -497,7 +494,7 @@ func refineComputeLevel(n, C, g int, costs [][]float64, cmin []float64, allowF, 
 	lv.espan[n-1] = [2]int{pMin, pMax}
 	for p := n - 2; p >= 0; p-- {
 		el, elNext := lv.elow[p], lv.elow[p+1]
-		cm = cmin[p*TB : (p+1)*TB]
+		rv := cminRev[p*TB : (p+1)*TB]
 		nMin, nMax := TB, -1
 		lo, hi := rowRange(rngB, p)
 		for S := lo; S <= hi; S++ {
@@ -513,24 +510,7 @@ func refineComputeLevel(n, C, g int, costs [][]float64, cmin []float64, allowF, 
 			if t1 > S {
 				t1 = S
 			}
-			best, best2 := inf, inf
-			T := t0
-			for ; T+1 <= t1; T += 2 {
-				if cand := elNext[S-T] + cm[T]; cand < best {
-					best = cand
-				}
-				if cand := elNext[S-T-1] + cm[T+1]; cand < best2 {
-					best2 = cand
-				}
-			}
-			if T <= t1 {
-				if cand := elNext[S-T] + cm[T]; cand < best {
-					best = cand
-				}
-			}
-			if best2 < best {
-				best = best2
-			}
+			best := boundScan(elNext, rv, S, t0, t1)
 			el[S] = best
 			if best != inf {
 				if S < nMin {
@@ -1090,7 +1070,7 @@ func refineFineSolve(ctx context.Context, n, C int, costs [][]float64, spans [][
 					if b > t {
 						b = t
 					}
-					if v := cellSumVal(prev, costsRev, off, a, b); v < best {
+					if v := minPlus(prev[a:b+1], costsRev[off+a:off+b+1]); v < best {
 						best = v
 					}
 				}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"partitionshare/internal/mrc"
+	"partitionshare/internal/obs"
 	"partitionshare/internal/workload"
 )
 
@@ -78,6 +79,57 @@ func TestSolverModesBitExactRandom(t *testing.T) {
 		units := int(seed%50) + 8
 		pr := randProblem(seed, n, units)
 		checkBitExact(t, pr, "random")
+	}
+}
+
+// TestExactRungMatchesReference pins the exact rung, which computes only
+// the final cell of its last layer, to the reference at n ∈ {1, 2, 4, 16}
+// with and without Min/MaxAlloc, on the serial path and the worker pool
+// (checkSolutionBits), and checks that partition.dp_cells counts the
+// cells it computed: C+1 per layer, one for the last. The C = 6200 case
+// has windows past blockedMinWindow, so it runs the tiled kernel.
+func TestExactRungMatchesReference(t *testing.T) {
+	prevReg := obs.Enabled()
+	reg := obs.NewRegistry()
+	obs.Enable(reg)
+	defer obs.Enable(prevReg)
+	cases := []struct{ n, units int }{{1, 96}, {2, 96}, {4, 96}, {16, 96}, {2, 6200}}
+	for i, tc := range cases {
+		for _, bounded := range []bool{false, true} {
+			seed := uint64(100 + i)
+			pr := randProblem(seed, tc.n, tc.units)
+			label := fmt.Sprintf("n=%d units=%d bounded=%v", tc.n, tc.units, bounded)
+			C := tc.units
+			if bounded {
+				rng := rand.New(rand.NewPCG(seed, 7))
+				pr.MinAlloc = make([]int, tc.n)
+				pr.MaxAlloc = make([]int, tc.n)
+				hiSum := 0
+				for p := range pr.MinAlloc {
+					pr.MinAlloc[p] = rng.IntN(tc.units/(2*tc.n) + 1)
+					C -= pr.MinAlloc[p]
+					pr.MaxAlloc[p] = pr.MinAlloc[p] + rng.IntN(2*tc.units/tc.n+1)
+					hiSum += pr.MaxAlloc[p]
+				}
+				if hiSum < tc.units {
+					pr.MaxAlloc[0] += tc.units - hiSum
+				}
+			}
+			checkBitExact(t, pr, label)
+
+			pr.Solver = SolverExact
+			before := reg.Counter(mDPCells).Value()
+			sol, err := Optimize(pr)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if sol.SolverPath != "exact" {
+				t.Fatalf("%s: path %q, want exact", label, sol.SolverPath)
+			}
+			if got, want := reg.Counter(mDPCells).Value()-before, int64((tc.n-1)*(C+1)+1); got != want {
+				t.Errorf("%s: dp_cells %d, want %d", label, got, want)
+			}
+		}
 	}
 }
 

@@ -51,14 +51,37 @@ func newBenchService(b *testing.B) *Service {
 
 // BenchmarkPlanPost measures one ad-hoc POST /v1/plan round trip for a
 // four-tenant group at 1024 units over a loopback httptest server:
-// decode, admission, curve gather, solve, provenance and encode.
+// decode, admission, curve gather, solve, provenance and encode. "refine"
+// uses benchTenants, whose group solves on the refinement rung; the
+// service tests' testProfile tenants have working sets far below the
+// cache, refinement declines them, and "exact-fallback" times that
+// group on the exact rung.
 func BenchmarkPlanPost(b *testing.B) {
-	svc := newBenchService(b)
-	names := benchTenants(b, svc)
+	b.Run("refine", func(b *testing.B) {
+		svc := newBenchService(b)
+		benchPlanPost(b, svc, benchTenants(b, svc), "refine")
+	})
+	b.Run("exact-fallback", func(b *testing.B) {
+		svc := newBenchService(b)
+		var names []string
+		for seed := uint64(1); seed <= 4; seed++ {
+			p := testProfile(b, seed)
+			if err := svc.Register(context.Background(), p.Name, p); err != nil {
+				b.Fatal(err)
+			}
+			names = append(names, p.Name)
+		}
+		benchPlanPost(b, svc, names, "refine-fallback+exact")
+	})
+}
+
+// benchPlanPost checks that the group solves on wantPath, then times
+// POST /v1/plan for it.
+func benchPlanPost(b *testing.B, svc *Service, names []string, wantPath string) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	if p, err := svc.PlanFor(context.Background(), names, 0); err != nil || p.SolverPath != "refine" {
-		b.Fatalf("bench group solves on %q (%v), want refine", p.SolverPath, err)
+	if p, err := svc.PlanFor(context.Background(), names, 0); err != nil || p.SolverPath != wantPath {
+		b.Fatalf("bench group solves on %q (%v), want %q", p.SolverPath, err, wantPath)
 	}
 	body := []byte(fmt.Sprintf(`{"tenants":["%s","%s","%s","%s"]}`, names[0], names[1], names[2], names[3]))
 	client := ts.Client()

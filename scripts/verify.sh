@@ -31,6 +31,13 @@ go test -shuffle=on ./...
 echo "== tier-1: go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
+# The min-plus kernel is SSE2 assembly on amd64 and pure Go everywhere
+# else; cross-building for arm64 keeps the portable path compiling, and
+# vet's asmdecl pass (run natively by go vet ./... above) checks the
+# amd64 stub's frame against its Go declaration.
+echo "== portable kernel: GOARCH=arm64 build and vet"
+GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/partition
+
 # perfbench is its own module (it imports this one through a replace
 # directive), so the root ./... never compiles it: a service or partition
 # API change could break the benchmark while everything above stays green.
@@ -45,6 +52,7 @@ echo "== fuzz smoke (${FUZZTIME} per target)"
 go test -run=NONE -fuzz='^FuzzProfileRoundTrip$' -fuzztime="$FUZZTIME" ./internal/profileio
 go test -run=NONE -fuzz='^FuzzCollect$' -fuzztime="$FUZZTIME" ./internal/reuse
 go test -run=NONE -fuzz='^FuzzOptimize$' -fuzztime="$FUZZTIME" ./internal/partition
+go test -run=NONE -fuzz='^FuzzMinPlus$' -fuzztime="$FUZZTIME" ./internal/partition
 go test -run=NONE -fuzz='^FuzzCurveDerive$' -fuzztime="$FUZZTIME" ./internal/mrc
 
 # Observability smoke: a real -small run must produce a manifest that
