@@ -233,12 +233,11 @@ func OptimizeWithBaseline(curves []Curve, units int, baseline Allocation) (Solut
 // optimal only for convex curves.
 func STTW(curves []Curve, units int) Solution { return partition.STTW(curves, units) }
 
-// OptimizeParallel is Optimize with each DP layer parallelized across
-// workers (0 = GOMAXPROCS); same optimum, useful at fine granularity.
-// Cancelling ctx stops between DP layers and returns ctx.Err(); a nil ctx
-// never cancels.
-func OptimizeParallel(ctx context.Context, pr Problem, workers int) (Solution, error) {
-	return partition.OptimizeParallel(ctx, pr, workers)
+// OptimizeContext is Optimize made cancellable: cancelling ctx stops the
+// solve between DP rounds and returns ctx.Err(); a nil ctx never cancels.
+// The optimum is Optimize's, bit for bit.
+func OptimizeContext(ctx context.Context, pr Problem) (Solution, error) {
+	return partition.OptimizeContext(ctx, pr)
 }
 
 // Incremental maintains the optimal-partition DP as programs join and

@@ -160,18 +160,6 @@ func BenchmarkOptimalPartitionGroup(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimalPartitionExact forces the exact kernel — one O(P·C²)
-// DP — on the paper's group and on the C=4096 group, the anchors that pin
-// down the refinement rung's speedup.
-func BenchmarkOptimalPartitionExact(b *testing.B) {
-	curves := fullCurves(b)
-	b.Run("units=1024", func(b *testing.B) {
-		benchOptimize(b, partition.Problem{Curves: curves, Units: 1024, Solver: partition.SolverExact})
-	})
-	pr := partition.Problem{Curves: largeCurves(4096, 4), Units: 4096, Solver: partition.SolverExact}
-	b.Run("units=4096", func(b *testing.B) { benchOptimize(b, pr) })
-}
-
 func benchOptimize(b *testing.B, pr partition.Problem) {
 	for i := 0; i < b.N; i++ {
 		if _, err := partition.Optimize(pr); err != nil {
@@ -196,25 +184,12 @@ func largeCurves(units, npr int) []mrc.Curve {
 	return curves
 }
 
-// BenchmarkOptimalPartitionGroupParallel is the same DP with parallel
-// layers.
-func BenchmarkOptimalPartitionGroupParallel(b *testing.B) {
-	curves := fullCurves(b)
-	pr := partition.Problem{Curves: curves, Units: 1024}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := partition.OptimizeParallel(nil, pr, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkOptimalPartitionGroupReference is the "before" half of the
 // kernel pair: the original allocation-per-call scatter-form DP, preserved
-// as partition.ReferenceOptimize. Comparing it with
-// BenchmarkOptimalPartitionExact/units=1024 measures the pooled gather
-// kernel's gain, and with BenchmarkOptimalPartitionGroup/units=1024 the
-// whole solver ladder's.
+// as partition.ReferenceOptimize. Comparing it with the exact-rung
+// benchmark in internal/partition (BenchmarkExactRung/units=1024)
+// measures the gather kernel's gain, and with
+// BenchmarkOptimalPartitionGroup/units=1024 the whole solver ladder's.
 func BenchmarkOptimalPartitionGroupReference(b *testing.B) {
 	curves := fullCurves(b)
 	pr := partition.Problem{Curves: curves, Units: 1024}

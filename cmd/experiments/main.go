@@ -46,7 +46,6 @@ import (
 	"partitionshare/internal/atomicio"
 	"partitionshare/internal/experiment"
 	"partitionshare/internal/obs"
-	"partitionshare/internal/partition"
 	"partitionshare/internal/textplot"
 	"partitionshare/internal/workload"
 )
@@ -67,7 +66,6 @@ func main() {
 	policy := flag.Bool("policy", false, "also run the replacement-policy study (slow)")
 	epochFlag := flag.Bool("epoch", false, "also run the dynamic-vs-static repartitioning study on the phased suite")
 	workers := flag.Int("workers", 0, "worker goroutines for the group sweep (0 = GOMAXPROCS)")
-	solverFlag := flag.String("solver", "auto", "DP solver for every scheme's solve: auto|exact")
 	failFast := flag.Bool("failfast", false, "abort the sweep on the first group error instead of collecting errors")
 	debugAddr := flag.String("debug-addr", "", "serve live expvar metrics and pprof on this address (e.g. localhost:6060)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -85,10 +83,6 @@ func main() {
 		fatal(err)
 	}
 	obs.InitLogging(os.Stderr, level, *logJSON)
-	solver, err := partition.ParseSolver(*solverFlag)
-	if err != nil {
-		fatal(err)
-	}
 	obs.Enable(obs.NewRegistry())
 
 	// SIGINT/SIGTERM cancel ctx; every stage below drains gracefully and
@@ -114,7 +108,6 @@ func main() {
 		"blocks_per_unit": cfg.BlocksPerUnit,
 		"trace_len":       cfg.TraceLen,
 		"workers":         *workers,
-		"solver":          solver.String(),
 		"validate":        *validate,
 		"correlate":       *correlate,
 		"granularity":     *granularity,
@@ -199,7 +192,6 @@ func main() {
 	opts := experiment.RunOpts{
 		Workers:    *workers,
 		FailFast:   *failFast,
-		Solver:     solver,
 		OnProgress: sweepProgress(),
 	}
 

@@ -4,12 +4,11 @@
 // Equal, Natural, Equal-baseline, Natural-baseline, Optimal, STTW — with
 // per-program allocations and miss ratios.
 //
-// -solver selects the DP strategy (auto walks the two-rung solver ladder
-// of DESIGN.md §13; exact forces the exact rung), -baselines=false
-// skips everything but the Optimal solve (the large-C timing
-// configuration: the baseline-constrained DPs are quadratic in C and
-// would dominate a solver-rung measurement), and -manifest writes a run
-// manifest recording the geometry, the solver counters, and the
+// Every DP solve walks the two-rung solver ladder of DESIGN.md §13.
+// -baselines=false skips everything but the Optimal solve (the large-C
+// timing configuration: the baseline-constrained DPs are quadratic in C
+// and would dominate a solver-rung measurement), and -manifest writes a
+// run manifest recording the geometry, the solver counters, and the
 // SolverPath each DP scheme actually took.
 //
 // SIGINT/SIGTERM drain gracefully: the in-flight solve finishes (the
@@ -18,7 +17,7 @@
 //
 // Usage:
 //
-//	optpart [-units 1024] [-blocksperunit 4] [-solver auto] prog1.hotl prog2.hotl ...
+//	optpart [-units 1024] [-blocksperunit 4] prog1.hotl prog2.hotl ...
 package main
 
 import (
@@ -49,7 +48,6 @@ type options struct {
 	units         int
 	blocksPerUnit int64
 	minimax       bool
-	solver        partition.Solver
 	baselines     bool
 	manifestPath  string
 	paths         []string
@@ -59,7 +57,6 @@ func main() {
 	units := flag.Int("units", 1024, "cache size in partition units")
 	blocksPerUnit := flag.Int64("blocksperunit", 4, "cache blocks per partition unit")
 	minimax := flag.Bool("minimax", false, "also print the minimax-fair optimal partition")
-	solverFlag := flag.String("solver", "auto", "DP solver: auto|exact")
 	baselines := flag.Bool("baselines", true, "compute the baseline schemes (Equal, Natural, Equal/Natural baseline, STTW), not just Optimal")
 	manifestPath := flag.String("manifest", "", "run-manifest path recording solver paths and counters (empty disables)")
 	flag.Parse()
@@ -69,10 +66,6 @@ func main() {
 	if *units < 1 || *blocksPerUnit < 1 {
 		fatal(fmt.Errorf("invalid geometry"))
 	}
-	solver, err := partition.ParseSolver(*solverFlag)
-	if err != nil {
-		fatal(err)
-	}
 
 	// SIGINT/SIGTERM cancel ctx; run drains at the next solve boundary
 	// (or mid-DP: the kernel polls ctx between layers), the deferred
@@ -81,11 +74,10 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	err = run(ctx, os.Stdout, options{
+	err := run(ctx, os.Stdout, options{
 		units:         *units,
 		blocksPerUnit: *blocksPerUnit,
 		minimax:       *minimax,
-		solver:        solver,
 		baselines:     *baselines,
 		manifestPath:  *manifestPath,
 		paths:         flag.Args(),
@@ -128,7 +120,6 @@ func run(ctx context.Context, w io.Writer, opts options) (err error) {
 			"units":           opts.units,
 			"blocks_per_unit": opts.blocksPerUnit,
 			"programs":        len(opts.paths),
-			"solver":          opts.solver.String(),
 			"baselines":       opts.baselines,
 			"minimax":         opts.minimax,
 			"solver_paths":    solverPaths,
@@ -140,7 +131,7 @@ func run(ctx context.Context, w io.Writer, opts options) (err error) {
 		}()
 	}
 
-	pr := partition.Problem{Curves: curves, Units: opts.units, Solver: opts.solver}
+	pr := partition.Problem{Curves: curves, Units: opts.units}
 	show := func(label string, sol partition.Solution) {
 		if sol.SolverPath != "" {
 			solverPaths[label] = sol.SolverPath
@@ -202,8 +193,7 @@ func run(ctx context.Context, w io.Writer, opts options) (err error) {
 	if err := step(); err != nil {
 		return err
 	}
-	// workers=1: the serial solve, but cancellable between DP layers.
-	sol, err := partition.OptimizeParallel(ctx, pr, 1)
+	sol, err := partition.OptimizeContext(ctx, pr)
 	if err != nil {
 		return err
 	}
@@ -220,7 +210,7 @@ func run(ctx context.Context, w io.Writer, opts options) (err error) {
 		if err := step(); err != nil {
 			return err
 		}
-		sol, err = partition.OptimizeParallel(ctx, partition.Problem{Curves: curves, Units: opts.units, Combine: partition.Minimax, Solver: opts.solver}, 1)
+		sol, err = partition.OptimizeContext(ctx, partition.Problem{Curves: curves, Units: opts.units, Combine: partition.Minimax})
 		if err != nil {
 			return err
 		}

@@ -4,7 +4,7 @@
 // drain the work it fans out. An exported API that spawns concurrency
 // without a context is uncancellable from outside — the precise gap the
 // PR 2 plumbing (experiment.Run, workload.ProfileAll,
-// partition.OptimizeParallel, reuse.CollectParallel) closed.
+// reuse.CollectParallel) closed.
 //
 // The goroutine may be spawned anywhere lexically inside the function,
 // including nested function literals. Unexported helpers are exempt

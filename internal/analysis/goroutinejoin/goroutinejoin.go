@@ -12,8 +12,8 @@
 //   - close-join: the goroutine closes a channel it does not own, the
 //     signal the spawner receives on, as in StartServer's close(srv.err);
 //   - channel drain: the goroutine ranges over, or selects/receives
-//     from, a channel, so closing the channel releases it, as in the DP
-//     pool's layer workers and the sweep's group workers.
+//     from, a channel, so closing the channel releases it, as in the
+//     sweep's group workers.
 //
 // For a spawned call into another module package the analyzer accepts a
 // context.Context argument at the call site, or — via the PlumbFact

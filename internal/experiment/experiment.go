@@ -181,7 +181,7 @@ func Combinations(n, k int) ([][]int, error) {
 
 // EvaluateGroup runs all six schemes on one co-run group.
 func EvaluateGroup(progs []workload.Program, members []int, units int, blocksPerUnit int64) (GroupResult, error) {
-	return evaluateGroup(context.Background(), progs, members, units, blocksPerUnit, nil, partition.SolverAuto)
+	return evaluateGroup(context.Background(), progs, members, units, blocksPerUnit, nil)
 }
 
 // CostTable precomputes each program's miss-count column cost[p][u] =
@@ -206,12 +206,11 @@ func CostTable(progs []workload.Program, units int) [][]float64 {
 // parent (the worker's group span during a sweep), so each scheme's DP
 // solve renders as a child "experiment.dp_solve" span in -trace-events
 // timelines.
-// solver selects the DP strategy for every scheme's solve; rungs an
-// instance cannot certify fall through to the exact kernel, so any value
-// is safe here. The two baseline schemes are solved on their feasible
-// box of C − ΣMinAlloc units, which at the paper's C=1024 stays below
+// Every scheme's solve walks the solver ladder; rungs an instance cannot
+// certify fall through to the exact kernel. The two baseline schemes are
+// solved on their feasible box of C − ΣMinAlloc units, which at the paper's C=1024 stays below
 // the refinement floor, so they run the exact kernel on the box.
-func evaluateGroup(ctx context.Context, progs []workload.Program, members []int, units int, blocksPerUnit int64, costTab [][]float64, solver partition.Solver) (GroupResult, error) {
+func evaluateGroup(ctx context.Context, progs []workload.Program, members []int, units int, blocksPerUnit int64, costTab [][]float64) (GroupResult, error) {
 	n := len(members)
 	if n == 0 {
 		return GroupResult{}, fmt.Errorf("experiment: empty group")
@@ -233,7 +232,7 @@ func evaluateGroup(ctx context.Context, progs []workload.Program, members []int,
 		}
 	}
 	res := newGroupResult(members)
-	pr := partition.Problem{Curves: curves, Units: units, CostTable: groupTab, Solver: solver}
+	pr := partition.Problem{Curves: curves, Units: units, CostTable: groupTab}
 
 	record := func(s Scheme, sol partition.Solution) {
 		res.GroupMR[s] = sol.GroupMissRatio
@@ -325,10 +324,6 @@ type RunOpts struct {
 	// group is attempted and all failures are returned joined, with the
 	// successful groups' results retained.
 	FailFast bool
-	// Solver selects the DP strategy for every scheme's solve (see
-	// partition.Solver). The zero value is SolverAuto — the solver
-	// ladder — which is the right choice outside A/B experiments.
-	Solver partition.Solver
 	// OnProgress, when non-nil, is called after every processed group
 	// (completed or failed) with the running processed count and the
 	// total. Calls come from worker goroutines concurrently, so the
@@ -340,7 +335,7 @@ type RunOpts struct {
 // evaluateGroupSafe runs evaluateGroup with panics recovered into errors,
 // so one pathological group (or a bug in a solver path) degrades to a
 // typed GroupError instead of crashing the whole sweep.
-func evaluateGroupSafe(ctx context.Context, progs []workload.Program, members []int, units int, blocksPerUnit int64, costTab [][]float64, solver partition.Solver) (gr GroupResult, err error) {
+func evaluateGroupSafe(ctx context.Context, progs []workload.Program, members []int, units int, blocksPerUnit int64, costTab [][]float64) (gr GroupResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			// A panic value that is itself an error stays in the chain
@@ -356,7 +351,7 @@ func evaluateGroupSafe(ctx context.Context, progs []workload.Program, members []
 	if testHookEvaluateGroup != nil {
 		testHookEvaluateGroup(members)
 	}
-	return evaluateGroup(ctx, progs, members, units, blocksPerUnit, costTab, solver)
+	return evaluateGroup(ctx, progs, members, units, blocksPerUnit, costTab)
 }
 
 // testHookEvaluateGroup, when non-nil, runs at the top of every group
@@ -444,7 +439,7 @@ func Run(ctx context.Context, progs []workload.Program, groupSize, units int, bl
 					start = time.Now()
 				}
 				gctx, gspan := obs.Start(laneCtx, spanGroup, "sweep")
-				gr, err := evaluateGroupSafe(gctx, progs, groups[g], units, blocksPerUnit, costTab, opts.Solver)
+				gr, err := evaluateGroupSafe(gctx, progs, groups[g], units, blocksPerUnit, costTab)
 				gspan.Arg("group", int64(g)).End()
 				if reg != nil {
 					groupHist.Observe(time.Since(start).Nanoseconds())

@@ -123,10 +123,10 @@ func TestTracerNilSafety(t *testing.T) {
 }
 
 // With tracing off and no request in the context, Start+End allocates
-// nothing: the DP kernel opens a span per layer, so the default
+// nothing: every cancellable DP solve opens a span, so the default
 // configuration must not pay for the span model. The lane tag and the
 // enclosing stage span (a grandchild of a request root) are the shapes
-// the kernel actually sees.
+// the solver actually sees.
 func TestStartUntracedAllocFree(t *testing.T) {
 	if ActiveTracer() != nil || Enabled() != nil {
 		t.Fatal("telemetry enabled at test start")
@@ -140,8 +140,8 @@ func TestStartUntracedAllocFree(t *testing.T) {
 	ctxs["under request stage"], _ = Start(rctx, "solve", "test")
 	for name, ctx := range ctxs {
 		allocs := testing.AllocsPerRun(1000, func() {
-			_, s := Start(ctx, "partition.dp_layer", "dp")
-			s.Arg("layer", 1).End()
+			_, s := Start(ctx, "partition.solve", "dp")
+			s.Arg("programs", 4).End()
 		})
 		if allocs != 0 {
 			t.Errorf("%s: Start+End allocates %.1f times per span, want 0", name, allocs)

@@ -48,7 +48,7 @@ func tableIGroups(t *testing.T) ([]workload.Program, [][]int) {
 // TestBaselinesBitExactPaperScale runs the paper's §VI baseline solves on
 // every 16th Table I group (4 of the 16 programs, C=1024, sharing one
 // miss-count table as the sweep does) through OptimizeBaseline, forced
-// exact and OptimizeParallel, all bit-identical to the reference. These
+// exact and OptimizeContext, all bit-identical to the reference. These
 // are the lower-bounded problems the feasible-box shift serves.
 func TestBaselinesBitExactPaperScale(t *testing.T) {
 	if testing.Short() || raceEnabled {

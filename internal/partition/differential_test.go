@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -62,7 +64,7 @@ func randDiffProblem(rng *rand.Rand) Problem {
 	return pr
 }
 
-// TestOptimizeBitExactWithReference asserts the pooled gather kernel
+// TestOptimizeBitExactWithReference asserts the gather kernel
 // reproduces the original scatter implementation exactly: same objective
 // bits, same allocation (tie-breaking included), on randomized instances.
 func TestOptimizeBitExactWithReference(t *testing.T) {
@@ -86,29 +88,30 @@ func TestOptimizeBitExactWithReference(t *testing.T) {
 	}
 }
 
-// TestOptimizeParallelBitExactAllWorkerCounts asserts OptimizeParallel
-// matches Optimize (and hence the reference) for every worker count 1..8 —
-// including counts above the cell count — on randomized instances covering
-// non-convex curves, Minimax, and bounds.
+// TestOptimizeParallelBitExactAllWorkerCounts asserts the cancellable
+// OptimizeContext matches Optimize (and hence the reference) bit for bit
+// on randomized instances covering non-convex curves, Minimax, and
+// bounds, and that the deprecated OptimizeParallel shim does too for
+// every worker count 0..8, which it ignores.
 func TestOptimizeParallelBitExactAllWorkerCounts(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewPCG(seed, seed*97))
 		pr := randDiffProblem(rng)
 		want, errW := Optimize(pr)
-		for workers := 1; workers <= 8; workers++ {
-			got, errG := OptimizeParallel(nil, pr, workers)
+		check := func(label string, got Solution, errG error) {
+			t.Helper()
 			if (errW == nil) != (errG == nil) {
-				t.Fatalf("seed %d workers %d: err %v vs %v", seed, workers, errG, errW)
+				t.Fatalf("seed %d %s: err %v vs %v", seed, label, errG, errW)
 			}
-			if errW != nil {
-				continue
+			if errW == nil && !sameBits(got, want) {
+				t.Fatalf("seed %d %s: %v/%v != %v/%v", seed, label, got.Objective, got.Alloc, want.Objective, want.Alloc)
 			}
-			if got.Objective != want.Objective {
-				t.Fatalf("seed %d workers %d: objective %v != %v", seed, workers, got.Objective, want.Objective)
-			}
-			if !reflect.DeepEqual(got.Alloc, want.Alloc) {
-				t.Fatalf("seed %d workers %d: alloc %v != %v", seed, workers, got.Alloc, want.Alloc)
-			}
+		}
+		got, errG := OptimizeContext(context.Background(), pr)
+		check("context", got, errG)
+		for workers := 0; workers <= 8; workers++ {
+			got, errG := OptimizeParallel(context.Background(), pr, workers)
+			check(fmt.Sprintf("workers=%d", workers), got, errG)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -17,6 +18,10 @@ func randProblem(seed uint64, n, units int) Problem {
 	return Problem{Curves: curves, Units: units}
 }
 
+// The OptimizeParallel tests below exercise the cancellable solve that
+// replaced it, OptimizeContext, against Optimize: the same optimum bit for
+// bit across sizes, Minimax, bounds and infeasible bounds.
+
 func TestOptimizeParallelMatchesSequential(t *testing.T) {
 	for seed := uint64(1); seed <= 15; seed++ {
 		pr := randProblem(seed, int(seed%4)+2, int(seed%40)+8)
@@ -24,18 +29,16 @@ func TestOptimizeParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 7, 0} {
-			par, err := OptimizeParallel(nil, pr, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(par.Objective-seq.Objective) > 1e-9 {
-				t.Errorf("seed %d workers %d: parallel %v vs sequential %v",
-					seed, workers, par.Objective, seq.Objective)
-			}
-			if par.Alloc.Total() != pr.Units {
-				t.Errorf("seed %d: parallel alloc sums to %d", seed, par.Alloc.Total())
-			}
+		got, err := OptimizeContext(context.Background(), pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got, seq) {
+			t.Errorf("seed %d: context %v/%v vs sequential %v/%v",
+				seed, got.Objective, got.Alloc, seq.Objective, seq.Alloc)
+		}
+		if got.Alloc.Total() != pr.Units {
+			t.Errorf("seed %d: alloc sums to %d", seed, got.Alloc.Total())
 		}
 	}
 }
@@ -48,12 +51,13 @@ func TestOptimizeParallelMinimax(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := OptimizeParallel(nil, pr, 4)
+		got, err := OptimizeContext(context.Background(), pr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(par.Objective-seq.Objective) > 1e-9 {
-			t.Errorf("seed %d: minimax parallel %v vs sequential %v", seed, par.Objective, seq.Objective)
+		if !sameBits(got, seq) {
+			t.Errorf("seed %d: minimax context %v/%v vs sequential %v/%v",
+				seed, got.Objective, got.Alloc, seq.Objective, seq.Alloc)
 		}
 	}
 }
@@ -66,16 +70,16 @@ func TestOptimizeParallelWithBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := OptimizeParallel(nil, pr, 3)
+	got, err := OptimizeContext(context.Background(), pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(par.Objective-seq.Objective) > 1e-9 {
-		t.Errorf("bounded: parallel %v vs sequential %v", par.Objective, seq.Objective)
+	if !sameBits(got, seq) {
+		t.Errorf("bounded: context %v/%v vs sequential %v/%v", got.Objective, got.Alloc, seq.Objective, seq.Alloc)
 	}
-	for p, u := range par.Alloc {
+	for p, u := range got.Alloc {
 		if u < pr.MinAlloc[p] || u > pr.MaxAlloc[p] {
-			t.Errorf("parallel alloc %v violates bounds", par.Alloc)
+			t.Errorf("alloc %v violates bounds", got.Alloc)
 		}
 	}
 }
@@ -83,7 +87,7 @@ func TestOptimizeParallelWithBounds(t *testing.T) {
 func TestOptimizeParallelInfeasible(t *testing.T) {
 	pr := randProblem(1, 2, 4)
 	pr.MinAlloc = []int{3, 3}
-	if _, err := OptimizeParallel(nil, pr, 2); err == nil {
+	if _, err := OptimizeContext(context.Background(), pr); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -183,16 +187,6 @@ func TestNewIncrementalPanics(t *testing.T) {
 		}
 	}()
 	NewIncremental(0)
-}
-
-func BenchmarkOptimizeParallel4x1024(b *testing.B) {
-	pr := randProblem(1, 4, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := OptimizeParallel(nil, pr, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkIncrementalPush1024(b *testing.B) {

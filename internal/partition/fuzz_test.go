@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -9,10 +10,10 @@ import (
 
 // Seed inputs for FuzzOptimize that exercise each rung of the solver
 // ladder at refinement scale: the high bit of byte 0 stretches them into
-// C ≥ refineMinUnits monotone instances, and byte 2 picks auto (which
-// must take the refinement rung) or forced exact. The bounded seed is the
-// auto one with lower bounds summing to 35 of its 549 units, so its
-// feasible box (C′ = 514) still takes the refinement rung.
+// C ≥ refineMinUnits monotone instances, and byte 2 picks Optimize (which
+// must take the refinement rung) or the exact rung alone. The bounded
+// seed is the refine one with lower bounds summing to 35 of its 549
+// units, so its feasible box (C′ = 514) still takes the refinement rung.
 var (
 	fuzzSeedRefine  = []byte{0x82, 37, 0, 240, 200, 160, 120, 90, 60, 40, 20, 10, 250, 180, 90, 30, 5}
 	fuzzSeedExact   = []byte{0x82, 37, 1, 240, 200, 160, 120, 90, 60, 40, 20, 10, 250, 180, 90, 30, 5}
@@ -22,21 +23,21 @@ var (
 // fuzzProblem decodes arbitrary fuzz bytes into a partitioning instance.
 // Byte 0 picks the program count from its low seven bits; its high bit
 // selects the stretched form described below. Byte 1 picks the unit
-// count. Byte 2's low bit picks the solver (auto or forced exact — both
-// must match the reference bit-for-bit) and its upper seven bits the
-// per-program bounds (fuzzBounds).
+// count. Byte 2's low bit picks the rung (exact reports whether to skip
+// refinement; both must match the reference bit-for-bit) and its upper
+// seven bits the per-program bounds (fuzzBounds).
 //
 // Unstretched, C is 2..25 and the rest of the bytes become miss-ratio
 // points in [0, 1]: arbitrary shapes, including non-monotone and
 // non-convex curves, since the DP claims optimality with no assumptions
-// on the curves. Stretched, C is 512..640 — the scale where auto takes
-// the refinement rung — and each program reads 8 bytes as miss-ratio
+// on the curves. Stretched, C is 512..640 — the scale where Optimize
+// takes the refinement rung — and each program reads 8 bytes as miss-ratio
 // knots: the knots' running minimum is interpolated linearly across C,
 // giving the monotone (but still non-convex, plateau-rich) curves real
 // profiles produce.
-func fuzzProblem(data []byte) (Problem, bool) {
+func fuzzProblem(data []byte) (pr Problem, exact, ok bool) {
 	if len(data) < 3 {
-		return Problem{}, false
+		return Problem{}, false, false
 	}
 	n := int(data[0]&0x7f)%3 + 2 // 2..4 programs
 	stretch := data[0]&0x80 != 0
@@ -44,7 +45,7 @@ func fuzzProblem(data []byte) (Problem, bool) {
 	if stretch {
 		units = int(data[1])%129 + refineMinUnits // 512..640 units
 	}
-	solver := Solver(data[2] & 1)
+	exact = data[2]&1 != 0
 	bounds := data[2] >> 1
 	data = data[3:]
 	next := func() float64 {
@@ -76,9 +77,17 @@ func fuzzProblem(data []byte) (Problem, bool) {
 		}
 		curves[p] = mrc.Curve{Name: "f", MR: mr, Accesses: int64(100 * (p + 1))}
 	}
-	pr := Problem{Curves: curves, Units: units, Solver: solver}
+	pr = Problem{Curves: curves, Units: units}
 	pr.MinAlloc, pr.MaxAlloc = fuzzBounds(bounds, n, units)
-	return pr, true
+	return pr, exact, true
+}
+
+// solveFuzz solves pr on the rung fuzzProblem picked.
+func solveFuzz(pr Problem, exact bool) (Solution, error) {
+	if exact {
+		return solveExact(pr)
+	}
+	return Optimize(pr)
 }
 
 // fuzzBounds decodes seven bits b into feasible bounds for n programs
@@ -113,17 +122,17 @@ func fuzzBounds(b byte, n, units int) (minAlloc, maxAlloc []int) {
 }
 
 // TestFuzzSeedRungs pins what the stretched seeds are for: without the
-// auto one, the fuzz corpus would never reach the refinement rung.
+// refine one, the fuzz corpus would never reach the refinement rung.
 func TestFuzzSeedRungs(t *testing.T) {
 	for _, tc := range []struct {
 		seed []byte
 		want string
 	}{{fuzzSeedRefine, "refine"}, {fuzzSeedExact, "exact"}, {fuzzSeedBounded, "refine"}} {
-		pr, ok := fuzzProblem(tc.seed)
+		pr, exact, ok := fuzzProblem(tc.seed)
 		if !ok {
 			t.Fatal("seed does not decode")
 		}
-		sol, err := Optimize(pr)
+		sol, err := solveFuzz(pr, exact)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,11 +148,11 @@ func TestFuzzSeedRungs(t *testing.T) {
 	}
 }
 
-// FuzzOptimize differentially tests the pooled gather-form DP kernel and
-// the refinement rung against the straightforward reference DP on
-// arbitrary curves and bounds: both must agree bit-for-bit (objective,
-// allocation, tie-breaking, miss ratios) and never panic. The parallel
-// solver must agree too.
+// FuzzOptimize differentially tests the gather-form DP kernel and the
+// refinement rung against the straightforward reference DP on arbitrary
+// curves and bounds: both must agree bit-for-bit (objective, allocation,
+// tie-breaking, miss ratios) and never panic. The cancellable
+// OptimizeContext must agree too.
 func FuzzOptimize(f *testing.F) {
 	f.Add([]byte{2, 8, 200, 150, 100, 50, 25, 10, 5, 1})
 	f.Add([]byte{0, 0, 0})
@@ -156,16 +165,14 @@ func FuzzOptimize(f *testing.F) {
 	f.Add([]byte{2, 19, 0x2f, 255, 0, 128, 64, 1, 2}) // MinAlloc and MaxAlloc, forced exact
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pr, ok := fuzzProblem(data)
+		pr, exact, ok := fuzzProblem(data)
 		if !ok {
 			return
 		}
-		// The reference is solver-blind; the selection must not change
-		// results, only the computation strategy.
-		refPr := pr
-		refPr.Solver = SolverAuto
-		want, errRef := ReferenceOptimize(refPr)
-		got, errOpt := Optimize(pr)
+		// The rung must not change results, only the computation
+		// strategy.
+		want, errRef := ReferenceOptimize(pr)
+		got, errOpt := solveFuzz(pr, exact)
 		if (errRef == nil) != (errOpt == nil) {
 			t.Fatalf("error disagreement: reference %v, optimized %v", errRef, errOpt)
 		}
@@ -183,12 +190,12 @@ func FuzzOptimize(f *testing.F) {
 			t.Fatalf("miss ratios %v/%v != reference %v/%v",
 				got.GroupMissRatio, got.MissRatios, want.GroupMissRatio, want.MissRatios)
 		}
-		par, err := OptimizeParallel(nil, pr, 3)
+		ctxSol, err := OptimizeContext(context.Background(), pr)
 		if err != nil {
-			t.Fatalf("parallel solve failed: %v", err)
+			t.Fatalf("context solve failed: %v", err)
 		}
-		if par.Objective != want.Objective || !reflect.DeepEqual(par.Alloc, want.Alloc) {
-			t.Fatalf("parallel %v/%v != reference %v/%v", par.Objective, par.Alloc, want.Objective, want.Alloc)
+		if !sameBits(ctxSol, want) {
+			t.Fatalf("context %v/%v != reference %v/%v", ctxSol.Objective, ctxSol.Alloc, want.Objective, want.Alloc)
 		}
 	})
 }

@@ -12,8 +12,7 @@ import (
 // the obsname registry convention. Each metric/span name is declared
 // exactly once and shared by every solve path.
 const (
-	spanSolve   = "partition.solve"
-	spanDPLayer = "partition.dp_layer"
+	spanSolve = "partition.solve"
 
 	mSolves           = "partition.solves"
 	mDPCells          = "partition.dp_cells"
@@ -21,11 +20,9 @@ const (
 	mRefineBandCells  = "partition.refine_band_cells"
 	mRefineFallbacks  = "partition.refine_fallbacks"
 	mPathExactLayers  = "partition.path_exact_layers"
-	mPoolWorkerLayers = "partition.pool_worker_layers"
-	mPoolWorkerCells  = "partition.pool_worker_cells"
 )
 
-// This file holds the DP core shared by Optimize, OptimizeParallel, and
+// This file holds the DP core shared by Optimize, OptimizeContext, and
 // (through Optimize) OptimizeWithBaseline and the other constrained
 // optimizers. The kernel computes one layer of the Eq. 16 recurrence in
 // gather form — next[t] = min over u of combine(dp[t−u], cost(u)) — which
@@ -83,7 +80,7 @@ const inf = math.MaxFloat64
 // implementation.
 const costSafeLimit = 8.9e307
 
-// layerSpec describes one DP layer for the kernels and the worker pool.
+// layerSpec describes one DP layer for the kernels.
 type layerSpec struct {
 	dp, next []float64
 	costsRev []float64 // costsRev[i] = cost(hi − i)
@@ -92,7 +89,6 @@ type layerSpec struct {
 	prevLo, prevHi int
 	minimax        bool
 	checked        bool
-	blocked        bool
 }
 
 // layerMeta records, per solved layer, the geometry reconstructAlloc needs
@@ -102,16 +98,12 @@ type layerMeta struct {
 	prevLo, prevHi int
 }
 
-// runLayerRange fills next[tLo..tHi] with the layer's DP values.
-func runLayerRange(sp *layerSpec, tLo, tHi int) {
-	if sp.blocked && !sp.checked && !sp.minimax {
-		runLayerRangeBlockedSum(sp, tLo, tHi)
-		return
-	}
+// runLayer fills next[tLo:] with the layer's DP values.
+func runLayer(sp *layerSpec, tLo int) {
 	newLo := sp.prevLo + sp.lo
 	newHi := sp.prevHi + sp.hi
 	dp, next := sp.dp, sp.next
-	for t := tLo; t <= tHi; t++ {
+	for t := tLo; t < len(next); t++ {
 		if t < newLo || t > newHi {
 			next[t] = inf
 			continue
@@ -135,75 +127,6 @@ func runLayerRange(sp *layerSpec, tLo, tHi int) {
 			// interval invariant and cost magnitudes are bounded.
 			off := sp.hi - t
 			next[t] = minPlus(dp[j0:j1+1], sp.costsRev[off+j0:off+j1+1])
-		}
-	}
-}
-
-// Blocked tile sizes for the large-window Sum kernel: one j-tile of dp plus
-// the matching slice of the reversed cost row stay L1-resident while the
-// t-tile reuses them, instead of streaming the full O(C) window through the
-// cache once per cell.
-const (
-	blockedTileT = 256
-	blockedTileJ = 3072
-	// blockedMinWindow gates the tiled layout to layers whose candidate
-	// windows are large enough to thrash L1; below it the flat scan's
-	// simplicity wins.
-	blockedMinWindow = 2 * blockedTileJ
-)
-
-// runLayerRangeBlockedSum is the cache-blocked form of the Sum layer loop.
-// For each (t, j) tile it merges the tile's minPlus minimum into next[t]
-// with a strict compare. Float64 min is exact, so splitting a cell's window
-// into tiles changes no value bit (observation 4).
-func runLayerRangeBlockedSum(sp *layerSpec, tLo, tHi int) {
-	newLo := sp.prevLo + sp.lo
-	newHi := sp.prevHi + sp.hi
-	dp, next := sp.dp, sp.next
-	for t := tLo; t <= tHi; t++ {
-		next[t] = inf
-	}
-	a, b := tLo, tHi
-	if a < newLo {
-		a = newLo
-	}
-	if b > newHi {
-		b = newHi
-	}
-	for tb := a; tb <= b; tb += blockedTileT {
-		te := tb + blockedTileT - 1
-		if te > b {
-			te = b
-		}
-		jMin := sp.prevLo
-		if v := tb - sp.hi; v > jMin {
-			jMin = v
-		}
-		jMax := sp.prevHi
-		if v := te - sp.lo; v < jMax {
-			jMax = v
-		}
-		for jb := jMin; jb <= jMax; jb += blockedTileJ {
-			je := jb + blockedTileJ - 1
-			if je > jMax {
-				je = jMax
-			}
-			for t := tb; t <= te; t++ {
-				j0, j1 := jb, je
-				if v := t - sp.hi; v > j0 {
-					j0 = v
-				}
-				if v := t - sp.lo; v < j1 {
-					j1 = v
-				}
-				if j0 > j1 {
-					continue
-				}
-				off := sp.hi - t
-				if v := minPlus(dp[j0:j1+1], sp.costsRev[off+j0:off+j1+1]); v < next[t] {
-					next[t] = v
-				}
-			}
 		}
 	}
 }
@@ -383,12 +306,11 @@ func reconstructAlloc(pr *Problem, s *scratch, C int, minimax bool) (Allocation,
 	return alloc, nil
 }
 
-// solve is the shared core of Optimize and OptimizeParallel. A nil ctx
-// (the serial Optimize path) skips cancellation checks entirely;
-// otherwise ctx is polled between DP layers, the natural preemption
-// point: each layer is a bounded burst, and aborting between layers
-// leaves no partial state beyond the pooled scratch, which is returned
-// intact.
+// solve is the shared core of Optimize and OptimizeContext. A nil ctx
+// (the Optimize path) skips cancellation checks entirely; otherwise ctx
+// is polled between DP layers, the natural preemption point: each layer
+// is a bounded burst, and aborting between layers leaves no partial
+// state beyond the pooled scratch, which is returned intact.
 //
 // Both rungs run on the problem's feasible box (feasibleBox, DESIGN.md
 // §13.2): per-program lower bounds are shifted out, so a bounded problem
@@ -396,8 +318,9 @@ func reconstructAlloc(pr *Problem, s *scratch, C int, minimax bool) (Allocation,
 // bounds added back. The solver ladder (DESIGN.md §13) has two rungs:
 // refine, whole-solve coarse-to-fine bound pruning (refine.go), gated by
 // an exactness certificate and falling through on failure; then exact,
-// the gather kernel above, blocked at large windows.
-func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
+// the gather kernel above, one serial scan per layer. exact skips the
+// refine rung; only the differential tests set it.
+func solve(ctx context.Context, pr *Problem, exact bool) (Solution, error) {
 	if err := pr.validate(); err != nil {
 		return Solution{}, err
 	}
@@ -405,10 +328,10 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 	n, C := len(box.Curves), box.Units
 	minimax := box.Combine == Minimax
 
-	// Trace only the cancellable (ctx != nil) path: the serial Optimize
-	// calls in the sweep's inner loop pass nil and stay instrumentation-
-	// free — their timing is cmd/obsgate's ObsOverhead subject — while the
-	// coarse parallel solves record a span with per-layer children.
+	// Trace only the cancellable (ctx != nil) path: the Optimize calls in
+	// the sweep's inner loop pass nil and stay instrumentation-free —
+	// their timing is cmd/obsgate's ObsOverhead subject — while the
+	// serving solves record one span each.
 	var path solvePath
 	if ctx != nil {
 		var ps *obs.Span
@@ -435,7 +358,7 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 	}
 
 	// Rung 1: whole-solve coarse-to-fine refinement.
-	if box.Solver == SolverAuto {
+	if !exact {
 		ok, err := refineSolve(ctx, box, s, &path)
 		if err != nil {
 			return Solution{}, err
@@ -446,12 +369,6 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 	}
 
 	// Rung 2: the exact kernel, layer by layer.
-	var pool *dpPool
-	if workers > 1 {
-		pool = newDPPool(workers, C)
-		defer pool.close()
-	}
-
 	spec := layerSpec{minimax: minimax}
 	prevLo, prevHi := 0, 0
 	costBound := 0.0
@@ -488,25 +405,13 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 		spec.lo, spec.hi = lo, hi
 		spec.prevLo, spec.prevHi = prevLo, prevHi
 		spec.checked = spec.checked || !(costBound < costSafeLimit)
-		spec.blocked = !spec.minimax && !spec.checked &&
-			spec.prevHi-spec.prevLo+1 >= blockedMinWindow
 		// The last layer computes only next[C]: finishSolve reads nothing
 		// else of the final row, and reconstructAlloc reads rows 0..n−1.
 		tLo := 0
 		if p == n-1 {
 			tLo = C
 		}
-		if pool != nil {
-			_, ls := obs.Start(ctx, spanDPLayer, "dp")
-			if tLo == 0 {
-				pool.runLayer(&spec)
-			} else {
-				runLayerRange(&spec, tLo, C)
-			}
-			ls.Arg("layer", int64(p)).End()
-		} else {
-			runLayerRange(&spec, tLo, C)
-		}
+		runLayer(&spec, tLo)
 		path.exactLayers++
 		s.metas[p] = layerMeta{lo: lo, hi: hi, prevLo: prevLo, prevHi: prevHi}
 		path.cells += int64(C + 1 - tLo)
@@ -517,6 +422,28 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 	}
 
 	return finishSolve(pr, box, shift, s, &path)
+}
+
+// solvePath accumulates which rungs of the ladder actually ran during one
+// solve, for the Solution.SolverPath report and the obs counters.
+type solvePath struct {
+	refine         bool
+	refineFallback bool
+	exactLayers    int
+	cells          int64 // DP cells computed
+	bandCells      int64 // cells retained by refinement bands
+}
+
+// String renders the rung combination: "refine", "exact", or
+// "refine-fallback+exact" when refinement was attempted and declined.
+func (p *solvePath) String() string {
+	switch {
+	case p.refine:
+		return "refine"
+	case p.refineFallback:
+		return "refine-fallback+exact"
+	}
+	return "exact"
 }
 
 // finishSolve records the solve's observability batch, reconstructs the

@@ -12,6 +12,7 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -71,10 +72,6 @@ type Problem struct {
 	CostTable [][]float64
 	// Combine selects the aggregation (default Sum).
 	Combine Combine
-	// Solver selects the solving strategy (default SolverAuto). Every
-	// strategy returns bit-identical Solutions; see solver.go and
-	// DESIGN.md §13.
-	Solver Solver
 }
 
 // MaxUnits bounds Problem.Units. It exists to keep every index product in
@@ -130,7 +127,6 @@ func (pr *Problem) feasibleBox() (*Problem, []int) {
 		Curves:  make([]mrc.Curve, n),
 		Units:   units,
 		Combine: pr.Combine,
-		Solver:  pr.Solver,
 	}
 	for p, c := range pr.Curves {
 		if len(c.MR) > 0 {
@@ -225,7 +221,7 @@ type Solution struct {
 	// SolverPath records which rungs of the solver ladder actually ran
 	// ("refine", "exact", or "refine-fallback+exact"). Purely
 	// informational: every path produces bit-identical results. Only
-	// Optimize and OptimizeParallel populate it.
+	// Optimize and OptimizeContext populate it.
 	SolverPath string
 }
 
@@ -246,18 +242,32 @@ func (pr *Problem) solution(alloc Allocation, obj float64) Solution {
 // to the allocation summing exactly to Units and respecting the per-program
 // bounds. It examines the entire solution space by dynamic programming —
 // no convexity assumption — in O(P·C²) worst-case time and O(P·C) space.
-// The DP runs on a two-rung solver ladder (solver.go, DESIGN.md §13): an
-// exactness certificate routes eligible instances through coarse-to-fine
-// refinement — near-linear in C in practice — while anything uncertified
-// drops to the pooled exact gather kernel (kernel.go). Both rungs, on
-// every input, produce output — objective, allocation, even tie-breaking —
+// The DP runs on a two-rung solver ladder (DESIGN.md §13): an exactness
+// certificate routes eligible instances through coarse-to-fine refinement
+// (refine.go) — near-linear in C in practice — while anything uncertified
+// drops to the exact gather kernel (kernel.go). Both rungs, on every
+// input, produce output — objective, allocation, even tie-breaking —
 // bit-identical to the reference implementation (see ReferenceOptimize);
-// Problem.Solver can force the exact rung and Solution.SolverPath reports
-// what ran. A problem with MinAlloc is solved on its feasible box, the
-// C − ΣMinAlloc units left once every lower bound is met (O(P·C′²)), with
-// the same bit-exactness and tie-breaking.
+// Solution.SolverPath reports what ran. A problem with MinAlloc is solved
+// on its feasible box, the C − ΣMinAlloc units left once every lower
+// bound is met (O(P·C′²)), with the same bit-exactness and tie-breaking.
 func Optimize(pr Problem) (Solution, error) {
-	return solve(nil, &pr, 1)
+	return solve(nil, &pr, false)
+}
+
+// OptimizeContext is Optimize made cancellable and traced: it polls ctx
+// between DP rounds, returns ctx.Err() once ctx is done, and records a
+// partition.solve span. The optimum is Optimize's, bit for bit. It is the
+// serving solve (internal/service, cmd/optpart).
+func OptimizeContext(ctx context.Context, pr Problem) (Solution, error) {
+	return solve(ctx, &pr, false)
+}
+
+// OptimizeParallel is OptimizeContext; workers is ignored.
+//
+// Deprecated: the DP runs serially. Use OptimizeContext.
+func OptimizeParallel(ctx context.Context, pr Problem, workers int) (Solution, error) {
+	return OptimizeContext(ctx, pr)
 }
 
 func errNoFeasible() error {

@@ -6,8 +6,8 @@ import (
 )
 
 // ReferenceOptimize is the original scatter-form DP, kept verbatim as the
-// oracle for the pooled kernel: differential tests assert that Optimize and
-// OptimizeParallel reproduce its objective, allocation, and tie-breaking
+// oracle for the gather kernel: differential tests assert that Optimize and
+// OptimizeContext reproduce its objective, allocation, and tie-breaking
 // bit for bit, and the paired benchmarks in bench_test.go measure the
 // kernel against it. It allocates all working state per call.
 func ReferenceOptimize(pr Problem) (Solution, error) {

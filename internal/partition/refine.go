@@ -34,7 +34,7 @@ import (
 // costs are declined rather than risked.
 
 const (
-	// refineMinUnits is the C at or above which SolverAuto attempts
+	// refineMinUnits is the C at or above which the solver attempts
 	// refinement. Below it no useful level schedule exists; at it, on the
 	// paper's programs, refinement already solves ~3× faster than the
 	// exact kernel (DESIGN.md §13.1).

@@ -447,13 +447,12 @@ func (s *Service) PlanFor(ctx context.Context, names []string, units int) (Plan,
 }
 
 // solvePlan is the one solve every plan comes from: the solver ladder,
-// bit-exact with ReferenceOptimize. workers=1 keeps it serial but
-// cancellable — the kernel polls ctx between DP layers, so the caller's
-// deadline reaches every solve. digests are the curves' tenant digests,
+// bit-exact with ReferenceOptimize, cancellable — the solver polls ctx
+// between DP rounds, so the caller's deadline reaches every solve. digests are the curves' tenant digests,
 // parallel to names. Callers stamp the result.
 func solvePlan(ctx context.Context, names []string, curves []mrc.Curve, digests []tenantDigest, units int) (*Plan, error) {
 	start := time.Now()
-	sol, err := partition.OptimizeParallel(ctx, partition.Problem{Curves: curves, Units: units}, 1)
+	sol, err := partition.OptimizeContext(ctx, partition.Problem{Curves: curves, Units: units})
 	if err != nil {
 		return nil, err
 	}

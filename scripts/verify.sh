@@ -73,7 +73,7 @@ go run ./cmd/experiments -small -out "$OBS_SMOKE_DIR" \
 go run scripts/checkmanifest.go "$OBS_SMOKE_DIR/manifest.json"
 go run scripts/checktrace.go "$OBS_SMOKE_DIR/trace.json" "$OBS_SMOKE_DIR/manifest.json"
 
-# Solver-ladder smoke: a large-C auto solve through the real optimizer
+# Solver-ladder smoke: a large-C solve through the real optimizer
 # CLI must take the coarse-to-fine refinement rung and record it.
 # Profiles come from hotlprof at the reduced geometry; the solve itself
 # runs at units=16384 (-baselines=false skips the quadratic
@@ -82,7 +82,7 @@ go run scripts/checktrace.go "$OBS_SMOKE_DIR/trace.json" "$OBS_SMOKE_DIR/manifes
 echo "== obs smoke: optpart large-C solver path"
 go run ./cmd/hotlprof -workload lbm -small -out "$OBS_SMOKE_DIR/lbm.hotl" >/dev/null
 go run ./cmd/hotlprof -workload mcf -small -out "$OBS_SMOKE_DIR/mcf.hotl" >/dev/null
-go run ./cmd/optpart -units 16384 -blocksperunit 1 -solver auto -baselines=false \
+go run ./cmd/optpart -units 16384 -blocksperunit 1 -baselines=false \
 	-manifest "$OBS_SMOKE_DIR/optpart.json" \
 	"$OBS_SMOKE_DIR/lbm.hotl" "$OBS_SMOKE_DIR/mcf.hotl" >/dev/null
 go run scripts/checksolver.go "$OBS_SMOKE_DIR/optpart.json" refine
