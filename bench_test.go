@@ -140,10 +140,10 @@ func BenchmarkValidationPair(b *testing.B) {
 
 // BenchmarkOptimalPartitionGroup is the §VII-A cost the paper reports as
 // ~0.21 s per group on a 2012 laptop: the optimal partition of 4 programs
-// over 1024 units (units=1024). The auto solver runs it, like every size
-// here, on the refinement rung (DESIGN.md §13), which prunes most of the
-// O(P·C²) DP; BenchmarkOptimalPartitionExact is the full-DP anchor. The
-// larger sizes resample the same four footprints at one block per unit,
+// over 1024 units (units=1024). Optimize solves it, like every size here,
+// on the refinement rung (DESIGN.md §13), which prunes most of the
+// O(P·C²) DP; internal/partition's BenchmarkExactRung is the full-DP
+// anchor. The larger sizes resample the same four footprints at one block per unit,
 // modeling much larger caches at fine granularity (npr=8 duplicates the
 // program set).
 func BenchmarkOptimalPartitionGroup(b *testing.B) {

@@ -26,9 +26,10 @@ func validate(progs []Program) {
 	if len(progs) == 0 {
 		panic("compose: empty program group")
 	}
-	for i, p := range progs {
-		if p.Rate <= 0 {
-			panic(fmt.Sprintf("compose: program %d (%s) has non-positive rate %v", i, p.Name, p.Rate))
+	for i := range progs {
+		// The negated compare also rejects NaN.
+		if r := progs[i].Rate; !(r > 0) || math.IsInf(r, 1) {
+			panic(fmt.Sprintf("compose: program %d (%s) has rate %v, want positive and finite", i, progs[i].Name, r))
 		}
 	}
 }
@@ -36,8 +37,8 @@ func validate(progs []Program) {
 // totalRate returns the sum of access rates.
 func totalRate(progs []Program) float64 {
 	var r float64
-	for _, p := range progs {
-		r += p.Rate
+	for i := range progs {
+		r += progs[i].Rate
 	}
 	return r
 }
@@ -50,7 +51,8 @@ func CombinedFp(progs []Program, w float64) float64 {
 	validate(progs)
 	r := totalRate(progs)
 	var sum float64
-	for _, p := range progs {
+	for i := range progs {
+		p := &progs[i]
 		sum += p.Fp.At(w * p.Rate / r)
 	}
 	return sum
@@ -60,19 +62,39 @@ func CombinedFp(progs []Program, w float64) float64 {
 // data), the ceiling of the composed footprint.
 func TotalData(progs []Program) float64 {
 	var m float64
-	for _, p := range progs {
-		m += float64(p.Fp.M())
+	for i := range progs {
+		m += float64(progs[i].Fp.M())
 	}
 	return m
 }
 
 // FillTime returns the combined window length w at which the composed
 // footprint reaches c blocks, by bisection (the composed footprint is
-// monotone). It returns +Inf when c exceeds the group's total data.
+// monotone). It returns +Inf when c exceeds the group's total data and
+// panics when c is negative or NaN.
 func FillTime(progs []Program, c float64) float64 {
 	validate(progs)
-	if c < 0 {
-		panic(fmt.Sprintf("compose: negative cache size %v", c))
+	return fillTime(progs, c, cursors(progs))
+}
+
+// cursors returns one footprint cursor per program.
+func cursors(progs []Program) []footprint.Cursor {
+	cur := make([]footprint.Cursor, len(progs))
+	for i := range progs {
+		cur[i] = progs[i].Fp.Cursor()
+	}
+	return cur
+}
+
+// fillTime is FillTime on validated programs, evaluating each program's
+// stretched footprint through its cursor cur[i]. Every probe's arguments
+// bound those of the probes after it — a probe at or above c caps them, a
+// probe below c floors them — so each probe narrows the cursors' tail-sum
+// brackets, and the final window hi lies inside every bracket. The probe
+// sequence and the member-order sums are CombinedFp's, bit for bit.
+func fillTime(progs []Program, c float64, cur []footprint.Cursor) float64 {
+	if c < 0 || math.IsNaN(c) {
+		panic(fmt.Sprintf("compose: invalid cache size %v", c))
 	}
 	if c == 0 {
 		return 0
@@ -84,7 +106,8 @@ func FillTime(progs []Program, c float64) float64 {
 	// Upper bound: the w at which every stretched argument covers its
 	// whole trace.
 	hi := 1.0
-	for _, p := range progs {
+	for i := range progs {
+		p := &progs[i]
 		if b := float64(p.Fp.N()) * r / p.Rate; b > hi {
 			hi = b
 		}
@@ -92,10 +115,20 @@ func FillTime(progs []Program, c float64) float64 {
 	lo := 0.0
 	for i := 0; i < 100 && hi-lo > 1e-9*math.Max(1, hi); i++ {
 		mid := (lo + hi) / 2
-		if CombinedFp(progs, mid) >= c {
+		var sum float64
+		for j := range progs {
+			sum += cur[j].At(mid * progs[j].Rate / r)
+		}
+		if sum >= c {
 			hi = mid
+			for j := range cur {
+				cur[j].NarrowUpper()
+			}
 		} else {
 			lo = mid
+			for j := range cur {
+				cur[j].NarrowLower()
+			}
 		}
 	}
 	return hi
@@ -111,15 +144,16 @@ func NaturalPartition(progs []Program, c float64) []float64 {
 	validate(progs)
 	occ := make([]float64, len(progs))
 	if c >= TotalData(progs) {
-		for i, p := range progs {
-			occ[i] = float64(p.Fp.M())
+		for i := range progs {
+			occ[i] = float64(progs[i].Fp.M())
 		}
 		return occ
 	}
-	w := FillTime(progs, c)
+	cur := cursors(progs)
+	w := fillTime(progs, c, cur)
 	r := totalRate(progs)
-	for i, p := range progs {
-		occ[i] = p.Fp.At(w * p.Rate / r)
+	for i := range progs {
+		occ[i] = cur[i].At(w * progs[i].Rate / r)
 	}
 	return occ
 }
@@ -194,8 +228,8 @@ func RoundToUnits(occBlocks []float64, units int, blocksPerUnit int64) []int {
 func SharedMissRatios(progs []Program, c float64) []float64 {
 	occ := NaturalPartition(progs, c)
 	out := make([]float64, len(progs))
-	for i, p := range progs {
-		out[i] = p.Fp.MissRatio(occ[i])
+	for i := range progs {
+		out[i] = progs[i].Fp.MissRatio(occ[i])
 	}
 	return out
 }
@@ -209,8 +243,8 @@ func SharedGroupMissRatio(progs []Program, c float64) float64 {
 	mrs := SharedMissRatios(progs, c)
 	r := totalRate(progs)
 	var sum float64
-	for i, p := range progs {
-		sum += mrs[i] * p.Rate / r
+	for i := range progs {
+		sum += mrs[i] * progs[i].Rate / r
 	}
 	return sum
 }
@@ -225,7 +259,8 @@ func SharedGroupMissRatioDirect(progs []Program, c float64) float64 {
 		// Cold misses only: the rate-weighted per-program cold rates.
 		r := totalRate(progs)
 		var sum float64
-		for _, p := range progs {
+		for i := range progs {
+			p := &progs[i]
 			sum += float64(p.Fp.M()) / float64(p.Fp.N()) * p.Rate / r
 		}
 		return sum

@@ -1,6 +1,7 @@
 package compose
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -233,15 +234,40 @@ func TestPanics(t *testing.T) {
 		func() { NaturalPartitionUnits([]Program{p}, 0, 128) },
 		func() { NaturalPartitionUnits([]Program{p}, 4, 0) },
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			f()
-		}()
+		mustPanic(t, fmt.Sprint("case ", i), f)
 	}
+}
+
+// TestNonFiniteInputsPanic checks that NaN and infinite rates, and a NaN
+// cache size, panic instead of yielding NaN occupancies or garbage units.
+func TestNonFiniteInputsPanic(t *testing.T) {
+	p := prog("a", randomTrace(22, 100, 10), 1)
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		q := prog("q", randomTrace(23, 100, 10), rate)
+		for name, f := range map[string]func(){
+			"CombinedFp":            func() { CombinedFp([]Program{p, q}, 10) },
+			"FillTime":              func() { FillTime([]Program{p, q}, 10) },
+			"NaturalPartition":      func() { NaturalPartition([]Program{p, q}, 10) },
+			"NaturalPartitionUnits": func() { NaturalPartitionUnits([]Program{p, q}, 4, 2) },
+			"SharedGroupMissRatio":  func() { SharedGroupMissRatio([]Program{q, p}, 10) },
+		} {
+			mustPanic(t, fmt.Sprintf("%s with rate %v", name, rate), f)
+		}
+	}
+	nan := math.NaN()
+	mustPanic(t, "FillTime at NaN", func() { FillTime([]Program{p}, nan) })
+	mustPanic(t, "NaturalPartition at NaN", func() { NaturalPartition([]Program{p}, nan) })
+	mustPanic(t, "SharedMissRatios at NaN", func() { SharedMissRatios([]Program{p}, nan) })
+}
+
+func mustPanic(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: no panic", name)
+		}
+	}()
+	f()
 }
 
 // Property: a program's natural occupancy grows with its access rate —

@@ -72,20 +72,8 @@ func (f Footprint) AtInt(w int64) float64 {
 // between integer window lengths. Fractional windows arise from footprint
 // stretching in co-run composition (paper Eq. 9).
 func (f Footprint) At(w float64) float64 {
-	if w <= 0 {
-		return 0
-	}
-	if w >= float64(f.p.N) {
-		return float64(f.p.M)
-	}
-	lo := math.Floor(w)
-	frac := w - lo
-	t := newTails(&f.p)
-	flo, fhi := t.fpPair(int64(lo))
-	if frac == 0 {
-		return flo
-	}
-	return flo + frac*(fhi-flo)
+	c := f.Cursor()
+	return c.At(w)
 }
 
 // FillTime returns ft(c), the (real-valued) window length at which the
@@ -118,11 +106,78 @@ func (f Footprint) FillTime(c float64) float64 {
 			t.lo = split
 		}
 	}
-	flo, fhi := t.fpPair(lo - 1)
+	flo, fhi, _ := t.fpPair(lo - 1)
 	if fhi <= flo {
 		return float64(lo)
 	}
 	return float64(lo-1) + (c-flo)/(fhi-flo)
+}
+
+// Cursor evaluates At over a run of windows whose order the caller learns
+// as it goes, as a bisection does: after each At the caller may promise
+// that no later window exceeds that one (NarrowUpper) or that none falls
+// below it (NarrowLower), and the cursor's tail-sum searches shrink to
+// match. It also remembers the last integer window's fp pair, so
+// arguments with the same floor share one evaluation. Neither changes a
+// bit of any value, provided the promises hold: Footprint.At is a fresh
+// cursor's first At. A Cursor reads its footprint's profile in place; it
+// is not safe for concurrent use.
+type Cursor struct {
+	t tails
+	// w is the floor of the last argument evaluated away from the
+	// boundaries (−1 before the first), flo and fhi are fp(w) and
+	// fp(w+1), and split holds w's split in each tail sum.
+	w        int64
+	flo, fhi float64
+	split    [3]int
+	// last reports whether the last At set w, which the Narrow methods
+	// need: a boundary argument (w <= 0 or w >= n) has no split.
+	last bool
+}
+
+// Cursor returns a cursor over f with full-range brackets.
+func (f *Footprint) Cursor() Cursor {
+	return Cursor{t: newTails(&f.p), w: -1}
+}
+
+// At returns fp(w), as Footprint.At does.
+func (c *Cursor) At(w float64) float64 {
+	c.last = false
+	if w <= 0 {
+		return 0
+	}
+	if w >= float64(c.t.n) {
+		return float64(c.t.m)
+	}
+	lo := math.Floor(w)
+	frac := w - lo
+	if k := int64(lo); k != c.w {
+		c.w = k
+		c.flo, c.fhi, c.split = c.t.fpPair(k)
+	}
+	c.last = true
+	if frac == 0 {
+		return c.flo
+	}
+	return c.flo + frac*(c.fhi-c.flo)
+}
+
+// NarrowUpper promises that no later At argument exceeds the last one,
+// so every later split is at most the last one's. It is a no-op when the
+// last argument was at a boundary.
+func (c *Cursor) NarrowUpper() {
+	if c.last {
+		c.t.hi = c.split
+	}
+}
+
+// NarrowLower promises that no later At argument falls below the last
+// one, so every later split is at least the last one's. It is a no-op
+// when the last argument was at a boundary.
+func (c *Cursor) NarrowLower() {
+	if c.last {
+		c.t.lo = c.split
+	}
 }
 
 // tails evaluates fp from a profile's three HOTL tail sums — reuse,
@@ -158,17 +213,19 @@ func (t *tails) deficit(w int64) (d int64, split [3]int) {
 	return d, split
 }
 
-// fpPair returns fp(w) and fp(w+1) with one search per tail sum: w+1's
-// split is w's split s or the next index, a one-step search.
-func (t *tails) fpPair(w int64) (float64, float64) {
+// fpPair returns fp(w) and fp(w+1) with one search per tail sum — w+1's
+// split is w's split s or the next index, a one-step search — and w's
+// split in each tail sum.
+func (t *tails) fpPair(w int64) (f0, f1 float64, split [3]int) {
 	var d0, d1 int64
 	for k, ts := range t.ts {
 		e0, s := ts.ExcessIn(w, t.lo[k], t.hi[k])
 		e1, _ := ts.ExcessIn(w+1, s, min(s+1, ts.Len()))
 		d0 += e0
 		d1 += e1
+		split[k] = s
 	}
-	return t.fp(w, d0), t.fp(w+1, d1)
+	return t.fp(w, d0), t.fp(w+1, d1), split
 }
 
 // fp returns fp(w) given the deficit at w; the deficit is ignored at the

@@ -278,44 +278,57 @@ func TestHOTLMatchesReference(t *testing.T) {
 	}
 }
 
-// refNaturalPartition is compose.NaturalPartition and SharedMissRatios
-// over the reference footprints, for a cache of c > 0 blocks.
-func refNaturalPartition(fps []refFp, rates []float64, c float64) (occ, mrs []float64) {
+// refFillTime is compose.FillTime over the reference footprints, for a
+// cache of c > 0 blocks: the bisection on the composed footprint, every
+// probe evaluated in full.
+func refFillTime(fps []refFp, rates []float64, c float64) float64 {
 	var r, total float64
 	for i, f := range fps {
 		r += rates[i]
 		total += float64(f.m)
 	}
-	occ = make([]float64, len(fps))
 	if c >= total {
+		return math.Inf(1)
+	}
+	combined := func(w float64) float64 {
+		var sum float64
 		for i, f := range fps {
+			sum += f.At(w * rates[i] / r)
+		}
+		return sum
+	}
+	hi := 1.0
+	for i, f := range fps {
+		if b := float64(f.n) * r / rates[i]; b > hi {
+			hi = b
+		}
+	}
+	lo := 0.0
+	for i := 0; i < 100 && hi-lo > 1e-9*math.Max(1, hi); i++ {
+		mid := (lo + hi) / 2
+		if combined(mid) >= c {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+// refNaturalPartition is compose.NaturalPartition and SharedMissRatios
+// over the reference footprints, for a cache of c > 0 blocks.
+func refNaturalPartition(fps []refFp, rates []float64, c float64) (occ, mrs []float64) {
+	var r float64
+	for _, rate := range rates {
+		r += rate
+	}
+	occ = make([]float64, len(fps))
+	w := refFillTime(fps, rates, c)
+	for i, f := range fps {
+		if math.IsInf(w, 1) {
 			occ[i] = float64(f.m)
-		}
-	} else {
-		combined := func(w float64) float64 {
-			var sum float64
-			for i, f := range fps {
-				sum += f.At(w * rates[i] / r)
-			}
-			return sum
-		}
-		hi := 1.0
-		for i, f := range fps {
-			if b := float64(f.n) * r / rates[i]; b > hi {
-				hi = b
-			}
-		}
-		lo := 0.0
-		for i := 0; i < 100 && hi-lo > 1e-9*math.Max(1, hi); i++ {
-			mid := (lo + hi) / 2
-			if combined(mid) >= c {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-		for i, f := range fps {
-			occ[i] = f.At(hi * rates[i] / r)
+		} else {
+			occ[i] = f.At(w * rates[i] / r)
 		}
 	}
 	mrs = make([]float64, len(fps))
@@ -376,6 +389,72 @@ func TestNaturalPartitionMatchesReference(t *testing.T) {
 			t.Fatalf("%d groups, want 1820", groups)
 		}
 	}
+}
+
+// FuzzNaturalPartition builds two to five small profiles from random
+// traces and compares compose.FillTime, NaturalPartition and
+// SharedMissRatios with the reference bit for bit. The first byte picks
+// the member count, the second the cache size — from 1/204 of the
+// group's total data up to a quarter above it — and the next five
+// the rates; each later pair of bytes is one access of the member its
+// position selects. Members differ in trace length and rate, so the
+// bisection's stretched arguments pass some members' trace lengths while
+// others are still inside theirs.
+func FuzzNaturalPartition(f *testing.F) {
+	f.Add([]byte{0, 90, 1, 7, 3, 3, 3, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0})
+	f.Add([]byte{3, 250, 255, 1, 40, 9, 2, 5, 0, 5, 0, 6, 1, 7, 0})
+	// Found by fuzzing: narrowing a member's brackets on a probe whose
+	// argument passed that member's trace length, so that the probe
+	// computed no split, changes FillTime here.
+	f.Add([]byte("2\xafx\x170002070717221\xdc021212020202020"))
+	seed := make([]byte, 600)
+	for i := range seed {
+		seed[i] = byte(i*i*7 + i/3)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 7 {
+			return
+		}
+		k := 2 + int(data[0]%4)
+		traces := make([]trace.Trace, k)
+		for i := 7; i+1 < len(data); i += 2 {
+			// A member's share of the bytes shrinks with its index, so
+			// trace lengths differ even on uniform input.
+			m := int(data[i]) % (k * (k + 1) / 2)
+			p := 0
+			for m >= k-p {
+				m -= k - p
+				p++
+			}
+			traces[p] = append(traces[p], uint32(data[i+1]%48)|uint32(data[i]&0x80)<<1)
+		}
+		progs := make([]compose.Program, k)
+		refs := make([]refFp, k)
+		rates := make([]float64, k)
+		var total float64
+		for p := range traces {
+			if len(traces[p]) == 0 {
+				traces[p] = trace.Trace{uint32(p)}
+			}
+			prof := reuse.Collect(traces[p])
+			rates[p] = (1 + float64(data[2+p%5])) / 16
+			progs[p] = compose.Program{Name: fmt.Sprint("m", p), Fp: footprint.New(prof), Rate: rates[p]}
+			refs[p] = newRefFp(prof)
+			total += float64(prof.M)
+		}
+		c := total * float64(1+int(data[1])) / 204
+		if got, want := compose.FillTime(progs, c), refFillTime(refs, rates, c); !sameFloat(got, want) {
+			t.Fatalf("FillTime(%v) = %v, reference %v", c, got, want)
+		}
+		occ, mrs := compose.NaturalPartition(progs, c), compose.SharedMissRatios(progs, c)
+		wantOcc, wantMrs := refNaturalPartition(refs, rates, c)
+		for i := range progs {
+			if !sameFloat(occ[i], wantOcc[i]) || !sameFloat(mrs[i], wantMrs[i]) {
+				t.Fatalf("c=%v member %d: occupancy %v, mr %v; reference %v, %v", c, i, occ[i], mrs[i], wantOcc[i], wantMrs[i])
+			}
+		}
+	})
 }
 
 // FuzzCurveDerive derives a curve from a random trace at a small geometry

@@ -54,6 +54,7 @@ go test -run=NONE -fuzz='^FuzzCollect$' -fuzztime="$FUZZTIME" ./internal/reuse
 go test -run=NONE -fuzz='^FuzzOptimize$' -fuzztime="$FUZZTIME" ./internal/partition
 go test -run=NONE -fuzz='^FuzzMinPlus$' -fuzztime="$FUZZTIME" ./internal/partition
 go test -run=NONE -fuzz='^FuzzCurveDerive$' -fuzztime="$FUZZTIME" ./internal/mrc
+go test -run=NONE -fuzz='^FuzzNaturalPartition$' -fuzztime="$FUZZTIME" ./internal/mrc
 
 # Observability smoke: a real -small run must produce a manifest that
 # exists, parses, and reports zero failed groups (checkmanifest also
