@@ -89,6 +89,33 @@ func (c Curve) MissCount(u int) float64 {
 	return c.MissRatio(u) * float64(c.Accesses)
 }
 
+// MissCounts writes MissCount(lo+i) into dst[i] for every i in dst: the
+// row form of MissCount for callers that scan a range of allocations.
+func (c Curve) MissCounts(lo int, dst []float64) {
+	acc := float64(c.Accesses)
+	for i := range dst {
+		// Only u outside [0, C] takes MissRatio's clamp; clamping every
+		// entry ran ~1.8× slower.
+		if u := lo + i; uint(u) < uint(len(c.MR)) {
+			dst[i] = c.MR[u] * acc
+		} else {
+			dst[i] = c.MissRatio(u) * acc
+		}
+	}
+}
+
+// MarginalGain returns MissCount(u) − MissCount(u+1), the misses the
+// (u+1)-th unit saves. STTW calls it once per granted unit, so it takes a
+// pointer: a Curve is too large to pass in registers, and a value
+// receiver, which copied it on every call, made STTW ~1.15× slower.
+func (c *Curve) MarginalGain(u int) float64 {
+	if uint(u) < uint(len(c.MR)-1) {
+		acc := float64(c.Accesses)
+		return c.MR[u]*acc - c.MR[u+1]*acc
+	}
+	return c.MissCount(u) - c.MissCount(u+1)
+}
+
 // MonotoneRepair returns a copy with the curve forced non-increasing by a
 // right-to-left running minimum. Fully-associative LRU curves are
 // non-increasing by the inclusion property; measurement noise or synthetic

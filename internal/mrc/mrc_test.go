@@ -52,6 +52,24 @@ func TestMissCount(t *testing.T) {
 	}
 }
 
+// TestMissCounts holds the row form and MarginalGain to MissCount, clamps
+// on both sides included.
+func TestMissCounts(t *testing.T) {
+	c := mk("c", 1000, 0.9, 0.5, 0.1)
+	for lo := -3; lo <= 4; lo++ {
+		dst := make([]float64, 5)
+		c.MissCounts(lo, dst)
+		for i, got := range dst {
+			if want := c.MissCount(lo + i); got != want {
+				t.Errorf("MissCounts(%d)[%d] = %v, want %v", lo, i, got, want)
+			}
+		}
+		if got, want := c.MarginalGain(lo), c.MissCount(lo)-c.MissCount(lo+1); got != want {
+			t.Errorf("MarginalGain(%d) = %v, want %v", lo, got, want)
+		}
+	}
+}
+
 func TestMonotoneRepair(t *testing.T) {
 	c := mk("c", 10, 0.5, 0.6, 0.3, 0.4, 0.2)
 	r := c.MonotoneRepair()
