@@ -16,7 +16,7 @@
 // DIR/manifest.json) — config, build version, per-stage wall/CPU time,
 // and the pipeline's counters (groups completed/failed, DP cells,
 // cache-sim accesses) — written atomically on every exit path, including
-// interruption. -debug-addr serves live expvar metrics and pprof;
+// interruption. -debug-addr serves live Prometheus metrics and pprof;
 // -cpuprofile/-memprofile/-trace capture profiles; -log-level/-log-json
 // shape the structured diagnostic log on stderr.
 //
@@ -67,12 +67,11 @@ func main() {
 	epochFlag := flag.Bool("epoch", false, "also run the dynamic-vs-static repartitioning study on the phased suite")
 	workers := flag.Int("workers", 0, "worker goroutines for the group sweep (0 = GOMAXPROCS)")
 	failFast := flag.Bool("failfast", false, "abort the sweep on the first group error instead of collecting errors")
-	debugAddr := flag.String("debug-addr", "", "serve live expvar metrics and pprof on this address (e.g. localhost:6060)")
+	debugAddr := flag.String("debug-addr", "", "serve Prometheus metrics and pprof on this address (e.g. localhost:6060)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	traceOut := flag.String("trace", "", "write a runtime execution trace to this file")
 	traceEvents := flag.String("trace-events", "", "write a Chrome trace_event JSON timeline to this file (view in Perfetto)")
-	metricsInterval := flag.Duration("metrics-interval", 0, "sample registry metrics at this interval for /metrics/history and the manifest (0 disables)")
 	manifestPath := flag.String("manifest", "", "run-manifest path (default <out>/manifest.json; \"none\" disables)")
 	logLevel := flag.String("log-level", "info", "diagnostic log level: debug|info|warn|error")
 	logJSON := flag.Bool("log-json", false, "emit the diagnostic log as JSON instead of text")
@@ -128,8 +127,6 @@ func main() {
 		tracer = obs.NewTracer(0, tw)
 		obs.EnableTracer(tracer)
 	}
-	sampler := obs.StartSampler(ctx, obs.Enabled(), *metricsInterval, 0)
-	obs.EnableSampler(sampler)
 	stopCPU := func() error { return nil }
 	if *cpuProfile != "" {
 		if stopCPU, err = obs.StartCPUProfile(*cpuProfile); err != nil {
@@ -156,15 +153,13 @@ func main() {
 					obs.Logger().Error("heap profile", "err", err)
 				}
 			}
-			sampler.Stop()
-			obs.EnableSampler(nil)
 			if err := tracer.Close(); err != nil {
 				obs.Logger().Error("trace events", "err", err)
 			}
 			obs.EnableTracer(nil)
 			srv.Close()
 			if *manifestPath != "none" {
-				m := manifest.Build(obs.Enabled()).WithTimeSeries(sampler)
+				m := manifest.Build(obs.Enabled())
 				if err := m.Write(*manifestPath); err != nil {
 					obs.Logger().Error("manifest write", "err", err)
 				} else {

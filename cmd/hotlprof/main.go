@@ -12,7 +12,7 @@
 //
 // Observability mirrors cmd/experiments: -manifest records the run
 // (config, stage timings, reuse-scan counters), -debug-addr serves live
-// expvar metrics and pprof, -cpuprofile/-memprofile/-trace capture
+// Prometheus metrics and pprof, -cpuprofile/-memprofile/-trace capture
 // profiles, -log-level/-log-json shape the stderr diagnostic log.
 package main
 
@@ -56,12 +56,11 @@ func main() {
 	blocksPerUnit := flag.Int64("blocksperunit", 4, "blocks per unit for -mrc")
 	small := flag.Bool("small", false, "use the reduced test geometry for -workload")
 	workers := flag.Int("workers", 0, "profiling shards: 0 = all CPUs, 1 = serial scan")
-	debugAddr := flag.String("debug-addr", "", "serve live expvar metrics and pprof on this address")
+	debugAddr := flag.String("debug-addr", "", "serve Prometheus metrics and pprof on this address")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	traceOut := flag.String("trace", "", "write a runtime execution trace to this file")
 	traceEvents := flag.String("trace-events", "", "write a Chrome trace_event JSON timeline to this file (view in Perfetto)")
-	metricsInterval := flag.Duration("metrics-interval", 0, "sample registry metrics at this interval for /metrics/history and the manifest (0 disables)")
 	manifestPath := flag.String("manifest", "", "run-manifest path (empty disables)")
 	logLevel := flag.String("log-level", "info", "diagnostic log level: debug|info|warn|error")
 	logJSON := flag.Bool("log-json", false, "emit the diagnostic log as JSON instead of text")
@@ -98,8 +97,6 @@ func main() {
 		tracer = obs.NewTracer(0, tw)
 		obs.EnableTracer(tracer)
 	}
-	sampler := obs.StartSampler(ctx, obs.Enabled(), *metricsInterval, 0)
-	obs.EnableSampler(sampler)
 	stopCPU := func() error { return nil }
 	if *cpuProfile != "" {
 		if stopCPU, err = obs.StartCPUProfile(*cpuProfile); err != nil {
@@ -126,15 +123,13 @@ func main() {
 					obs.Logger().Error("heap profile", "err", err)
 				}
 			}
-			sampler.Stop()
-			obs.EnableSampler(nil)
 			if err := tracer.Close(); err != nil {
 				obs.Logger().Error("trace events", "err", err)
 			}
 			obs.EnableTracer(nil)
 			srv.Close()
 			if *manifestPath != "" {
-				if err := manifest.Build(obs.Enabled()).WithTimeSeries(sampler).Write(*manifestPath); err != nil {
+				if err := manifest.Build(obs.Enabled()).Write(*manifestPath); err != nil {
 					obs.Logger().Error("manifest write", "err", err)
 				}
 			}

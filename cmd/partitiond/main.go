@@ -74,12 +74,11 @@ func main() {
 	retryBase := flag.Duration("retry-base", 50*time.Millisecond, "base backoff between re-optimization retries (jittered, doubling)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "maximum wait for in-flight requests on shutdown")
 	manifestPath := flag.String("manifest", "", "run-manifest path written at exit (empty disables)")
-	debugAddr := flag.String("debug-addr", "", "serve live expvar metrics and pprof on this address")
+	debugAddr := flag.String("debug-addr", "", "serve Prometheus metrics and pprof on this address")
 	flightCap := flag.Int("flight-cap", obs.DefaultFlightCap, "request flight-recorder ring capacity for /debug/requests (0 disables)")
 	tenantSeriesCap := flag.Int("tenant-series-cap", obs.DefaultChildSetCap, "live per-tenant metric series kept before folding into the 'other' bucket")
 	feedBuffer := flag.Int("feed-buffer", 0, "pending epoch events buffered per /v1/plan/changes subscriber before drop-oldest (0 = default)")
 	auditRetain := flag.Int("audit-retain", 0, "epoch audit records retained for /v1/plan/history (0 = default)")
-	metricsInterval := flag.Duration("metrics-interval", 0, "registry sampling interval for /metrics/history (0 disables)")
 	logLevel := flag.String("log-level", "info", "diagnostic log level: debug|info|warn|error")
 	logJSON := flag.Bool("log-json", false, "emit the diagnostic log as JSON instead of text")
 	flag.Parse()
@@ -96,12 +95,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *metricsInterval > 0 {
-		samp := obs.StartSampler(ctx, obs.Enabled(), *metricsInterval, 0)
-		obs.EnableSampler(samp)
-		defer samp.Stop()
-	}
 
 	manifest := obs.NewManifest("partitiond", map[string]any{
 		"addr":            *addr,

@@ -78,11 +78,11 @@ func (f Footprint) At(w float64) float64 {
 
 // FillTime returns ft(c), the (real-valued) window length at which the
 // average footprint reaches c blocks: the smallest w with fp(w) = c, using
-// linear interpolation. It panics if c is negative and returns +Inf when
-// c exceeds the total footprint m.
+// linear interpolation. It panics if c is negative or NaN and returns
+// +Inf when c exceeds the total footprint m.
 func (f Footprint) FillTime(c float64) float64 {
-	if c < 0 {
-		panic(fmt.Sprintf("footprint: negative cache size %v", c))
+	if !(c >= 0) {
+		panic(fmt.Sprintf("footprint: negative or NaN cache size %v", c))
 	}
 	if c == 0 {
 		return 0
@@ -245,8 +245,8 @@ func (t *tails) fp(w, deficit int64) float64 {
 // the total footprint m the only misses are cold, so mr = m/n; this matches
 // the stack-distance (ground-truth) curve, which counts cold misses.
 func (f Footprint) MissRatio(c float64) float64 {
-	if c < 0 {
-		panic(fmt.Sprintf("footprint: negative cache size %v", c))
+	if !(c >= 0) {
+		panic(fmt.Sprintf("footprint: negative or NaN cache size %v", c))
 	}
 	if c >= float64(f.p.M) {
 		return float64(f.p.M) / float64(f.p.N)
@@ -310,8 +310,8 @@ func (f Footprint) missRatioWindow(c, dc float64, ft func(float64) float64) floa
 	if dc <= 0 {
 		return f.MissRatio(c)
 	}
-	if c < 0 {
-		panic(fmt.Sprintf("footprint: negative cache size %v", c))
+	if !(c >= 0) {
+		panic(fmt.Sprintf("footprint: negative or NaN cache size %v", c))
 	}
 	m := float64(f.p.M)
 	if c >= m {

@@ -3,6 +3,7 @@ package footprint
 import (
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -128,14 +129,32 @@ func TestFillTimeInvertsFp(t *testing.T) {
 	}
 }
 
+// A negative or NaN cache size panics in every query that takes one; a
+// plain c < 0 guard lets NaN through.
 func TestFillTimePanicsOnNegative(t *testing.T) {
 	fp := FromTrace(trace.Trace{0, 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	fp.FillTime(-1)
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"FillTime(-1)", func() { fp.FillTime(-1) }},
+		{"FillTime(NaN)", func() { fp.FillTime(nan) }},
+		{"MissRatio(-1)", func() { fp.MissRatio(-1) }},
+		{"MissRatio(NaN)", func() { fp.MissRatio(nan) }},
+		{"MissRatioWindow(-1, 1)", func() { fp.MissRatioWindow(-1, 1) }},
+		{"MissRatioWindow(NaN, 1)", func() { fp.MissRatioWindow(nan, 1) }},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, "negative or NaN cache size") {
+					t.Errorf("%s: panic = %v, want a negative or NaN cache size panic", tc.name, r)
+				}
+			}()
+			tc.f()
+		}()
+	}
 }
 
 func TestStreamingMissRatioIsOne(t *testing.T) {

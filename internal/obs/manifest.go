@@ -5,7 +5,6 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"time"
 
 	"partitionshare/internal/atomicio"
@@ -48,11 +47,6 @@ type Manifest struct {
 	Counters   map[string]int64            `json:"counters,omitempty"`
 	Gauges     map[string]int64            `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSummary `json:"histograms,omitempty"`
-
-	// TimeSeries holds the metrics sampler's per-series min/max/rate
-	// reductions when a run sampled history (-metrics-interval);
-	// commands fold it in via WithTimeSeries before writing.
-	TimeSeries map[string]SeriesSummary `json:"time_series,omitempty"`
 }
 
 // A ManifestBuilder accumulates a run's identity from command startup
@@ -102,16 +96,6 @@ func (b *ManifestBuilder) Build(reg *Registry) *Manifest {
 	}
 }
 
-// WithTimeSeries folds a sampler's summaries into the manifest and
-// returns it for chaining. A nil sampler leaves the manifest unchanged,
-// so commands call this unconditionally.
-func (m *Manifest) WithTimeSeries(s *Sampler) *Manifest {
-	if sums := s.Summaries(); len(sums) > 0 {
-		m.TimeSeries = sums
-	}
-	return m
-}
-
 // Write flushes the manifest to path atomically (write-temp+fsync+
 // rename via internal/atomicio) as indented JSON. Map keys marshal
 // sorted, so byte-level output is a function of the manifest's values.
@@ -135,11 +119,6 @@ type CanonicalManifest struct {
 	Counters        map[string]int64 `json:"counters,omitempty"`
 	Gauges          map[string]int64 `json:"gauges,omitempty"`
 	HistogramCounts map[string]int64 `json:"histogram_counts,omitempty"`
-
-	// TimeSeriesNames is the sorted set of sampled series — which metrics
-	// the sampler observed is deterministic even though their sampled
-	// values (timing-dependent) are not.
-	TimeSeriesNames []string `json:"time_series_names,omitempty"`
 }
 
 // Canonical projects the manifest onto its deterministic portion.
@@ -162,10 +141,6 @@ func (m *Manifest) Canonical() CanonicalManifest {
 			c.HistogramCounts[name] = h.Count
 		}
 	}
-	for name := range m.TimeSeries {
-		c.TimeSeriesNames = append(c.TimeSeriesNames, name)
-	}
-	sort.Strings(c.TimeSeriesNames)
 	return c
 }
 

@@ -195,21 +195,6 @@ type Histogram struct {
 	counts []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
 	count  atomic.Int64
 	sum    atomic.Int64
-
-	// exemplars holds at most one recent exemplar per bucket (lazily
-	// allocated on the first ObserveExemplar), linking the bucket to a
-	// trace ID so a latency outlier can be chased to its request.
-	exemplars atomic.Pointer[exemplarSlab]
-}
-
-// exemplarSlab is the lazily allocated per-bucket exemplar store; a
-// whole-slab atomic pointer keeps readers lock-free.
-type exemplarSlab struct{ slots []atomic.Pointer[Exemplar] }
-
-// An Exemplar ties one observed value to the trace that produced it.
-type Exemplar struct {
-	Value   int64  `json:"value"`
-	TraceID string `json:"trace_id"`
 }
 
 // Observe records one value.
@@ -221,31 +206,6 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-}
-
-// ObserveExemplar records one value and, when traceID is non-empty,
-// remembers it as the bucket's most recent exemplar. The exemplar store
-// is one pointer swap per observation after a one-time allocation, so
-// the traced path stays within the cmd/obsgate overhead budget.
-func (h *Histogram) ObserveExemplar(v int64, traceID string) {
-	if h == nil {
-		return
-	}
-	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-	if traceID == "" {
-		return
-	}
-	slab := h.exemplars.Load()
-	if slab == nil {
-		slab = &exemplarSlab{slots: make([]atomic.Pointer[Exemplar], len(h.counts))}
-		if !h.exemplars.CompareAndSwap(nil, slab) {
-			slab = h.exemplars.Load()
-		}
-	}
-	slab.slots[i].Store(&Exemplar{Value: v, TraceID: traceID})
 }
 
 // merge folds src's buckets into h. Matching bounds merge bucket by
@@ -282,14 +242,11 @@ type BucketCount struct {
 	LE    int64 `json:"le"`
 	Inf   bool  `json:"inf,omitempty"`
 	Count int64 `json:"count"`
-	// Exemplar is the bucket's most recent trace-linked observation,
-	// when the instrumented path recorded one (ObserveExemplar).
-	Exemplar *Exemplar `json:"exemplar,omitempty"`
 }
 
 // HistogramSummary is a frozen histogram: total count, sum of observed
 // values, and the per-bucket counts. Empty buckets are elided so
-// summaries stay compact in manifests and expvar output.
+// summaries stay compact in manifests.
 type HistogramSummary struct {
 	Count   int64         `json:"count"`
 	Sum     int64         `json:"sum"`
@@ -298,7 +255,6 @@ type HistogramSummary struct {
 
 func (h *Histogram) summary() HistogramSummary {
 	s := HistogramSummary{Count: h.count.Load(), Sum: h.sum.Load()}
-	slab := h.exemplars.Load()
 	for i := range h.counts {
 		c := h.counts[i].Load()
 		if c == 0 {
@@ -309,9 +265,6 @@ func (h *Histogram) summary() HistogramSummary {
 			b.LE = h.bounds[i]
 		} else {
 			b.Inf = true
-		}
-		if slab != nil {
-			b.Exemplar = slab.slots[i].Load()
 		}
 		s.Buckets = append(s.Buckets, b)
 	}
@@ -352,9 +305,9 @@ func (r *Registry) Snapshot() Snapshot {
 		s.mu.RUnlock()
 	}
 	// Child sets fold in flat (prefix+label+"."+suffix), so every
-	// exporter that reads snapshots — the JSON /metrics endpoint, the
-	// Prometheus exposition, the sampler's history points, manifests —
-	// sees the per-label series without knowing about the bound index.
+	// exporter that reads snapshots — the Prometheus exposition and
+	// manifests — sees the per-label series without knowing about the
+	// bound index.
 	r.csMu.Lock()
 	for _, cs := range r.childSets {
 		cs.snapshotInto(&snap)

@@ -4,7 +4,7 @@
 // lock-free updates), stage spans (wall + process-CPU time plus
 // runtime/trace regions), a run manifest flushed through
 // internal/atomicio, and an optional debug HTTP server exposing the
-// registry over expvar next to net/http/pprof.
+// registry in Prometheus text next to net/http/pprof.
 //
 // Everything is standard library only — the verify gate runs in offline
 // containers — and everything is nil-safe: a disabled registry (the
@@ -23,9 +23,8 @@
 //     that the instrumented packages (partition, reuse, experiment,
 //     cachesim, workload) feed; Snapshot() freezes it for export.
 //   - Manifest: the durable record of one run — config, version,
-//     per-stage wall/CPU time, counters, histogram summaries, sampled
-//     time-series reductions — written atomically so a crash never
-//     leaves a torn manifest.
+//     per-stage wall/CPU time, counters, histogram summaries — written
+//     atomically so a crash never leaves a torn manifest.
 //   - Span (span.go): the one span model. Start opens a span and
 //     StartRequest a served request's root; End measures once and feeds
 //     every sink that applies — the tracer, the request's flight record,
@@ -35,9 +34,6 @@
 //     trace_event JSON (-trace-events) for Perfetto. EnableTracer
 //     installs the process-global tracer the same way Enable installs
 //     the registry.
-//   - Sampler (sampler.go): background metrics-history sampling into a
-//     bounded ring, served at /metrics/history and reduced into the
-//     manifest. EnableSampler installs the process-global sampler.
 package obs
 
 import "sync/atomic"

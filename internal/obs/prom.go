@@ -9,10 +9,10 @@ import (
 
 // This file renders a registry snapshot in the Prometheus text
 // exposition format (version 0.0.4), the lingua franca of metrics
-// scrapers, next to the existing JSON snapshot. The output is a pure
-// function of the snapshot with fully deterministic ordering — names
-// sorted within each section, buckets in bound order — so a golden
-// file can pin the exact byte stream.
+// scrapers and the registry's only live exposition. The output is a
+// pure function of the snapshot with fully deterministic ordering —
+// names sorted within each section, buckets in bound order — so a
+// golden file can pin the exact byte stream.
 //
 // Name mapping: the registry's dotted.snake names become underscore
 // names (service.plan.requests → service_plan_requests); counters gain

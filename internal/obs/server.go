@@ -4,41 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"sync"
 	"time"
 )
-
-// publishOnce guards the single expvar registration. expvar's namespace
-// is process-global and double-Publish panics, so the registry is
-// published exactly once as a Func that reads whatever registry is
-// enabled at serve time — tests can start and stop debug servers freely.
-var publishOnce sync.Once
-
-// PublishExpvar registers the "partitionshare" expvar export and
-// reports whether this call performed the registration. A false return
-// is the explicit already-published signal: expvar's namespace is
-// process-global, so only the first call in a process registers, and a
-// caller standing up a second registry must know its export rides the
-// existing Func — which reads whatever registry Enabled() returns at
-// serve time, not the registry that was live at publish time. The
-// skipped case is also logged at debug level.
-func PublishExpvar() bool {
-	published := false
-	publishOnce.Do(func() {
-		published = true
-		expvar.Publish("partitionshare", expvar.Func(func() any {
-			return Enabled().Snapshot()
-		}))
-	})
-	if !published {
-		Logger().Debug("expvar export already published; /debug/vars tracks the currently enabled registry")
-	}
-	return published
-}
 
 // ServePrometheus writes the enabled registry's snapshot in Prometheus
 // text exposition format. Shared by the debug server and the daemon's
@@ -61,13 +32,11 @@ func ServeFlightRecorder(w http.ResponseWriter) {
 }
 
 // A DebugServer is the optional -debug-addr HTTP listener: it serves
-// the standard expvar page (/debug/vars, including the live registry
-// snapshot under the "partitionshare" key, plus cmdline and memstats),
-// a registry snapshot at /metrics (JSON; Prometheus text at
-// /metrics/prom or ?format=prometheus), the request flight recorder at
-// /debug/requests, and the full net/http/pprof suite under
-// /debug/pprof/. Close is idempotent and waits for the serve goroutine
-// to exit, so tests can assert no goroutine leaks.
+// the registry in Prometheus text at /metrics (and at /metrics/prom,
+// the same body), the request flight recorder at /debug/requests, and
+// the full net/http/pprof suite under /debug/pprof/. Close is
+// idempotent and waits for the serve goroutine to exit, so tests can
+// assert no goroutine leaks.
 type DebugServer struct {
 	srv    *http.Server
 	lis    net.Listener
@@ -77,8 +46,8 @@ type DebugServer struct {
 }
 
 // StartDebugServer listens on addr (e.g. "localhost:6060"; ":0" picks a
-// free port) and serves expvar, /metrics, and pprof until Close is
-// called or ctx is cancelled. The returned server's Addr reports the
+// free port) and serves /metrics and pprof until Close is called or
+// ctx is cancelled. The returned server's Addr reports the
 // bound address. An empty addr — the unset flag — returns (nil, nil),
 // and every method on a nil *DebugServer is a no-op, so callers pass
 // their -debug-addr value through unconditionally. Mounting pprof here,
@@ -91,43 +60,17 @@ func StartDebugServer(ctx context.Context, addr string) (*DebugServer, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	PublishExpvar()
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 
 	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "prometheus" {
-			ServePrometheus(w)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(Enabled().Snapshot())
-	})
-	mux.HandleFunc("/metrics/prom", func(w http.ResponseWriter, _ *http.Request) {
-		ServePrometheus(w)
-	})
+	metrics := func(w http.ResponseWriter, _ *http.Request) { ServePrometheus(w) }
+	mux.HandleFunc("/metrics", metrics)
+	mux.HandleFunc("/metrics/prom", metrics)
 	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, _ *http.Request) {
 		ServeFlightRecorder(w)
-	})
-	mux.HandleFunc("/metrics/history", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		samp := ActiveSampler()
-		hist := samp.History()
-		if hist == nil {
-			hist = []SeriesPoint{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			IntervalNS int64         `json:"interval_ns"`
-			Samples    []SeriesPoint `json:"samples"`
-		}{samp.Interval().Nanoseconds(), hist})
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -157,7 +100,7 @@ func StartDebugServer(ctx context.Context, addr string) (*DebugServer, error) {
 	}()
 	Logger().Info("debug server listening",
 		"addr", lis.Addr().String(),
-		"endpoints", "/debug/vars /metrics /metrics/prom /debug/requests /debug/pprof/")
+		"endpoints", "/metrics /metrics/prom /debug/requests /debug/pprof/")
 	return ds, nil
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,7 +13,7 @@ import (
 
 // get fetches a URL with a keep-alive-free client so the test leaves no
 // idle-connection goroutines behind to confuse the leak check.
-func get(t *testing.T, url string) (int, []byte) {
+func get(t *testing.T, url string) (code int, contentType string, body []byte) {
 	t.Helper()
 	tr := &http.Transport{DisableKeepAlives: true}
 	client := &http.Client{Transport: tr, Timeout: 5 * time.Second}
@@ -24,11 +23,11 @@ func get(t *testing.T, url string) (int, []byte) {
 		t.Fatalf("GET %s: %v", url, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err = io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatalf("GET %s: read: %v", url, err)
 	}
-	return resp.StatusCode, body
+	return resp.StatusCode, resp.Header.Get("Content-Type"), body
 }
 
 // waitNoLeak asserts the goroutine count returns to the baseline.
@@ -43,9 +42,9 @@ func waitNoLeak(t *testing.T, before int) {
 	}
 }
 
-// The -debug-addr server must serve expvar (including the live registry
-// snapshot), the raw /metrics snapshot, and the pprof index, then shut
-// down without leaking its serve/watch goroutines.
+// The -debug-addr server must serve the registry as Prometheus text on
+// /metrics and /metrics/prom, and the pprof index, then shut down
+// without leaking its serve/watch goroutines.
 func TestDebugServerServesAndShutsDown(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -60,30 +59,18 @@ func TestDebugServerServesAndShutsDown(t *testing.T) {
 	}
 	base := "http://" + ds.Addr()
 
-	code, body := get(t, base+"/debug/vars")
-	if code != http.StatusOK {
-		t.Errorf("/debug/vars status = %d", code)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Errorf("/debug/vars is not JSON: %v", err)
-	} else if _, ok := vars["partitionshare"]; !ok {
-		t.Errorf("/debug/vars missing partitionshare registry export; keys: %d", len(vars))
-	}
-
-	code, body = get(t, base+"/metrics")
-	if code != http.StatusOK {
-		t.Errorf("/metrics status = %d", code)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("/metrics is not a Snapshot: %v", err)
-	}
-	if snap.Counters["experiment_groups_completed_total"] != 7 {
-		t.Errorf("/metrics counters = %v, want experiment_groups_completed_total=7", snap.Counters)
+	want := "experiment_groups_completed_total_total 7\n"
+	for _, path := range []string{"/metrics", "/metrics/prom"} {
+		code, ct, body := get(t, base+path)
+		if code != http.StatusOK || ct != PromContentType {
+			t.Errorf("%s: status %d, content type %q", path, code, ct)
+		}
+		if !strings.Contains(string(body), want) {
+			t.Errorf("%s lacks %q:\n%s", path, want, body)
+		}
 	}
 
-	code, body = get(t, base+"/debug/pprof/")
+	code, _, body := get(t, base+"/debug/pprof/")
 	if code != http.StatusOK || !strings.Contains(string(body), "goroutine") {
 		t.Errorf("/debug/pprof/ status = %d, body lacks profile index", code)
 	}
@@ -114,7 +101,7 @@ func TestDebugServerContextCancel(t *testing.T) {
 	for time.Now().Before(deadline) {
 		tr := &http.Transport{DisableKeepAlives: true}
 		client := &http.Client{Transport: tr, Timeout: time.Second}
-		_, err := client.Get(fmt.Sprintf("http://%s/debug/vars", addr))
+		_, err := client.Get(fmt.Sprintf("http://%s/metrics", addr))
 		tr.CloseIdleConnections()
 		if err != nil {
 			break
@@ -150,84 +137,4 @@ func TestDebugServerBadAddr(t *testing.T) {
 		t.Fatal("no error for invalid address")
 	}
 	waitNoLeak(t, before)
-}
-
-// historyResponse mirrors the /metrics/history JSON shape.
-type historyResponse struct {
-	IntervalNS int64         `json:"interval_ns"`
-	Samples    []SeriesPoint `json:"samples"`
-}
-
-// /metrics/history serves the active sampler's buffered points, and an
-// empty (but valid) document when no sampler is installed.
-func TestDebugServerMetricsHistory(t *testing.T) {
-	before := runtime.NumGoroutine()
-	reg := NewRegistry()
-	reg.Counter("jobs_total").Add(5)
-	Enable(reg)
-	defer Enable(nil)
-
-	ds, err := StartDebugServer(context.Background(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := "http://" + ds.Addr()
-
-	// No sampler installed: empty history, not an error.
-	code, body := get(t, base+"/metrics/history")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics/history status = %d with no sampler", code)
-	}
-	var hr historyResponse
-	if err := json.Unmarshal(body, &hr); err != nil {
-		t.Fatalf("/metrics/history is not JSON: %v", err)
-	}
-	if hr.IntervalNS != 0 || len(hr.Samples) != 0 {
-		t.Errorf("no-sampler history = %+v, want empty", hr)
-	}
-
-	samp := StartSampler(context.Background(), reg, time.Millisecond, 16)
-	EnableSampler(samp)
-	defer EnableSampler(nil)
-	deadline := time.Now().Add(5 * time.Second)
-	for len(samp.History()) == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-
-	code, body = get(t, base+"/metrics/history")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics/history status = %d", code)
-	}
-	if err := json.Unmarshal(body, &hr); err != nil {
-		t.Fatalf("/metrics/history is not JSON: %v", err)
-	}
-	if hr.IntervalNS != time.Millisecond.Nanoseconds() {
-		t.Errorf("interval_ns = %d, want %d", hr.IntervalNS, time.Millisecond.Nanoseconds())
-	}
-	if len(hr.Samples) == 0 {
-		t.Fatal("history served no samples")
-	}
-	if hr.Samples[len(hr.Samples)-1].Counters["jobs_total"] != 5 {
-		t.Errorf("served sample counters = %v, want jobs_total=5",
-			hr.Samples[len(hr.Samples)-1].Counters)
-	}
-
-	samp.Stop()
-	EnableSampler(nil)
-	ds.Close()
-	waitNoLeak(t, before)
-}
-
-// PublishExpvar registers exactly once per process: whichever call is
-// first returns true, and every later call reports the duplicate with an
-// explicit false instead of panicking in expvar.
-func TestPublishExpvarReportsDuplicate(t *testing.T) {
-	// Another test (or a debug server) may have published already, so the
-	// first call's result is environment-dependent; the second call right
-	// after it must always be the duplicate.
-	first := PublishExpvar()
-	second := PublishExpvar()
-	if second {
-		t.Errorf("second PublishExpvar = true, want false (first = %v)", first)
-	}
 }

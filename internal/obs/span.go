@@ -266,8 +266,8 @@ func (r *Registry) addStage(s *Span, dur time.Duration) {
 func RequestFrom(ctx context.Context) *Span { return refFrom(ctx).req }
 
 // TraceIDFrom returns the 32-hex trace ID of the request enclosing ctx,
-// or "" outside a request — the form instrumentation wants for
-// exemplars, error envelopes, and plan provenance.
+// or "" outside a request — the form instrumentation wants for error
+// envelopes and plan provenance.
 func TraceIDFrom(ctx context.Context) string {
 	if root := RequestFrom(ctx); root != nil {
 		return root.req.TraceID // immutable after StartRequest

@@ -49,8 +49,7 @@ func (tc TraceContext) Valid() bool {
 }
 
 // TraceIDString returns the 32-hex-digit trace ID — the value echoed in
-// response headers, error envelopes, flight-recorder entries, and
-// histogram exemplars.
+// response headers, error envelopes, and flight-recorder entries.
 func (tc TraceContext) TraceIDString() string {
 	return hex.EncodeToString(tc.TraceID[:])
 }

@@ -77,8 +77,8 @@ func writeError(w http.ResponseWriter, r *http.Request, err error) {
 //	GET    /v1/plan/changes         change feed: long-poll (?wait_ms=N) or SSE (?stream=sse)
 //	GET    /healthz                 liveness (always 200 while the process runs)
 //	GET    /readyz                  readiness (503 while draining)
-//	GET    /metrics                 registry snapshot (JSON; ?format=prometheus)
-//	GET    /metrics/prom            Prometheus text exposition
+//	GET    /metrics                 registry, Prometheus text exposition
+//	GET    /metrics/prom            the same body as /metrics
 //	GET    /debug/requests          request flight recorder
 //	GET    /debug/epochs            human-readable epoch timeline
 //
@@ -111,16 +111,9 @@ func (s *Service) Handler() http.Handler {
 	// Observability endpoints ride the API listener too (outside the
 	// telemetry wrap: a scrape is not a tenant request), so a deployment
 	// without -debug-addr still has scrape and triage surfaces.
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "prometheus" {
-			obs.ServePrometheus(w)
-			return
-		}
-		writeJSON(w, http.StatusOK, obs.Enabled().Snapshot())
-	})
-	mux.HandleFunc("GET /metrics/prom", func(w http.ResponseWriter, _ *http.Request) {
-		obs.ServePrometheus(w)
-	})
+	metrics := func(w http.ResponseWriter, _ *http.Request) { obs.ServePrometheus(w) }
+	mux.HandleFunc("GET /metrics", metrics)
+	mux.HandleFunc("GET /metrics/prom", metrics)
 	mux.HandleFunc("GET /debug/requests", func(w http.ResponseWriter, _ *http.Request) {
 		obs.ServeFlightRecorder(w)
 	})

@@ -16,9 +16,9 @@ import (
 // trace timeline and the record's stage list at once. Once the response
 // is out, the root's End files the flight record, and the same record
 // feeds the RED rollups, the per-tenant bounded child set, and the
-// latency histogram (with a trace-ID exemplar). The same trace ID travels in the
-// response traceparent header, the error envelope's trace_id field, and
-// the flight-recorder record, so one identifier correlates all three.
+// latency histogram. The same trace ID travels in the response
+// traceparent header, the error envelope's trace_id field, and the
+// flight-recorder record, so one identifier correlates all three.
 
 // TraceparentHeader is the W3C trace-context header the service reads
 // from requests and echoes on every response.
@@ -150,9 +150,9 @@ func (s *Service) wrapWith(route string, fn func(http.ResponseWriter, *http.Requ
 
 // recordRequest files one finished request into the metric sinks: RED
 // rollups, the per-tenant child set, and the per-route latency
-// histogram (with the trace ID as the bucket's exemplar). The request
-// root's End has already filed the same record into the flight
-// recorder. Runs once per request, after the response is out.
+// histogram. The request root's End has already filed the same record
+// into the flight recorder. Runs once per request, after the response
+// is out.
 func (s *Service) recordRequest(reg *obs.Registry, route string, rec obs.RequestRecord) {
 	class := statusClass(rec.Status)
 	reg.Counter(mRequests).Add(1)
@@ -163,8 +163,7 @@ func (s *Service) recordRequest(reg *obs.Registry, route string, rec obs.Request
 	case http.StatusGatewayTimeout:
 		reg.Counter(mRequestsDeadline).Add(1)
 	}
-	reg.Histogram(mHTTPLatencyPrefix+route, obs.DurationBuckets()).
-		ObserveExemplar(rec.DurNS, rec.TraceID)
+	reg.Histogram(mHTTPLatencyPrefix+route, obs.DurationBuckets()).Observe(rec.DurNS)
 
 	if rec.Tenant != "" {
 		cs := reg.ChildSet(mTenantPrefix, s.cfg.TenantSeriesCap)

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -50,6 +53,65 @@ func serveDirect(t *testing.T, h http.Handler, method, target, traceparent strin
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec
+}
+
+// The registry has one exposition: GET /metrics and GET /metrics/prom
+// serve the same Prometheus text on the API listener and on the
+// -debug-addr listener, and the retired debug routes /metrics/history
+// and /debug/vars are gone.
+func TestMetricsExpositionContract(t *testing.T) {
+	withTelemetry(t)
+	svc := newTestService(t, testConfig())
+	if err := svc.Register(nil, "t1", testProfile(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	api := httptest.NewServer(svc.Handler())
+	defer api.Close()
+	ds, err := obs.StartDebugServer(context.Background(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+
+	tr := &http.Transport{DisableKeepAlives: true}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr, Timeout: 5 * time.Second}
+	get := func(url string) (int, string, []byte) {
+		t.Helper()
+		resp, err := client.Get(url)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s: read: %v", url, err)
+		}
+		return resp.StatusCode, resp.Header.Get("Content-Type"), body
+	}
+
+	var first []byte
+	for _, base := range []string{api.URL, "http://" + ds.Addr()} {
+		for _, path := range []string{"/metrics", "/metrics/prom"} {
+			code, ct, body := get(base + path)
+			if code != http.StatusOK || ct != obs.PromContentType {
+				t.Errorf("%s%s: status %d, content type %q", base, path, code, ct)
+			}
+			if first == nil {
+				first = body
+				if !bytes.Contains(body, []byte("# TYPE ")) {
+					t.Fatalf("%s%s is not a Prometheus exposition:\n%s", base, path, body)
+				}
+			} else if !bytes.Equal(body, first) {
+				t.Errorf("%s%s body differs from the first scrape:\n%s\nwant:\n%s", base, path, body, first)
+			}
+		}
+	}
+	for _, path := range []string{"/metrics/history", "/debug/vars"} {
+		if code, _, _ := get("http://" + ds.Addr() + path); code != http.StatusNotFound {
+			t.Errorf("debug listener %s = %d, want 404", path, code)
+		}
+	}
 }
 
 // The tentpole acceptance path: a plan request carrying a W3C

@@ -60,17 +60,15 @@ go test -run=NONE -fuzz='^FuzzNaturalPartition$' -fuzztime="$FUZZTIME" ./interna
 # exists, parses, and reports zero failed groups (checkmanifest also
 # verifies schema version, stage spans, and a positive completed count),
 # plus a Chrome trace_event timeline with the expected parented pipeline
-# spans (checktrace) and a metrics time series folded into the manifest.
-# Given the manifest too, checktrace cross-checks the two exports of the
-# one span model: each manifest stage has exactly one same-named stage
-# trace event with the same duration.
+# spans (checktrace). Given the manifest too, checktrace cross-checks
+# the two exports of the one span model: each manifest stage has exactly
+# one same-named stage trace event with the same duration.
 echo "== obs smoke: experiments -small + manifest + trace checks"
 OBS_SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_SMOKE_DIR"' EXIT
 go run ./cmd/experiments -small -out "$OBS_SMOKE_DIR" \
 	-manifest "$OBS_SMOKE_DIR/manifest.json" \
-	-trace-events "$OBS_SMOKE_DIR/trace.json" \
-	-metrics-interval 50ms >/dev/null
+	-trace-events "$OBS_SMOKE_DIR/trace.json" >/dev/null
 go run scripts/checkmanifest.go "$OBS_SMOKE_DIR/manifest.json"
 go run scripts/checktrace.go "$OBS_SMOKE_DIR/trace.json" "$OBS_SMOKE_DIR/manifest.json"
 
