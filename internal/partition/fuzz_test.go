@@ -14,10 +14,14 @@ import (
 // must take the refinement rung) or the exact rung alone. The bounded
 // seed is the refine one with lower bounds summing to 35 of its 549
 // units, so its feasible box (C′ = 514) still takes the refinement rung.
+// The fallback seed's four programs go flat after an eighth of its 549
+// units, so every band stays wide, refinement exceeds its work budget and
+// the solve declines to the exact kernel.
 var (
-	fuzzSeedRefine  = []byte{0x82, 37, 0, 240, 200, 160, 120, 90, 60, 40, 20, 10, 250, 180, 90, 30, 5}
-	fuzzSeedExact   = []byte{0x82, 37, 1, 240, 200, 160, 120, 90, 60, 40, 20, 10, 250, 180, 90, 30, 5}
-	fuzzSeedBounded = []byte{0x82, 37, 18, 240, 200, 160, 120, 90, 60, 40, 20, 10, 250, 180, 90, 30, 5}
+	fuzzSeedRefine   = []byte{0x82, 37, 0, 240, 200, 160, 120, 90, 60, 40, 20, 10, 250, 180, 90, 30, 5}
+	fuzzSeedExact    = []byte{0x82, 37, 1, 240, 200, 160, 120, 90, 60, 40, 20, 10, 250, 180, 90, 30, 5}
+	fuzzSeedBounded  = []byte{0x82, 37, 18, 240, 200, 160, 120, 90, 60, 40, 20, 10, 250, 180, 90, 30, 5}
+	fuzzSeedFallback = []byte{0x82, 37, 0, 128, 128, 128, 128, 128, 128, 128, 128}
 )
 
 // fuzzProblem decodes arbitrary fuzz bytes into a partitioning instance.
@@ -122,12 +126,13 @@ func fuzzBounds(b byte, n, units int) (minAlloc, maxAlloc []int) {
 }
 
 // TestFuzzSeedRungs pins what the stretched seeds are for: without the
-// refine one, the fuzz corpus would never reach the refinement rung.
+// refine one, the fuzz corpus would never reach the refinement rung, and
+// without the fallback one never its decline to the exact kernel.
 func TestFuzzSeedRungs(t *testing.T) {
 	for _, tc := range []struct {
 		seed []byte
 		want string
-	}{{fuzzSeedRefine, "refine"}, {fuzzSeedExact, "exact"}, {fuzzSeedBounded, "refine"}} {
+	}{{fuzzSeedRefine, "refine"}, {fuzzSeedExact, "exact"}, {fuzzSeedBounded, "refine"}, {fuzzSeedFallback, "refine-fallback+exact"}} {
 		pr, exact, ok := fuzzProblem(tc.seed)
 		if !ok {
 			t.Fatal("seed does not decode")
@@ -161,6 +166,7 @@ func FuzzOptimize(f *testing.F) {
 	f.Add(fuzzSeedRefine)
 	f.Add(fuzzSeedExact)
 	f.Add(fuzzSeedBounded)
+	f.Add(fuzzSeedFallback)
 	f.Add([]byte{3, 11, 0xfe, 9, 200, 30, 7, 150})    // ΣMinAlloc = C, tight MaxAlloc
 	f.Add([]byte{2, 19, 0x2f, 255, 0, 128, 64, 1, 2}) // MinAlloc and MaxAlloc, forced exact
 
