@@ -190,21 +190,18 @@ type scratch struct {
 	rows     [][]float64 // rows[0] = base row; rows[p+1] = dp after layer p
 	costsRev []float64
 	metas    []layerMeta
-	// refine-only buffers, grown on demand (refine.go). The level tables
-	// ping-pong between lvlBuf0/lvlBuf1 because one level's bounds are
-	// still being read (banding) while the next level's are written. None
-	// of them is cleared on reuse: every cell the refinement reads is
-	// written first, by construction.
+	// refine-only buffers, grown on demand (refine.go). None of them is
+	// cleared on reuse: every cell the refinement reads is written first,
+	// by construction.
 	costBuf    []float64
 	cminRevBuf []float64
-	lvlBuf0    []float64
-	lvlBuf1    []float64
+	lvlBuf     []float64
 	upBuf      []float64
 	cminBuf    []float64
 	sweepBuf   []float64
 	chBuf      []int32
 	dqBuf      []int32
-	maskBuf    []bool
+	runBuf     []rspan
 }
 
 // maxPooledCells caps the arena size kept alive by the pool: large-C solves
@@ -241,7 +238,7 @@ func getScratch(n, C int) *scratch {
 
 func putScratch(s *scratch) {
 	if len(s.buf) > maxPooledCells || len(s.costBuf) > maxPooledCells ||
-		len(s.cminBuf) > maxPooledCells || len(s.lvlBuf0) > maxPooledCells {
+		len(s.cminBuf) > maxPooledCells || len(s.lvlBuf) > maxPooledCells {
 		return
 	}
 	scratchPool.Put(s)

@@ -11,7 +11,10 @@ import (
 // DP lower bounds to prune every fine DP cell that provably cannot lie on
 // an optimal (or tying) path. Levels descend geometrically (g, g/8, …, 1),
 // each level re-banding the next, so the final exact pass touches only a
-// narrow band around the optimum instead of all O(P·C²) cells.
+// narrow band around the optimum instead of all O(P·C²) cells. One band
+// test and one band format serve every level: refineBand cuts the next
+// grid's band, coarse or fine, as per-row runs of surviving cells, which
+// refineComputeLevel and the fine pass (refineFineSolve) iterate.
 //
 // Exactness, not approximation: the coarse tables bound the *real-number*
 // DP from below (block-minimum costs, floor-mapped totals), the upper
@@ -156,8 +159,10 @@ func refineSolve(ctx context.Context, pr *Problem, s *scratch, path *solvePath) 
 	}
 
 	// Block-minimum pyramids, built fine-to-coarse so each level's table
-	// costs O(n·TB_child) instead of rescanning all n·(C+1) fine cells.
-	// All levels share one pooled arena; every entry is written below, so
+	// costs O(n·TB_child) instead of rescanning all n·(C+1) fine cells:
+	// level i takes minima over blocks of gs[i]/childG entries of the
+	// level below it (the fine costs, childG = 1, for the finest). All
+	// levels share one pooled arena; every entry is written below, so
 	// reuse needs no clearing.
 	cmins := make([][]float64, len(gs))
 	cminTotal := 0
@@ -166,72 +171,57 @@ func refineSolve(ctx context.Context, pr *Problem, s *scratch, path *solvePath) 
 	}
 	s.cminBuf = growFloats(s.cminBuf, cminTotal)
 	cminOff := 0
+	childG := 1
 	for i := len(gs) - 1; i >= 0; i-- {
 		g := gs[i]
-		TB := C/g + 1
+		TB, TBc, r := C/g+1, C/childG+1, g/childG
 		cm := s.cminBuf[cminOff : cminOff+n*TB]
 		cminOff += n * TB
-		if i == len(gs)-1 {
-			for p := 0; p < n; p++ {
-				row := costs[p]
-				out := cm[p*TB : (p+1)*TB]
-				for T := 0; T < TB; T++ {
-					a := T * g
-					b := a + g - 1
-					if b > C {
-						b = C
-					}
-					// Paired accumulators as in minPlusGeneric: min is exact,
-					// so the split changes no bits, only the dependency chain.
-					m, m2 := row[a], inf
-					u := a + 1
-					for ; u+1 <= b; u += 2 {
-						if row[u] < m {
-							m = row[u]
-						}
-						if row[u+1] < m2 {
-							m2 = row[u+1]
-						}
-					}
-					if u <= b && row[u] < m {
-						m = row[u]
-					}
-					if m2 < m {
-						m = m2
-					}
-					out[T] = m
-				}
+		for p := 0; p < n; p++ {
+			child := costs[p]
+			if childG > 1 {
+				child = cmins[i+1][p*TBc : (p+1)*TBc]
 			}
-		} else {
-			r := g / gs[i+1]
-			TBc := C/gs[i+1] + 1
-			for p := 0; p < n; p++ {
-				child := cmins[i+1][p*TBc : (p+1)*TBc]
-				out := cm[p*TB : (p+1)*TB]
-				for T := 0; T < TB; T++ {
-					a := T * r
-					b := a + r - 1
-					if b > TBc-1 {
-						b = TBc - 1
+			out := cm[p*TB : (p+1)*TB]
+			for T := 0; T < TB; T++ {
+				a := T * r
+				b := min(a+r-1, TBc-1)
+				// Paired accumulators as in minPlusGeneric: min is exact on
+				// certified costs, so the split changes no bits, only the
+				// dependency chain.
+				m, m2 := child[a], inf
+				u := a + 1
+				for ; u+1 <= b; u += 2 {
+					if child[u] < m {
+						m = child[u]
 					}
-					m := child[a]
-					for j := a + 1; j <= b; j++ {
-						if child[j] < m {
-							m = child[j]
-						}
+					if child[u+1] < m2 {
+						m2 = child[u+1]
 					}
-					out[T] = m
 				}
+				if u <= b && child[u] < m {
+					m = child[u]
+				}
+				if m2 < m {
+					m = m2
+				}
+				out[T] = m
 			}
 		}
 		cmins[i] = cm
+		childG = g
 	}
 
+	// The coarsest level is banded by nothing: every row is one run over
+	// its whole grid. Each level then cuts the next one's band, the last
+	// coarse level the fine grid's (g2 = 1, forward runs only).
 	B := inf
 	budget := refineWorkBudget(n, C)
-	var lv *refineLevel
-	var allowF, allowB []bool // nil on the coarsest level = everything
-	var rngF, rngB [][2]int   // per-row surviving S ranges of the masks
+	bandF := make([][]rspan, n)
+	for p := range bandF {
+		bandF[p] = []rspan{{0, C / gs[0]}}
+	}
+	bandB := bandF
 	for i, g := range gs {
 		if err := refineCtxCheck(ctx); err != nil {
 			return false, err
@@ -241,9 +231,7 @@ func refineSolve(ctx context.Context, pr *Problem, s *scratch, path *solvePath) 
 		// small and a tighter B still has finer levels left to narrow; on
 		// the finer levels polish has already pulled B close to optimal
 		// and the extra stream would cost more than the band it saves.
-		var cand []int
-		var candObj float64
-		lv, cand, candObj = refineComputeLevel(n, C, g, costs, cmins[i], allowF, allowB, rngF, rngB, i+1 < len(gs) && g >= 64, s, i&1)
+		lv, cand, candObj := refineComputeLevel(n, C, g, costs, cmins[i], bandF, bandB, i+1 < len(gs) && g >= 64, s)
 		if cand != nil && candObj < B {
 			// Polishing the representative allocation at fine granularity
 			// tightens B well below the coarse-grid slack, which narrows
@@ -256,11 +244,12 @@ func refineSolve(ctx context.Context, pr *Problem, s *scratch, path *solvePath) 
 			path.refineFallback = true
 			return false, nil
 		}
-		if i+1 == len(gs) {
-			break
+		g2 := 1
+		if i+1 < len(gs) {
+			g2 = gs[i+1]
 		}
 		var work int64
-		allowF, allowB, rngF, rngB, work = refineBand(lv, n, C, gs[i+1], B, s)
+		bandF, bandB, work = refineBand(lv, n, C, g2, B, s)
 		if work > budget {
 			// Pruning is not biting (adversarially flat instance);
 			// finishing the descent would cost more than the exact solve.
@@ -269,13 +258,8 @@ func refineSolve(ctx context.Context, pr *Problem, s *scratch, path *solvePath) 
 		}
 	}
 
-	// Band the fine grid and solve the surviving cells exactly.
-	spans, work := refineBandFine(lv, n, C, B, s)
-	if work > budget {
-		path.refineFallback = true
-		return false, nil
-	}
-	if err := refineFineSolve(ctx, n, C, costs, spans, s, path); err != nil {
+	// Solve the fine band's surviving cells exactly.
+	if err := refineFineSolve(ctx, n, C, costs, bandF, s, path); err != nil {
 		return false, err
 	}
 	if s.rows[n][C] == inf {
@@ -307,10 +291,10 @@ func refineCtxCheck(ctx context.Context) error {
 // allocation). It returns the representative allocation and its objective
 // — evaluated on the fine costs, in DP accumulation order — as an
 // upper-bound candidate, or (nil, inf) when no upper solve ran or it found
-// no feasible chain. Rows are written only on the banded S ranges
-// (rngF/rngB, full grid on the coarsest level); the finite spans the next
-// consumer may read are recorded in lv.dspan/lv.espan.
-func refineComputeLevel(n, C, g int, costs [][]float64, cmin []float64, allowF, allowB []bool, rngF, rngB [][2]int, upper bool, s *scratch, parity int) (*refineLevel, []int, float64) {
+// no feasible chain. Rows are written only on their band's extent
+// (bandF for the forward tables, bandB for the backward one); the finite
+// spans the next consumer may read are recorded in lv.dspan/lv.espan.
+func refineComputeLevel(n, C, g int, costs [][]float64, cmin []float64, bandF, bandB [][]rspan, upper bool, s *scratch) (*refineLevel, []int, float64) {
 	TB := C/g + 1
 
 	lv := &refineLevel{g: g, TB: TB}
@@ -318,39 +302,12 @@ func refineComputeLevel(n, C, g int, costs [][]float64, cmin []float64, allowF, 
 	lv.elow = make([][]float64, n)
 	lv.dspan = make([][2]int, n)
 	lv.espan = make([][2]int, n)
-	// Ping-pong between the two pooled arenas: the previous level's rows
-	// are still read (by the banding that produced rngF/rngB) after this
-	// level starts writing.
-	var flat []float64
-	if parity == 0 {
-		s.lvlBuf0 = growFloats(s.lvlBuf0, 2*n*TB)
-		flat = s.lvlBuf0
-	} else {
-		s.lvlBuf1 = growFloats(s.lvlBuf1, 2*n*TB)
-		flat = s.lvlBuf1
-	}
+	// One pooled arena serves every level: the previous level's rows are
+	// dead once refineBand has cut this level's band from them.
+	s.lvlBuf = growFloats(s.lvlBuf, 2*n*TB)
 	for p := 0; p < n; p++ {
-		lv.dlow[p] = flat[p*TB : (p+1)*TB]
-		lv.elow[p] = flat[(n+p)*TB : (n+p+1)*TB]
-	}
-	var dup, crep []float64
-	var chUp []int32
-	if upper {
-		s.upBuf = growFloats(s.upBuf, 2*n*TB)
-		dup = s.upBuf[:n*TB]
-		// Representative costs gathered into contiguous rows once: the
-		// upper DP's inner loop re-reads them per cell, and the strided
-		// costs[p][T·g] access pattern is what it would otherwise pay for
-		// every candidate.
-		crep = s.upBuf[n*TB:]
-		for p := 0; p < n; p++ {
-			row := costs[p]
-			cr := crep[p*TB : (p+1)*TB]
-			for T := 0; T < TB; T++ {
-				cr[T] = row[T*g]
-			}
-		}
-		chUp = growInt32s(&s.chBuf, n*TB)
+		lv.dlow[p] = s.lvlBuf[p*TB : (p+1)*TB]
+		lv.elow[p] = s.lvlBuf[(n+p)*TB : (n+p+1)*TB]
 	}
 	// Block minima reversed per program, so both streams of a bound scan
 	// ascend and it is one minPlus call: the candidates for S pair
@@ -363,151 +320,67 @@ func refineComputeLevel(n, C, g int, costs [][]float64, cmin []float64, allowF, 
 			rv[TB-1-T] = v
 		}
 	}
-	// boundScan is min over T in [t0, t1] of prev[S−T] + cmin_p[T] for
-	// program p's reversed row rv, or inf when the window is empty. inf
-	// predecessors need no guard: inf + a non-negative cost is ≥ inf, so it
-	// never undercuts the sentinel the scan starts from.
-	boundScan := func(prev, rv []float64, S, t0, t1 int) float64 {
-		if t0 > t1 {
-			return inf
-		}
-		return minPlus(prev[S-t1:S-t0+1], rv[TB-1-t1:TB-t0])
-	}
-	rowRange := func(rng [][2]int, p int) (int, int) {
-		if rng == nil {
-			return 0, TB - 1
-		}
-		return rng[p][0], rng[p][1]
+	boundDP(lv.dlow, lv.dspan, bandF, cmin, cminRev, TB, 0, 1)
+	boundDP(lv.elow, lv.espan, bandB, cmin, cminRev, TB, n-1, -1)
+	if !upper {
+		return lv, nil, inf
 	}
 
-	// pMin/pMax track the finite span of the previous row: outside it every
-	// predecessor is inf, so each cell's T scan covers only the surviving
-	// band instead of all of [0, S] — this is what keeps the banded levels
-	// O(band²) rather than O(band·TB).
-	pMin, pMax := TB, -1
-	lo, hi := rowRange(rngF, 0)
-	for S := lo; S <= hi; S++ {
-		lv.dlow[0][S] = inf
-		if allowF == nil || allowF[S] {
-			lv.dlow[0][S] = cmin[S]
-			if upper {
-				dup[S] = crep[S]
-				chUp[S] = int32(S)
-			}
-			if S < pMin {
-				pMin = S
-			}
-			pMax = S
-		} else if upper {
-			dup[S] = inf
+	// The upper solve: the forward DP again over representative costs,
+	// gathered into contiguous rows once (the inner loop re-reads them per
+	// cell), on the same band and predecessor spans as dlow. It needs its
+	// argmin, so it stays a scalar leftmost strict-improve scan.
+	s.upBuf = growFloats(s.upBuf, 2*n*TB)
+	dup, crep := s.upBuf[:n*TB], s.upBuf[n*TB:]
+	for p := 0; p < n; p++ {
+		row := costs[p]
+		cr := crep[p*TB : (p+1)*TB]
+		for T := 0; T < TB; T++ {
+			cr[T] = row[T*g]
 		}
 	}
-	lv.dspan[0] = [2]int{pMin, pMax}
-	for p := 1; p < n; p++ {
-		dl, dlPrev := lv.dlow[p], lv.dlow[p-1]
-		rv := cminRev[p*TB : (p+1)*TB]
-		var dupRow, dupPrev, crow []float64
-		if upper {
-			dupRow, dupPrev = dup[p*TB:(p+1)*TB], dup[(p-1)*TB:p*TB]
-			crow = crep[p*TB : (p+1)*TB]
+	chUp := growInt32s(&s.chBuf, n*TB)
+	for p := 0; p < n; p++ {
+		runs := bandF[p]
+		if len(runs) == 0 {
+			continue
 		}
-		nMin, nMax := TB, -1
-		lo, hi := rowRange(rngF, p)
-		for S := lo; S <= hi; S++ {
-			dl[S] = inf
-			if upper {
-				dupRow[S] = inf
+		row, crow, ch := dup[p*TB:(p+1)*TB], crep[p*TB:(p+1)*TB], chUp[p*TB:(p+1)*TB]
+		fillInf(row, runs)
+		if p == 0 {
+			for _, r := range runs {
+				for S := r.a; S <= r.b; S++ {
+					row[S] = crow[S]
+					ch[S] = int32(S)
+				}
 			}
-			if (allowF != nil && !allowF[p*TB+S]) || pMax < 0 {
-				continue
-			}
-			t0 := S - pMax
-			if t0 < 0 {
-				t0 = 0
-			}
-			t1 := S - pMin
-			if t1 > S {
-				t1 = S
-			}
-			bestL := boundScan(dlPrev, rv, S, t0, t1)
-			if upper {
-				// The upper solve needs its argmin, so it stays a scalar
-				// leftmost strict-improve scan.
+			continue
+		}
+		pMin, pMax := lv.dspan[p-1][0], lv.dspan[p-1][1]
+		if pMax < 0 {
+			continue
+		}
+		prev := dup[(p-1)*TB : p*TB]
+		for _, r := range runs {
+			for S := r.a; S <= r.b; S++ {
 				bestU := inf
 				bestT := int32(0)
-				for T := t0; T <= t1; T++ {
-					if cand := dupPrev[S-T] + crow[T]; cand < bestU {
+				for T := max(0, S-pMax); T <= S-pMin; T++ {
+					if cand := prev[S-T] + crow[T]; cand < bestU {
 						bestU = cand
 						bestT = int32(T)
 					}
 				}
-				dupRow[S] = bestU
-				chUp[p*TB+S] = bestT
-			}
-			dl[S] = bestL
-			if bestL != inf {
-				if S < nMin {
-					nMin = S
-				}
-				nMax = S
+				row[S] = bestU
+				ch[S] = bestT
 			}
 		}
-		lv.dspan[p] = [2]int{nMin, nMax}
-		pMin, pMax = nMin, nMax
-	}
-
-	pMin, pMax = TB, -1
-	cm := cmin[(n-1)*TB : n*TB]
-	lo, hi = rowRange(rngB, n-1)
-	for S := lo; S <= hi; S++ {
-		lv.elow[n-1][S] = inf
-		if allowB == nil || allowB[(n-1)*TB+S] {
-			lv.elow[n-1][S] = cm[S]
-			if S < pMin {
-				pMin = S
-			}
-			pMax = S
-		}
-	}
-	lv.espan[n-1] = [2]int{pMin, pMax}
-	for p := n - 2; p >= 0; p-- {
-		el, elNext := lv.elow[p], lv.elow[p+1]
-		rv := cminRev[p*TB : (p+1)*TB]
-		nMin, nMax := TB, -1
-		lo, hi := rowRange(rngB, p)
-		for S := lo; S <= hi; S++ {
-			el[S] = inf
-			if (allowB != nil && !allowB[p*TB+S]) || pMax < 0 {
-				continue
-			}
-			t0 := S - pMax
-			if t0 < 0 {
-				t0 = 0
-			}
-			t1 := S - pMin
-			if t1 > S {
-				t1 = S
-			}
-			best := boundScan(elNext, rv, S, t0, t1)
-			el[S] = best
-			if best != inf {
-				if S < nMin {
-					nMin = S
-				}
-				nMax = S
-			}
-		}
-		lv.espan[p] = [2]int{nMin, nMax}
-		pMin, pMax = nMin, nMax
 	}
 
 	// Upper-bound candidate: reconstruct the representative allocation,
 	// give the sub-block remainder to program 0, and accumulate the fine
 	// costs in layer order — the same float64 reduction order the DP path
 	// values use, so the result can never undercut the float64 optimum.
-	if !upper {
-		return lv, nil, inf
-	}
 	Su := C / g
 	// The span check also keeps the read off unwritten arena cells when
 	// Su falls outside the final row's banded range.
@@ -527,6 +400,61 @@ func refineComputeLevel(n, C, g int, costs [][]float64, cmin []float64, allowF, 
 		obj += costs[p][alloc[p]]
 	}
 	return lv, alloc, obj
+}
+
+// boundDP fills one direction's lower-bound rows: dlow (first = 0,
+// dir = 1) or elow (first = n−1, dir = −1). The first row is program
+// first's block minima; each later row p is min over T of
+// rows[p−dir][S−T] + cmin_p[T]. Row p is written only on its band's
+// extent — inf off its runs — and span[p] records its finite range
+// (the first row's: its band's extent); the predecessor scan covers
+// only the previous row's span, since every predecessor outside it is
+// inf. That restriction is what keeps banded levels O(band²) rather
+// than O(band·TB). inf predecessors inside the span need no guard:
+// inf + a non-negative cost is ≥ inf, so it never undercuts the
+// sentinel a scan starts from.
+func boundDP(rows [][]float64, span [][2]int, band [][]rspan, cmin, cminRev []float64, TB, first, dir int) {
+	pMin, pMax := TB, -1
+	for i, p := 0, first; i < len(rows); i, p = i+1, p+dir {
+		row, runs := rows[p], band[p]
+		fillInf(row, runs)
+		nMin, nMax := TB, -1
+		for _, r := range runs {
+			if i == 0 {
+				copy(row[r.a:r.b+1], cmin[p*TB+r.a:p*TB+r.b+1])
+				nMin, nMax = min(nMin, r.a), r.b
+				continue
+			}
+			if pMax < 0 {
+				break
+			}
+			prev, rv := rows[p-dir], cminRev[p*TB:(p+1)*TB]
+			for S := r.a; S <= r.b; S++ {
+				t0, t1 := max(0, S-pMax), S-pMin
+				v := inf
+				if t0 <= t1 {
+					v = minPlus(prev[S-t1:S-t0+1], rv[TB-1-t1:TB-t0])
+				}
+				row[S] = v
+				if v != inf {
+					nMin, nMax = min(nMin, S), S
+				}
+			}
+		}
+		span[p] = [2]int{nMin, nMax}
+		pMin, pMax = nMin, nMax
+	}
+}
+
+// fillInf sets row to inf across the extent of runs, so a banded row's
+// pruned cells read as inf to every consumer that stays inside it.
+func fillInf(row []float64, runs []rspan) {
+	if len(runs) == 0 {
+		return
+	}
+	for S := runs[0].a; S <= runs[len(runs)-1].b; S++ {
+		row[S] = inf
+	}
 }
 
 // refinePolish hill-climbs an upper-bound allocation at fine granularity:
@@ -572,7 +500,7 @@ func refinePolish(costs [][]float64, alloc []int, C int, B float64) float64 {
 	return B
 }
 
-// growInt32s and growBools mirror growFloats for the refine scratch.
+// growInt32s mirrors growFloats for the refine scratch.
 func growInt32s(b *[]int32, n int) []int32 {
 	if cap(*b) < n {
 		*b = make([]int32, n)
@@ -581,51 +509,158 @@ func growInt32s(b *[]int32, n int) []int32 {
 	return *b
 }
 
-func growBools(b *[]bool, n int) []bool {
-	if cap(*b) < n {
-		*b = make([]bool, n)
+// rspan is a run [a, b] of surviving cells in one row of a band.
+type rspan struct{ a, b int }
+
+// refineBand cuts the next level's band, at granularity g2, from the
+// current level's bounds: cell (p, S2) survives iff some fine total it
+// covers admits a completion whose two-sided lower bound stays within
+// B·(1+refineMargin). It returns each row's surviving runs — forward
+// (programs 0..p placed) in bandF and backward (programs p..n−1) in
+// bandB — and the next stage's projected scan cost, so the caller can
+// bail before paying for a band that is not narrow. A row side whose own
+// bound covers k programs is one reverse bandSweep over the opposite
+// side's bound (n−k programs) into a buffer, then one forward bandRuns
+// over its own bound, fused with the band test. On a coarse level the
+// cost is Σ_p extent(p)·extent(p−1) over both sides, the run extents
+// being what the level's loops iterate. At g2 = 1 — the fine grid — only
+// the forward runs are cut (the fine pass reads nothing else) and the
+// cost is Σ_p cells(p)·cells(p−1) over surviving cells.
+func refineBand(lv *refineLevel, n, C, g2 int, B float64, s *scratch) (bandF, bandB [][]rspan, work int64) {
+	TB2 := C/g2 + 1
+	limit := B * (1 + refineMargin)
+	g := lv.g
+	s.sweepBuf = growFloats(s.sweepBuf, TB2)
+	opp := s.sweepBuf
+	dq := growInt32s(&s.dqBuf, lv.TB)
+	// Runs of every row go to one pooled buffer; the previous level's
+	// band, which lived there too, is dead once refineComputeLevel has
+	// read it.
+	runs := s.runBuf[:0]
+	cut := func(own []float64, ownSp [2]int, other []float64, otherSp [2]int, k int) ([]rspan, int64) {
+		wT := k * (g2 - 1)
+		var oLo, oHi int
+		var o []float64
+		if k == n {
+			// Empty opposite side: zero cost exactly when the target
+			// interval reaches C.
+			oLo, oHi = 0, TB2-1
+			if thr := C - wT; thr > 0 {
+				oLo = (thr + g2 - 1) / g2
+			}
+		} else {
+			oLo, oHi = bandSweep(other, otherSp[0], otherSp[1], TB2, g2, C, wT, (n-k)*(g-1), g, dq, opp)
+			o = opp
+		}
+		start := len(runs)
+		var cells int64
+		runs, cells = bandRuns(own, ownSp[0], ownSp[1], oLo, oHi, g2, C, wT, k*(g-1), g, o, limit, dq, runs)
+		row := runs[start:len(runs):len(runs)]
+		switch {
+		case g2 == 1:
+			return row, cells
+		case len(row) == 0:
+			return row, 0
+		}
+		return row, int64(row[len(row)-1].b - row[0].a + 1)
 	}
-	*b = (*b)[:n]
-	return *b
+	bandF = make([][]rspan, n)
+	if g2 > 1 {
+		bandB = make([][]rspan, n)
+	}
+	prevF, prevB := int64(1), int64(1)
+	for p := 0; p < n; p++ {
+		var other []float64
+		var otherSp [2]int
+		if p+1 < n {
+			other, otherSp = lv.elow[p+1], lv.espan[p+1]
+		}
+		var w int64
+		bandF[p], w = cut(lv.dlow[p], lv.dspan[p], other, otherSp, p+1)
+		work += w * prevF
+		prevF = w
+		if g2 == 1 {
+			continue
+		}
+		if p > 0 {
+			other, otherSp = lv.dlow[p-1], lv.dspan[p-1]
+		}
+		bandB[p], w = cut(lv.elow[p], lv.espan[p], other, otherSp, n-p)
+		work += w * prevB
+		prevB = w
+	}
+	s.runBuf = runs
+	return bandF, bandB, work
 }
 
-// bandSweep fills out[S2] with the minimum of row over the block window a
-// per-cell bound scan would cover when bounding the target interval
-// [tLo(S2), tHi(S2)] — [S2·g2, min(C, S2·g2+wTarget)] for rev=false, or
-// its reflection [max(0, C−S2·g2−wTarget), C−S2·g2] for rev=true — where
-// the window over the granularity-g row is sHi = ⌊tHi/g⌋,
-// sLo = max(0, ⌈(tLo−wRow)/g⌉). Only the S2 range whose window reaches the
-// row's finite span [fMin, fMax] is computed and written; the range is
+// Both band sweeps bound a row side over the target intervals its cells
+// cover, over the granularity-g row of the current level whose finite
+// span is [fMin, fMax]: a target interval [tLo, tHi] reaches the blocks s
+// with s·g ≤ tHi and s·g + wRow ≥ tLo. They visit the cells in the order
+// that makes both interval ends nondecreasing, so both window ends
+// advance incrementally — a monotone-deque sweep, O(range) with no
+// per-cell divisions.
+
+// bandSweep fills out[S2] with the opposite side's bound for cell S2:
+// the minimum of row over the window of the reflected target interval
+// [C−S2·g2−wT, C−S2·g2], visited with S2 descending. Only the S2 range
+// whose window can reach the row's finite span is written; the range is
 // returned (hi < lo when empty) and entries outside it are +inf by
-// convention. S2 is iterated in the direction that makes both interval
-// ends nondecreasing, so both window ends advance incrementally — a
-// monotone-deque sweep, O(range) with no per-cell divisions.
-func bandSweep(row []float64, fMin, fMax, TB2, g2, C, wTarget, wRow, g int, rev bool, dq []int32, out []float64) (int, int) {
+// convention.
+func bandSweep(row []float64, fMin, fMax, TB2, g2, C, wT, wRow, g int, dq []int32, out []float64) (int, int) {
 	if fMax < fMin {
 		return 0, -1
 	}
-	var s2lo, s2hi int
-	if !rev {
-		// tLo ≤ fMax·g + wRow and (uncapped) tHi ≥ fMin·g.
-		s2hi = (fMax*g + wRow) / g2
-		if a := fMin*g - wTarget; a > 0 {
-			s2lo = (a + g2 - 1) / g2
-		}
-	} else {
-		s2hi = (C - fMin*g) / g2
-		if a := C - fMax*g - wRow - wTarget; a > 0 {
-			s2lo = (a + g2 - 1) / g2
-		}
-	}
-	if s2hi > TB2-1 {
-		s2hi = TB2 - 1
-	}
-	if s2lo > s2hi {
-		return 0, -1
+	s2lo, s2hi := 0, min((C-fMin*g)/g2, TB2-1)
+	if a := C - fMax*g - wRow - wT; a > 0 {
+		s2lo = (a + g2 - 1) / g2
 	}
 	head, tail := 0, 0
 	sHi, sHiT := fMin-1, fMin*g // sHiT = (sHi+1)·g; blocks outside [fMin, fMax] are never pushed
-	step := func(S2, tLo, tHi int) {
+	for S2, tHi := s2hi, C-s2hi*g2; S2 >= s2lo; S2, tHi = S2-1, tHi+g2 {
+		for sHi < fMax && sHiT <= tHi {
+			sHi++
+			sHiT += g
+			if v := row[sHi]; v != inf {
+				for tail > head && row[dq[tail-1]] >= v {
+					tail--
+				}
+				dq[tail] = int32(sHi)
+				tail++
+			}
+		}
+		for tail > head && int(dq[head])*g+wRow < tHi-wT {
+			head++
+		}
+		if tail > head {
+			out[S2] = row[dq[head]]
+		} else {
+			out[S2] = inf
+		}
+	}
+	return s2lo, s2hi
+}
+
+// bandRuns is the own side of a band row, fused with the band test: it
+// takes the minimum of row over the window of each target interval
+// [S2·g2, min(C, S2·g2+wT)], S2 ascending, and appends to runs the
+// maximal runs of S2 in [oLo, oHi] where that minimum plus opp[S2] (plus
+// zero when opp is nil) is within limit. It returns runs and the number
+// of surviving cells.
+func bandRuns(row []float64, fMin, fMax, oLo, oHi, g2, C, wT, wRow, g int, opp []float64, limit float64, dq []int32, runs []rspan) ([]rspan, int64) {
+	if fMax < fMin {
+		return runs, 0
+	}
+	lo, hi := oLo, min(oHi, (fMax*g+wRow)/g2)
+	if a := fMin*g - wT; a > 0 {
+		lo = max(lo, (a+g2-1)/g2)
+	}
+	var cells int64
+	head, tail := 0, 0
+	sHi, sHiT := fMin-1, fMin*g
+	runStart := -1
+	for S2, tLo := lo, lo*g2; S2 <= hi; S2, tLo = S2+1, tLo+g2 {
+		tHi := min(C, tLo+wT)
 		for sHi < fMax && sHiT <= tHi {
 			sHi++
 			sHiT += g
@@ -640,358 +675,28 @@ func bandSweep(row []float64, fMin, fMax, TB2, g2, C, wTarget, wRow, g int, rev 
 		for tail > head && int(dq[head])*g+wRow < tLo {
 			head++
 		}
+		in := false
 		if tail > head {
-			out[S2] = row[dq[head]]
-		} else {
-			out[S2] = inf
-		}
-	}
-	if !rev {
-		tLo := s2lo * g2
-		tHi := tLo + wTarget
-		if tHi > C {
-			tHi = C
-		}
-		for S2 := s2lo; S2 <= s2hi; S2++ {
-			if S2 > s2lo {
-				tLo += g2
-				if tHi += g2; tHi > C {
-					tHi = C
-				}
-			}
-			step(S2, tLo, tHi)
-		}
-	} else {
-		tHi := C - s2hi*g2
-		tLo := tHi - wTarget
-		for S2 := s2hi; S2 >= s2lo; S2-- {
-			if S2 < s2hi {
-				tHi += g2
-				tLo = tHi - wTarget
-			}
-			step(S2, tLo, tHi)
-		}
-	}
-	return s2lo, s2hi
-}
-
-// refineBand computes the next level's forward and backward cell masks
-// from the current level's bounds: cell (p, S2) survives iff some fine
-// total it covers admits a completion whose two-sided lower bound stays
-// within B·(1+refineMargin). Each mask row is two bandSweep passes — the
-// own-side bound's windows ascend with S2, the opposite side's descend, so
-// the latter is swept in reverse into a buffer — combined only over the
-// intersection of their valid ranges; the surviving [min, max] per row is
-// returned in rngF/rngB so the next level iterates nothing else. The work
-// estimate is the banded level's projected scan cost —
-// Σ_p widthF(p)·widthF(p−1) plus the backward mirror — so the caller can
-// bail before paying for a band that is not narrow.
-func refineBand(lv *refineLevel, n, C, g2 int, B float64, s *scratch) (allowF, allowB []bool, rngF, rngB [][2]int, work int64) {
-	TB2 := C/g2 + 1
-	limit := B * (1 + refineMargin)
-	mask := growBools(&s.maskBuf, 2*n*TB2)
-	allowF, allowB = mask[:n*TB2], mask[n*TB2:]
-	rngF = make([][2]int, n)
-	rngB = make([][2]int, n)
-	g := lv.g
-	buf := growFloats(s.sweepBuf, 2*TB2)
-	s.sweepBuf = buf
-	opp, own := buf[:TB2], buf[TB2:]
-	dq := growInt32s(&s.dqBuf, lv.TB)
-	// combine intersects the two sweeps' ranges, writes the mask row
-	// unconditionally there (the pooled mask arena is never cleared), and
-	// returns the surviving range. zeroHas flags the empty-prefix/suffix
-	// convention: the opposite side is exactly zero from zeroLo up (target
-	// interval reaches C), +inf below, with no opp buffer behind it.
-	combine := func(row []bool, oLo, oHi, wLo, wHi int, zeroHas bool) (int, int) {
-		lo, hi := wLo, wHi
-		if oLo > lo {
-			lo = oLo
-		}
-		if oHi < hi {
-			hi = oHi
-		}
-		minS, maxS := TB2, -1
-		for S2 := lo; S2 <= hi; S2++ {
-			v := own[S2]
-			if !zeroHas {
+			v := row[dq[head]]
+			if opp != nil {
 				v += opp[S2]
 			}
-			ok := v <= limit
-			row[S2] = ok
-			if ok {
-				if S2 < minS {
-					minS = S2
-				}
-				maxS = S2
-			}
+			in = v <= limit
 		}
-		return minS, maxS
-	}
-	prevWF, prevWB := int64(1), int64(1)
-	for p := 0; p < n; p++ {
-		wT := (p + 1) * (g2 - 1)
-		var oLo, oHi int
-		zeroOpp := p == n-1
-		if zeroOpp {
-			// Empty suffix: zero cost exactly when tmax ≥ C.
-			oLo, oHi = 0, TB2-1
-			if thr := C - wT; thr > 0 {
-				oLo = (thr + g2 - 1) / g2
+		if in {
+			if runStart < 0 {
+				runStart = S2
 			}
-		} else {
-			sp := lv.espan[p+1]
-			oLo, oHi = bandSweep(lv.elow[p+1], sp[0], sp[1], TB2, g2, C, wT, (n-p-1)*(g-1), g, true, dq, opp)
-		}
-		sp := lv.dspan[p]
-		wLo, wHi := bandSweep(lv.dlow[p], sp[0], sp[1], TB2, g2, C, wT, (p+1)*(g-1), g, false, dq, own)
-		minF, maxF := combine(allowF[p*TB2:(p+1)*TB2], oLo, oHi, wLo, wHi, zeroOpp)
-		rngF[p] = [2]int{minF, maxF}
-
-		wT = (n - p) * (g2 - 1)
-		zeroOpp = p == 0
-		if zeroOpp {
-			oLo, oHi = 0, TB2-1
-			if thr := C - wT; thr > 0 {
-				oLo = (thr + g2 - 1) / g2
-			}
-		} else {
-			sp := lv.dspan[p-1]
-			oLo, oHi = bandSweep(lv.dlow[p-1], sp[0], sp[1], TB2, g2, C, wT, p*(g-1), g, true, dq, opp)
-		}
-		sp = lv.espan[p]
-		wLo, wHi = bandSweep(lv.elow[p], sp[0], sp[1], TB2, g2, C, wT, (n-p)*(g-1), g, false, dq, own)
-		minB, maxB := combine(allowB[p*TB2:(p+1)*TB2], oLo, oHi, wLo, wHi, zeroOpp)
-		rngB[p] = [2]int{minB, maxB}
-
-		wF, wB := int64(maxF-minF+1), int64(maxB-minB+1)
-		if wF < 0 {
-			wF = 0
-		}
-		if wB < 0 {
-			wB = 0
-		}
-		work += wF*prevWF + wB*prevWB
-		prevWF, prevWB = wF, wB
-	}
-	return allowF, allowB, rngF, rngB, work
-}
-
-type rspan struct{ a, b int }
-
-// refineBandFine computes the fine-grid band as per-layer spans of
-// surviving t cells, plus the projected fine-pass scan cost
-// Σ_p cells(p)·cells(p−1). The per-t coarse windows advance monotonically,
-// so each layer costs two division-free sliding-window-minimum sweeps —
-// one for the suffix bounds (indexed by remaining units m), one fused with
-// the prefix bounds and the span emission.
-func refineBandFine(lv *refineLevel, n, C int, B float64, s *scratch) ([][]rspan, int64) {
-	limit := B * (1 + refineMargin)
-	spans := make([][]rspan, n)
-	// The suffix bounds reuse the banding sweeps' buffer, which no later
-	// stage reads; slidingLB writes every entry emitFineSpans reads.
-	s.sweepBuf = growFloats(s.sweepBuf, C+1)
-	suf := s.sweepBuf
-	var work int64
-	prevCells := int64(1)
-	for p := 0; p < n; p++ {
-		var cells int64
-		if p == n-1 {
-			// Empty suffix: only t == C can complete with zero units. The
-			// prefix bound for t == C is the min of dlow[n−1] over the
-			// window [⌈(C−n·(g−1))/g⌉, ⌊C/g⌋], clipped to the row's span.
-			sp := lv.dspan[n-1]
-			sHi := C / lv.g
-			if sHi > sp[1] {
-				sHi = sp[1]
-			}
-			sLo := sp[0]
-			if a := C - n*(lv.g-1); a > 0 {
-				if first := (a + lv.g - 1) / lv.g; first > sLo {
-					sLo = first
-				}
-			}
-			best := inf
-			row := lv.dlow[n-1]
-			for S := sLo; S <= sHi; S++ {
-				if row[S] < best {
-					best = row[S]
-				}
-			}
-			if best <= limit {
-				spans[p] = []rspan{{C, C}}
-				cells = 1
-			}
-		} else {
-			esp := lv.espan[p+1]
-			sufLo, sufHi := slidingLB(lv.elow[p+1], esp[0], esp[1], (n-p-1)*(lv.g-1), lv.g, C, suf)
-			if sufHi >= sufLo {
-				dsp := lv.dspan[p]
-				spans[p], cells = emitFineSpans(lv.dlow[p], dsp[0], dsp[1], suf, sufLo, sufHi, (p+1)*(lv.g-1), lv.g, C, limit)
-			}
-		}
-		work += cells * prevCells
-		prevCells = cells
-	}
-	return spans, work
-}
-
-// slidingLB fills out[x] = min(row[sLo(x)..sHi(x)]) over the coarse bound
-// windows sHi(x) = ⌊x/g⌋, sLo(x) = max(0, ⌈(x−slack)/g⌉), for the x range
-// whose window can reach the row's finite span [sMin, sMax], and returns
-// that range [lo, hi] (hi < lo when the row is empty). Entries outside the
-// range are not written; callers must treat them as +inf. Monotone-deque
-// sweep, O(range) with no per-x divisions: both window ends advance by at
-// most one block per step.
-func slidingLB(row []float64, sMin, sMax, slack, g, C int, out []float64) (lo, hi int) {
-	if sMax < sMin {
-		return 0, -1
-	}
-	lo = sMin * g
-	if lo > C {
-		return 0, -1
-	}
-	hi = sMax*g + g - 1 + slack
-	if hi > C {
-		hi = C
-	}
-	dq := make([]int32, sMax-sMin+1)
-	head, tail := 0, 0
-	sLo := 0
-	if a := lo - slack; a > 0 {
-		sLo = (a + g - 1) / g
-	}
-	sLoX := slack + sLo*g + 1 // first x at which sLo increments
-	x := lo
-	for S := sMin; S <= sMax && x <= hi; S++ {
-		if v := row[S]; v != inf {
-			for tail > head && row[dq[tail-1]] >= v {
-				tail--
-			}
-			dq[tail] = int32(S)
-			tail++
-		}
-		xEnd := S*g + g - 1
-		if xEnd > hi {
-			xEnd = hi
-		}
-		for ; x <= xEnd; x++ {
-			for x >= sLoX {
-				sLo++
-				sLoX += g
-			}
-			for tail > head && int(dq[head]) < sLo {
-				head++
-			}
-			if tail > head {
-				out[x] = row[dq[head]]
-			} else {
-				out[x] = inf
-			}
+			cells++
+		} else if runStart >= 0 {
+			runs = append(runs, rspan{runStart, S2 - 1})
+			runStart = -1
 		}
 	}
-	// Tail: x past the last block's own cells, still inside the slack reach.
-	for ; x <= hi; x++ {
-		for x >= sLoX {
-			sLo++
-			sLoX += g
-		}
-		for tail > head && int(dq[head]) < sLo {
-			head++
-		}
-		if tail > head {
-			out[x] = row[dq[head]]
-		} else {
-			out[x] = inf
-		}
-	}
-	return lo, hi
-}
-
-// emitFineSpans runs the prefix sliding window over dlow and fuses the
-// band test pref(t) + suf[C−t] ≤ limit, emitting maximal runs of
-// surviving t. suf is only valid on [sufLo, sufHi]; outside it the suffix
-// bound is +inf and the cell cannot survive.
-func emitFineSpans(dlow []float64, sMin, sMax int, suf []float64, sufLo, sufHi, slack, g, C int, limit float64) ([]rspan, int64) {
-	if sMax < sMin {
-		return nil, 0
-	}
-	tLo := sMin * g
-	if tLo > C {
-		return nil, 0
-	}
-	tHi := sMax*g + g - 1 + slack
-	if tHi > C {
-		tHi = C
-	}
-	// Clip to t whose mirrored suffix index C−t lies in suf's valid range.
-	if lo2 := C - sufHi; lo2 > tLo {
-		tLo = lo2
-	}
-	if hi2 := C - sufLo; hi2 < tHi {
-		tHi = hi2
-	}
-	if tLo > tHi {
-		return nil, 0
-	}
-	var out []rspan
-	var cells int64
-	dq := make([]int32, sMax-sMin+1)
-	head, tail := 0, 0
-	sLo := 0
-	if a := tLo - slack; a > 0 {
-		sLo = (a + g - 1) / g
-	}
-	sLoX := slack + sLo*g + 1
-	runStart := -1
-	t := tLo
-	emit := func(tEnd int) {
-		for ; t <= tEnd; t++ {
-			for t >= sLoX {
-				sLo++
-				sLoX += g
-			}
-			for tail > head && int(dq[head]) < sLo {
-				head++
-			}
-			in := false
-			if tail > head {
-				in = dlow[dq[head]]+suf[C-t] <= limit
-			}
-			if in {
-				if runStart < 0 {
-					runStart = t
-				}
-				cells++
-			} else if runStart >= 0 {
-				out = append(out, rspan{runStart, t - 1})
-				runStart = -1
-			}
-		}
-	}
-	for S := sMin; S <= sMax && t <= tHi; S++ {
-		if v := dlow[S]; v != inf {
-			for tail > head && dlow[dq[tail-1]] >= v {
-				tail--
-			}
-			dq[tail] = int32(S)
-			tail++
-		}
-		tEnd := S*g + g - 1
-		if tEnd > tHi {
-			tEnd = tHi
-		}
-		// Blocks below tLo's window start still need pushing before any
-		// cell is emitted; emit() is a no-op until t's block arrives.
-		if tEnd >= t {
-			emit(tEnd)
-		}
-	}
-	emit(tHi)
 	if runStart >= 0 {
-		out = append(out, rspan{runStart, tHi})
+		runs = append(runs, rspan{runStart, hi})
 	}
-	return out, cells
+	return runs, cells
 }
 
 // refineFineSolve runs the exact DP over the surviving fine band: each

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"partitionshare/internal/atomicio"
 	"partitionshare/internal/faultinject"
@@ -142,6 +143,66 @@ func TestAuditLogInjectedAppendFailure(t *testing.T) {
 	}
 	if err := re.Append(testEpochRecord(2)); err != nil {
 		t.Fatalf("Append after recovery: %v", err)
+	}
+}
+
+// TestPlanNeverAheadOfAudit holds every audit append for 100 ms and
+// polls the published plan throughout: whenever CurrentPlan shows epoch
+// N, the audit log already holds N, and once the group empties it holds
+// the withdrawal's epoch too — /v1/plan never runs ahead of
+// /v1/plan/history.
+func TestPlanNeverAheadOfAudit(t *testing.T) {
+	svc := newTestService(t, testConfig())
+	plan := faultinject.NewPlan()
+	plan.Set(FaultAuditAppend, faultinject.Rule{Err: faultinject.Benign, Delay: 100 * time.Millisecond})
+	faultinject.Enable(plan)
+	defer faultinject.Enable(nil)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	svc.Start(ctx)
+	var seen int64
+	// poll checks the invariant every millisecond until done holds.
+	poll := func(what string, done func(p Plan, ok bool) bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for time.Now().Before(deadline) {
+			p, ok := svc.CurrentPlan()
+			last := svc.Audit().LastEpoch()
+			if ok {
+				if last < p.Epoch {
+					t.Fatalf("plan shows epoch %d, audit log only %d", p.Epoch, last)
+				}
+				seen = p.Epoch
+			} else if seen > 0 && last <= seen {
+				t.Fatalf("plan withdrawn after epoch %d, audit log only %d", seen, last)
+			}
+			if done(p, ok) {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+		t.Fatalf("timed out waiting for %s", what)
+	}
+	tenants := func(want ...string) func(Plan, bool) bool {
+		return func(p Plan, ok bool) bool { return ok && fmt.Sprint(p.Tenants) == fmt.Sprint(want) }
+	}
+	if err := svc.Register(nil, "a", testProfile(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	poll("epoch [a]", tenants("a"))
+	if err := svc.Register(nil, "b", testProfile(t, 2)); err != nil {
+		t.Fatal(err)
+	}
+	poll("epoch [a b]", tenants("a", "b"))
+	for _, name := range []string{"a", "b"} {
+		if err := svc.Unregister(nil, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	poll("the plan's withdrawal", func(_ Plan, ok bool) bool { return !ok })
+	if plan.Hits(FaultAuditAppend) < 3 {
+		t.Fatalf("%d audit appends, want at least 3", plan.Hits(FaultAuditAppend))
 	}
 }
 

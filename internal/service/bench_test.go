@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"partitionshare/internal/mrc"
+	"partitionshare/internal/obs"
 	"partitionshare/internal/profileio"
 	"partitionshare/internal/reuse"
 	"partitionshare/internal/trace"
@@ -55,8 +56,17 @@ func newBenchService(b *testing.B) *Service {
 // uses benchTenants, whose group solves on the refinement rung; the
 // service tests' testProfile tenants have working sets far below the
 // cache, refinement declines them, and "exact-fallback" times that
-// group on the exact rung.
+// group on the exact rung. Telemetry is on as in cmd/partitiond: a
+// registry and a request flight recorder, so each request pays for the
+// metrics and flight record the daemon keeps.
 func BenchmarkPlanPost(b *testing.B) {
+	prevReg, prevFlight := obs.Enabled(), obs.ActiveFlightRecorder()
+	obs.Enable(obs.NewRegistry())
+	obs.EnableFlightRecorder(obs.NewFlightRecorder(obs.DefaultFlightCap))
+	defer func() {
+		obs.Enable(prevReg)
+		obs.EnableFlightRecorder(prevFlight)
+	}()
 	b.Run("refine", func(b *testing.B) {
 		svc := newBenchService(b)
 		benchPlanPost(b, svc, benchTenants(b, svc), "refine")

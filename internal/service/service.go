@@ -584,10 +584,10 @@ func (s *Service) reoptimize(ctx context.Context) {
 }
 
 // publishEpoch stamps the solved plan with its epoch number and full
-// provenance, diffs it against the previous published plan, stores it,
-// and fans the transition out: audit log first (so /v1/plan/history is
-// already consistent when a feed event arrives), then churn metrics,
-// then the change feed. Runs only on the reopt goroutine.
+// provenance, diffs it against the previous published plan, and records
+// the transition in the audit log before it stores the plan, so a reader
+// that sees epoch N on /v1/plan finds it in /v1/plan/history too. Churn
+// metrics and the change feed follow. Runs only on the reopt goroutine.
 func (s *Service) publishEpoch(plan *Plan) {
 	prev := s.plan.Load()
 	cause := CauseChurn
@@ -596,12 +596,6 @@ func (s *Service) publishEpoch(plan *Plan) {
 	}
 	plan.stamp(s.epoch.Add(1), cause, s.takeChurnTrace())
 	diff := ComputePlanDiff(prev, plan)
-	// Gauge first: a reader that sees the new plan never sees an older epoch.
-	reg := obs.Enabled()
-	reg.Gauge(mPlanEpoch).Set(plan.Epoch)
-	s.plan.Store(plan)
-	s.degraded.Store(false)
-
 	rec := EpochRecord{
 		Provenance: *plan.Provenance,
 		Diff:       diff,
@@ -610,6 +604,12 @@ func (s *Service) publishEpoch(plan *Plan) {
 		Units:      plan.Units,
 	}
 	s.auditAppend(rec)
+
+	// Gauge first: a reader that sees the new plan never sees an older epoch.
+	reg := obs.Enabled()
+	reg.Gauge(mPlanEpoch).Set(plan.Epoch)
+	s.plan.Store(plan)
+	s.degraded.Store(false)
 
 	reg.Counter(mPlanUnitsMoved).Add(int64(diff.UnitsMoved))
 	cs := reg.ChildSet(mPlanDeltaPrefix, s.cfg.TenantSeriesCap)
@@ -624,10 +624,10 @@ func (s *Service) publishEpoch(plan *Plan) {
 // retireEpoch handles the group emptying: the published plan is
 // withdrawn, and — when there was one — the withdrawal is itself an
 // audited, fed epoch transition (every tenant lost), so subscribers see
-// the group end rather than silence.
+// the group end rather than silence. As in publishEpoch, the audit
+// record is written before the plan is withdrawn.
 func (s *Service) retireEpoch() {
 	prev := s.plan.Load()
-	s.plan.Store(nil)
 	s.degraded.Store(false)
 	if prev == nil {
 		return
@@ -647,6 +647,7 @@ func (s *Service) retireEpoch() {
 		Units: s.cfg.Units,
 	}
 	s.auditAppend(rec)
+	s.plan.Store(nil)
 	obs.Enabled().Gauge(mPlanEpoch).Set(epoch)
 	s.feed.Publish(rec)
 }

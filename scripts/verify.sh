@@ -38,6 +38,11 @@ go test -race -shuffle=on ./...
 echo "== portable kernel: GOARCH=arm64 build and vet"
 GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/partition
 
+# BenchmarkPlanPost fails when its groups leave the refine and
+# refine-fallback+exact rungs; one iteration each checks that in < 1 s.
+echo "== plan benchmark rung check: BenchmarkPlanPost, one iteration"
+go test -run '^$' -bench PlanPost -benchtime 1x ./internal/service
+
 # perfbench is its own module (it imports this one through a replace
 # directive), so the root ./... never compiles it: a service or partition
 # API change could break the benchmark while everything above stays green.
