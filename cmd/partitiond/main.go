@@ -23,10 +23,13 @@
 //
 // Every served plan carries a provenance record (epoch, input digest,
 // solver path, compute time, triggering cause and trace); every epoch
-// transition is diffed, appended to a crash-safe audit log in the store
-// directory, and fanned out to /v1/plan/changes subscribers without ever
-// back-pressuring re-optimization (slow consumers see a gap marker).
-// /debug/epochs renders the retained timeline human-readably.
+// transition is diffed and appended to a crash-safe audit log in the
+// store directory. /v1/plan/history and both /v1/plan/changes modes all
+// serve that log, so they agree on every epoch and on every gap (an
+// epoch retention dropped or whose audit append failed); a feed
+// subscriber never back-pressures re-optimization. The log keeps the
+// newest 256 epochs, and /debug/requests the newest obs.DefaultFlightCap
+// requests. /debug/epochs renders the retained timeline human-readably.
 //
 // Robustness: requests run under deadlines (?deadline_ms, capped by
 // -deadline) propagated into the DP solve; admission is bounded
@@ -75,10 +78,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "maximum wait for in-flight requests on shutdown")
 	manifestPath := flag.String("manifest", "", "run-manifest path written at exit (empty disables)")
 	debugAddr := flag.String("debug-addr", "", "serve Prometheus metrics and pprof on this address")
-	flightCap := flag.Int("flight-cap", obs.DefaultFlightCap, "request flight-recorder ring capacity for /debug/requests (0 disables)")
-	tenantSeriesCap := flag.Int("tenant-series-cap", obs.DefaultChildSetCap, "live per-tenant metric series kept before folding into the 'other' bucket")
-	feedBuffer := flag.Int("feed-buffer", 0, "pending epoch events buffered per /v1/plan/changes subscriber before drop-oldest (0 = default)")
-	auditRetain := flag.Int("audit-retain", 0, "epoch audit records retained for /v1/plan/history (0 = default)")
 	logLevel := flag.String("log-level", "info", "diagnostic log level: debug|info|warn|error")
 	logJSON := flag.Bool("log-json", false, "emit the diagnostic log as JSON instead of text")
 	flag.Parse()
@@ -89,9 +88,7 @@ func main() {
 	}
 	obs.InitLogging(os.Stderr, level, *logJSON)
 	obs.Enable(obs.NewRegistry())
-	if *flightCap > 0 {
-		obs.EnableFlightRecorder(obs.NewFlightRecorder(*flightCap))
-	}
+	obs.EnableFlightRecorder(obs.NewFlightRecorder(obs.DefaultFlightCap))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -140,9 +137,6 @@ func main() {
 		ReoptDeadline:   *reoptDeadline,
 		RetryMax:        *retryMax,
 		RetryBase:       *retryBase,
-		TenantSeriesCap: *tenantSeriesCap,
-		FeedBuffer:      *feedBuffer,
-		AuditRetain:     *auditRetain,
 		Seed:            1,
 	}, store)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -180,50 +179,4 @@ func (w *TraceWriter) Close() error {
 		w.closeErr = w.sf.commit()
 	})
 	return w.closeErr
-}
-
-// ChromeTraceJSON renders the tracer's buffered events as a complete
-// Chrome trace_event document (the same shape the streamed writer
-// produces), for tests and ad-hoc export of an in-memory tracer.
-func (t *Tracer) ChromeTraceJSON() ([]byte, error) {
-	events := t.Events()
-	doc := struct {
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-		TraceEvents     []any  `json:"traceEvents"`
-	}{DisplayTimeUnit: "ms"}
-	lanes := make(map[int64]bool)
-	var laneOrder []int64
-	for _, ev := range events {
-		if !lanes[ev.Lane] {
-			lanes[ev.Lane] = true
-			laneOrder = append(laneOrder, ev.Lane)
-		}
-	}
-	sort.Slice(laneOrder, func(i, j int) bool { return laneOrder[i] < laneOrder[j] })
-	for _, lane := range laneOrder {
-		name := "main"
-		if lane != 0 {
-			name = fmt.Sprintf("lane-%d", lane)
-		}
-		doc.TraceEvents = append(doc.TraceEvents, laneMeta{
-			Name: "thread_name", Ph: "M", PID: tracePID, TID: lane,
-			Args: map[string]string{"name": name},
-		})
-	}
-	for _, ev := range events {
-		args := make(map[string]int64, len(ev.Args)+2)
-		for k, v := range ev.Args {
-			args[k] = v
-		}
-		args["id"] = ev.ID
-		if ev.Parent != 0 {
-			args["parent"] = ev.Parent
-		}
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: ev.Name, Cat: ev.Cat, Ph: "X",
-			TS: float64(ev.StartNS) / 1e3, Dur: float64(ev.DurNS) / 1e3,
-			PID: tracePID, TID: ev.Lane, Args: args,
-		})
-	}
-	return json.Marshal(doc)
 }

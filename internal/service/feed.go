@@ -8,157 +8,111 @@ import (
 	"partitionshare/internal/obs"
 )
 
-// The plan change feed: the live half of the plan-lifecycle
-// observability layer. The reopt loop publishes every epoch's audit
-// record here after it lands in the audit log; HTTP long-poll and SSE
-// subscribers (GET /v1/plan/changes) consume it. The backpressure
-// contract is one-sided by design: Publish never blocks and never
-// waits on a subscriber — a subscriber that falls more than its buffer
-// behind loses its oldest pending records and is handed a gap marker
-// instead, so a slow or stuck consumer can never back-pressure
-// re-optimization. A consumer that sees gap=true re-syncs from
-// GET /v1/plan/history, which retains what the buffer dropped.
+// The plan change feed: the wake-up half of GET /v1/plan/changes. The
+// reopt loop publishes each epoch after its audit append; a publish
+// carries no record, it only wakes every waiting subscriber, which then
+// reads the audit log. The audit log is therefore the one event source
+// for long-poll and SSE alike: every audited epoch reaches a subscriber
+// as an event, and every hole in its history (retention, or an audit
+// append that failed) as a gap. Publish never blocks and holds nothing
+// per subscriber, so no consumer can back-pressure re-optimization.
 
 // ErrFeedClosed reports a wait on a change feed that has shut down
 // (service drain); subscribers should end their streams.
 var ErrFeedClosed = errors.New("service: change feed closed")
 
-// defaultFeedBuffer is the per-subscriber pending-record buffer when the
-// config leaves FeedBuffer unset. Epoch records are small and epochs are
-// churn-rate events, so a short buffer covers any live consumer; history
-// covers the rest.
-const defaultFeedBuffer = 16
-
-// A ChangeFeed fans epoch records out to its subscribers. Construct with
-// NewChangeFeed; safe for concurrent use.
+// A ChangeFeed is a wake-only broadcast: each Publish closes the current
+// wake channel and installs a fresh one. Construct with NewChangeFeed;
+// safe for concurrent use.
 type ChangeFeed struct {
-	bufCap int
-
 	mu     sync.Mutex
-	subs   map[*FeedSub]struct{}
+	wake   chan struct{} // closed by the next Publish, or by Close
 	closed bool
-	done   chan struct{}
+	subs   int
 }
 
-// NewChangeFeed returns a feed whose subscribers each buffer up to
-// bufCap pending records (<= 0 means the default).
-func NewChangeFeed(bufCap int) *ChangeFeed {
-	if bufCap <= 0 {
-		bufCap = defaultFeedBuffer
-	}
-	return &ChangeFeed{
-		bufCap: bufCap,
-		subs:   make(map[*FeedSub]struct{}),
-		done:   make(chan struct{}),
-	}
+// NewChangeFeed returns an open feed.
+//
+// Deprecated: the argument is ignored (subscribers hold no buffer since
+// the feed became wake-only); it remains for existing callers.
+func NewChangeFeed(int) *ChangeFeed {
+	return &ChangeFeed{wake: make(chan struct{})}
 }
 
-// Publish delivers rec to every subscriber, dropping each full
-// subscriber's oldest pending record (and marking its gap) rather than
-// waiting. Never blocks; publishing on a closed feed is a no-op.
+// Publish wakes every subscriber waiting for the next epoch. rec is not
+// delivered: subscribers read the audit log, which publishEpoch appends
+// to first. Never blocks; publishing on a closed feed is a no-op.
 func (f *ChangeFeed) Publish(rec EpochRecord) {
-	reg := obs.Enabled()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return
 	}
-	reg.Counter(mFeedEvents).Add(1)
-	for sub := range f.subs {
-		sub.mu.Lock()
-		if len(sub.buf) >= f.bufCap {
-			sub.buf = sub.buf[1:]
-			sub.gap = true
-			reg.Counter(mFeedDropped).Add(1)
-		}
-		sub.buf = append(sub.buf, rec)
-		sub.mu.Unlock()
-		select {
-		case sub.notify <- struct{}{}:
-		default:
-		}
-	}
+	obs.Enabled().Counter(mFeedEvents).Add(1)
+	close(f.wake)
+	f.wake = make(chan struct{})
 }
 
-// Subscribe registers a new subscriber, which receives every record
-// published from now on. Callers must Close the subscription.
+// Subscribe captures the current wake channel: a Publish from now on
+// wakes the subscriber's next Wait. Subscribe before reading history, so
+// no epoch lands unseen between the two. Callers must Close it.
 func (f *ChangeFeed) Subscribe() *FeedSub {
-	sub := &FeedSub{feed: f, notify: make(chan struct{}, 1)}
 	f.mu.Lock()
-	f.subs[sub] = struct{}{}
-	n := len(f.subs)
-	f.mu.Unlock()
-	obs.Enabled().Gauge(mFeedSubscribers).Set(int64(n))
-	return sub
+	defer f.mu.Unlock()
+	f.countSubs(1)
+	return &FeedSub{feed: f, wake: f.wake}
 }
 
-// Close shuts the feed down: pending buffers stay readable, every
-// blocked Next wakes with ErrFeedClosed once drained, and later
-// publishes are dropped. Idempotent.
+// countSubs moves the subscriber count and its gauge by d; f.mu is held.
+func (f *ChangeFeed) countSubs(d int) {
+	f.subs += d
+	obs.Enabled().Gauge(mFeedSubscribers).Set(int64(f.subs))
+}
+
+// Close shuts the feed down: every Wait returns ErrFeedClosed, after
+// first reporting a publish it had not yet seen, and later publishes are
+// dropped. Idempotent.
 func (f *ChangeFeed) Close() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return
+	if !f.closed {
+		f.closed = true
+		close(f.wake) // never replaced: it stays closed
 	}
-	f.closed = true
-	close(f.done)
 }
 
-// Done is closed when the feed shuts down.
-func (f *ChangeFeed) Done() <-chan struct{} { return f.done }
-
-// A FeedSub is one subscriber's bounded view of the feed. Not safe for
-// concurrent Next calls; one consumer goroutine per subscription.
+// A FeedSub is one subscriber's position in the feed: the wake channel
+// it last saw. One goroutine per subscription.
 type FeedSub struct {
-	feed   *ChangeFeed
-	notify chan struct{}
-
-	mu  sync.Mutex
-	buf []EpochRecord
-	gap bool
+	feed *ChangeFeed
+	wake chan struct{}
 }
 
-// Next returns the pending records (oldest first) and whether the
-// subscriber overflowed since the last call (gap=true means records
-// were dropped; the consumer should surface the gap and re-sync from
-// history). With nothing pending it blocks until a publish, ctx
-// cancellation (returning ctx.Err()), or feed shutdown (returning
-// ErrFeedClosed).
-func (s *FeedSub) Next(ctx context.Context) (recs []EpochRecord, gap bool, err error) {
-	for {
-		s.mu.Lock()
-		recs, gap = s.buf, s.gap
-		s.buf, s.gap = nil, false
-		s.mu.Unlock()
-		if len(recs) > 0 || gap {
-			return recs, gap, nil
-		}
-		select {
-		case <-s.notify:
-		case <-s.feed.done:
-			// Drain once more: a publish may have raced the shutdown.
-			s.mu.Lock()
-			recs, gap = s.buf, s.gap
-			s.buf, s.gap = nil, false
-			s.mu.Unlock()
-			if len(recs) > 0 || gap {
-				return recs, gap, nil
-			}
-			return nil, false, ErrFeedClosed
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
+// Wait blocks until a publish the subscriber has not yet seen (nil), ctx
+// ends (ctx.Err()), or the feed shuts down (ErrFeedClosed). A nil return
+// is only a hint that history may hold something new.
+func (s *FeedSub) Wait(ctx context.Context) error {
+	select {
+	case <-s.wake:
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-}
-
-// Close unsubscribes. Idempotent; a blocked Next is left to its ctx or
-// the feed's shutdown.
-func (s *FeedSub) Close() {
 	f := s.feed
 	f.mu.Lock()
-	delete(f.subs, s)
-	n := len(f.subs)
-	f.mu.Unlock()
-	obs.Enabled().Gauge(mFeedSubscribers).Set(int64(n))
+	defer f.mu.Unlock()
+	if s.wake == f.wake { // woken by Close, not by a publish
+		return ErrFeedClosed
+	}
+	s.wake = f.wake
+	return nil
+}
+
+// Close unsubscribes. Idempotent.
+func (s *FeedSub) Close() {
+	s.feed.mu.Lock()
+	defer s.feed.mu.Unlock()
+	if s.wake != nil {
+		s.wake = nil
+		s.feed.countSubs(-1)
+	}
 }

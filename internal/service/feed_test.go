@@ -3,6 +3,9 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -11,10 +14,19 @@ func feedRecord(epoch int64) EpochRecord {
 	return EpochRecord{Provenance: PlanProvenance{Epoch: epoch, Cause: CauseChurn}}
 }
 
-// TestFeedDeliversInOrder: a subscriber sees every published record in
-// publish order, possibly batched.
-func TestFeedDeliversInOrder(t *testing.T) {
-	f := NewChangeFeed(16)
+// waitReturns runs sub.Wait under a 2 s bound and returns its error.
+func waitReturns(t *testing.T, sub *FeedSub) error {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	return sub.Wait(ctx)
+}
+
+// TestFeedWakesOnPublish: a publish after Subscribe wakes the next Wait,
+// however many publishes it folds together, and a Wait after that one
+// blocks until the next publish.
+func TestFeedWakesOnPublish(t *testing.T) {
+	f := NewChangeFeed(0)
 	defer f.Close()
 	sub := f.Subscribe()
 	defer sub.Close()
@@ -22,39 +34,30 @@ func TestFeedDeliversInOrder(t *testing.T) {
 	for e := int64(1); e <= 5; e++ {
 		f.Publish(feedRecord(e))
 	}
-	var got []int64
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	for len(got) < 5 {
-		recs, gap, err := sub.Next(ctx)
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if gap {
-			t.Fatal("gap reported without overflow")
-		}
-		for _, r := range recs {
-			got = append(got, r.Provenance.Epoch)
-		}
+	if err := waitReturns(t, sub); err != nil {
+		t.Fatalf("Wait after publishes = %v, want a wake-up", err)
 	}
-	for i, e := range got {
-		if e != int64(i+1) {
-			t.Fatalf("out-of-order delivery: %v", got)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := sub.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("second Wait with no new publish = %v, want DeadlineExceeded", err)
+	}
+	go f.Publish(feedRecord(6))
+	if err := waitReturns(t, sub); err != nil {
+		t.Fatalf("Wait across a concurrent publish = %v, want a wake-up", err)
 	}
 }
 
-// TestFeedOverflowGapNotBlock is the backpressure contract: a slow
-// subscriber never blocks Publish; it loses the oldest records and is
-// told about the loss via the gap flag.
-func TestFeedOverflowGapNotBlock(t *testing.T) {
-	f := NewChangeFeed(4)
+// TestFeedPublishNeverBlocks is the backpressure contract: publishing to
+// a subscriber that never waits cannot block the publisher.
+func TestFeedPublishNeverBlocks(t *testing.T) {
+	f := NewChangeFeed(0)
 	defer f.Close()
 	sub := f.Subscribe()
 	defer sub.Close()
 
-	// Publish far past the buffer without draining. If Publish could
-	// block, this loop would deadlock the test (caught by the timeout).
+	// If Publish could block, this loop would deadlock the test (caught
+	// by the timeout).
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -65,120 +68,125 @@ func TestFeedOverflowGapNotBlock(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("Publish blocked on a slow subscriber")
+		t.Fatal("Publish blocked on a subscriber that never waits")
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	recs, gap, err := sub.Next(ctx)
-	if err != nil {
-		t.Fatalf("Next: %v", err)
-	}
-	if !gap {
-		t.Fatal("overflow did not set the gap flag")
-	}
-	if len(recs) != 4 {
-		t.Fatalf("kept %d records, want the buffer bound 4", len(recs))
-	}
-	// Drop-oldest: the survivors are the newest records, still in order.
-	for i, r := range recs {
-		if r.Provenance.Epoch != int64(97+i) {
-			t.Fatalf("survivor %d has epoch %d, want %d", i, r.Provenance.Epoch, 97+i)
-		}
-	}
-	// The gap flag is one-shot: the next batch is clean.
-	f.Publish(feedRecord(101))
-	recs, gap, err = sub.Next(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gap || len(recs) != 1 || recs[0].Provenance.Epoch != 101 {
-		t.Fatalf("post-gap batch = %v gap=%v", recs, gap)
+	if err := waitReturns(t, sub); err != nil {
+		t.Fatalf("Wait after 100 publishes = %v, want one wake-up", err)
 	}
 }
 
-// TestFeedIndependentSubscribers: one slow subscriber's overflow does
-// not lose records for a fast one.
+// TestFeedIndependentSubscribers: every subscriber is woken by each
+// publish, whether or not the others ever wait.
 func TestFeedIndependentSubscribers(t *testing.T) {
-	f := NewChangeFeed(4)
+	f := NewChangeFeed(0)
 	defer f.Close()
-	slow := f.Subscribe()
-	defer slow.Close()
-	fast := f.Subscribe()
-	defer fast.Close()
+	idle := f.Subscribe()
+	defer idle.Close()
+	busy := f.Subscribe()
+	defer busy.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	total := 0
 	for e := int64(1); e <= 20; e++ {
 		f.Publish(feedRecord(e))
-		recs, gap, err := fast.Next(ctx)
-		if err != nil {
-			t.Fatal(err)
+		if err := waitReturns(t, busy); err != nil {
+			t.Fatalf("publish %d: busy subscriber Wait = %v", e, err)
 		}
-		if gap {
-			t.Fatal("draining subscriber overflowed")
-		}
-		total += len(recs)
 	}
-	if total != 20 {
-		t.Fatalf("fast subscriber got %d records, want 20", total)
-	}
-	if _, gap, err := slow.Next(ctx); err != nil || !gap {
-		t.Fatalf("slow subscriber gap=%v err=%v, want gap", gap, err)
+	if err := waitReturns(t, idle); err != nil {
+		t.Fatalf("idle subscriber Wait = %v, want a wake-up", err)
 	}
 }
 
-// TestFeedNextContextCancel: a blocked Next returns promptly with the
+// TestFeedNoLostWakeup is the handlers' subscribe-then-read protocol
+// under concurrency: waiters that subscribe, read a counter standing in
+// for the audit history and Wait while it is short all reach the final
+// value, however their reads and waits interleave with the publisher's
+// store-then-publish.
+func TestFeedNoLostWakeup(t *testing.T) {
+	const waiters, publishes = 8, 200
+	f := NewChangeFeed(0)
+	defer f.Close()
+	var history atomic.Int64
+	var wg sync.WaitGroup
+	errc := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sub := f.Subscribe()
+			defer sub.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			for history.Load() < publishes {
+				if err := sub.Wait(ctx); err != nil {
+					errc <- fmt.Errorf("waiter parked at %d of %d: %w", history.Load(), publishes, err)
+					return
+				}
+			}
+		}()
+	}
+	for e := int64(1); e <= publishes; e++ {
+		history.Store(e)
+		f.Publish(feedRecord(e))
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+}
+
+// TestFeedWaitContextCancel: a blocked Wait returns promptly with the
 // context error when the caller gives up.
-func TestFeedNextContextCancel(t *testing.T) {
-	f := NewChangeFeed(4)
+func TestFeedWaitContextCancel(t *testing.T) {
+	f := NewChangeFeed(0)
 	defer f.Close()
 	sub := f.Subscribe()
 	defer sub.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, _, err := sub.Next(ctx)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Next on idle feed = %v, want DeadlineExceeded", err)
+	if err := sub.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Wait on idle feed = %v, want DeadlineExceeded", err)
 	}
 }
 
-// TestFeedCloseWakesSubscribers: Close wakes a blocked Next with
-// ErrFeedClosed, and records published just before Close are still
-// drained first.
+// TestFeedCloseWakesSubscribers: Close wakes a blocked Wait with
+// ErrFeedClosed, and a publish just before Close is still reported
+// first, so a waiter rereads history before it ends.
 func TestFeedCloseWakesSubscribers(t *testing.T) {
-	f := NewChangeFeed(4)
-	sub := f.Subscribe()
-	defer sub.Close()
+	f := NewChangeFeed(0)
+	parked := f.Subscribe()
+	defer parked.Close()
+	late := f.Subscribe()
+	defer late.Close()
 
 	errc := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		for {
-			recs, _, err := sub.Next(ctx)
-			if err != nil {
-				errc <- err
-				return
-			}
-			if len(recs) == 0 {
-				errc <- errors.New("empty batch without error")
-				return
-			}
-		}
-	}()
-	f.Publish(feedRecord(1))
+	go func() { errc <- waitReturns(t, parked) }()
+	time.Sleep(10 * time.Millisecond) // let the waiter park (either order must pass)
 	f.Close()
 	f.Close() // idempotent
 	select {
 	case err := <-errc:
 		if !errors.Is(err, ErrFeedClosed) {
-			t.Fatalf("Next after close = %v, want ErrFeedClosed", err)
+			t.Fatalf("Wait after close = %v, want ErrFeedClosed", err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close did not wake the subscriber")
 	}
 	f.Publish(feedRecord(2)) // no-op after close, must not panic
+
+	g := NewChangeFeed(0)
+	sub := g.Subscribe()
+	defer sub.Close()
+	g.Publish(feedRecord(1))
+	g.Close()
+	if err := waitReturns(t, sub); err != nil {
+		t.Fatalf("first Wait after publish+close = %v, want the publish", err)
+	}
+	if err := waitReturns(t, sub); !errors.Is(err, ErrFeedClosed) {
+		t.Fatalf("second Wait after publish+close = %v, want ErrFeedClosed", err)
+	}
+	if err := waitReturns(t, late); !errors.Is(err, ErrFeedClosed) {
+		t.Fatalf("Wait of a subscriber that never waited before close = %v, want ErrFeedClosed", err)
+	}
 }

@@ -127,18 +127,32 @@ func (s *Service) Handler() http.Handler {
 // client set one (bounded above by the service default so a client
 // cannot pin a solve slot arbitrarily long), the default otherwise.
 func (s *Service) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	d := s.cfg.DefaultDeadline
-	if raw := r.URL.Query().Get("deadline_ms"); raw != "" {
-		ms, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil || ms <= 0 {
-			return nil, nil, fmt.Errorf("service: invalid deadline_ms %q", raw)
-		}
-		if req := time.Duration(ms) * time.Millisecond; req < d {
-			d = req
-		}
+	d, err := millisParam(r, "deadline_ms", 1, s.cfg.DefaultDeadline)
+	if err != nil {
+		return nil, nil, err
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	return ctx, cancel, nil
+}
+
+// millisParam reads query parameter name as a count of milliseconds: a
+// value below least is a client error, one above limit is capped at
+// limit, and an absent one means limit. The cap is applied in
+// milliseconds, before the value becomes a Duration, so a huge value
+// cannot overflow into a negative one.
+func millisParam(r *http.Request, name string, least int64, limit time.Duration) (time.Duration, error) {
+	raw := r.URL.Query().Get(name)
+	if raw == "" {
+		return limit, nil
+	}
+	ms, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil || ms < least {
+		return 0, fmt.Errorf("service: invalid %s %q", name, raw)
+	}
+	if ms > limit.Milliseconds() {
+		return limit, nil
+	}
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 func (s *Service) handlePutTenant(w http.ResponseWriter, r *http.Request) error {

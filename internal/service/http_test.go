@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -196,6 +197,58 @@ func TestHTTPDeadlineTyped(t *testing.T) {
 	status, body := doReq(t, "POST", base+"/v1/plan?deadline_ms=10", []byte(`{"tenants":["t1"]}`))
 	if status != http.StatusGatewayTimeout || apiCode(t, body) != "deadline" {
 		t.Fatalf("slow solve = %d %s, want 504 deadline", status, body)
+	}
+}
+
+// TestHTTPMillisParamsCapped: ?deadline_ms and ?wait_ms are capped at
+// the default deadline, including values whose nanosecond Duration
+// would overflow int64, and a smaller value is taken as is.
+func TestHTTPMillisParamsCapped(t *testing.T) {
+	cfg := testConfig()
+	cfg.DefaultDeadline = 300 * time.Millisecond
+	svc := newTestService(t, cfg)
+	effective := map[string]func(raw string) time.Duration{
+		// deadline_ms: the time left on the derived request context.
+		"deadline_ms": func(raw string) time.Duration {
+			ctx, cancel, err := svc.requestContext(httptest.NewRequest("GET", "/v1/tenants?deadline_ms="+raw, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cancel()
+			dl, _ := ctx.Deadline()
+			return time.Until(dl)
+		},
+		// wait_ms: how long a long-poll with no epoch to report stays parked.
+		"wait_ms": func(raw string) time.Duration {
+			start := time.Now()
+			rec := serveDirect(t, svc.Handler(), "GET", "/v1/plan/changes?wait_ms="+raw, "", nil)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("wait_ms=%s: %d %s", raw, rec.Code, rec.Body.String())
+			}
+			return time.Since(start)
+		},
+	}
+	for _, tc := range []struct {
+		param, raw string
+		want       time.Duration
+	}{
+		{"deadline_ms", "50", 50 * time.Millisecond},
+		{"deadline_ms", "10000000000000", cfg.DefaultDeadline},
+		{"deadline_ms", "9223372036854775807", cfg.DefaultDeadline},
+		{"wait_ms", "50", 50 * time.Millisecond},
+		{"wait_ms", "10000000000000", cfg.DefaultDeadline},
+		{"wait_ms", "9223372036854775807", cfg.DefaultDeadline},
+	} {
+		got := effective[tc.param](tc.raw)
+		// A deadline is read just after it is set, a wait just after it
+		// ends; each may miss want by scheduling delay in one direction.
+		lo, hi := tc.want-100*time.Millisecond, tc.want
+		if tc.param == "wait_ms" {
+			lo, hi = tc.want, tc.want+time.Second
+		}
+		if got < lo || got > hi {
+			t.Errorf("%s=%s: effective %v, want %v", tc.param, tc.raw, got, tc.want)
+		}
 	}
 }
 

@@ -66,10 +66,9 @@ const (
 	mPlanDeltaPrefix     = "service.plan.delta."
 	planDeltaUnitsSuffix = "moved_units"
 
-	// Change feed (feed.go): fan-out volume, drop-oldest overflow, and
-	// the live subscriber gauge.
+	// Change feed (feed.go): wake-ups published and the live
+	// subscriber gauge.
 	mFeedEvents      = "service.feed.events"
-	mFeedDropped     = "service.feed.dropped"
 	mFeedSubscribers = "service.feed.subscribers"
 
 	// Epoch audit log (audit.go): mirrors the tenant-store trio plus the

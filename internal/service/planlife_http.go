@@ -16,10 +16,9 @@ import (
 // HTTP surface of the plan-lifecycle layer: the epoch history endpoint
 // (GET /v1/plan/history), the change feed (GET /v1/plan/changes, both
 // long-poll and SSE), and the human-readable /debug/epochs timeline.
-// Both feed modes subscribe before reading history and serve events
-// from the audit log, which publishEpoch writes before it publishes to
-// the feed — so a wakeup can never observe the feed ahead of history,
-// and no transition can slip between the backlog and the live stream.
+// All three serve the audit log, which publishEpoch appends to before
+// it wakes the feed, so every mode sees the same epochs and the same
+// gaps.
 
 // planHistoryResponse is GET /v1/plan/history's body: the retained
 // epoch records after ?since_epoch, plus the newest epoch so a client
@@ -57,7 +56,12 @@ func (s *Service) handlePlanHistory(w http.ResponseWriter, r *http.Request) erro
 	if err != nil {
 		return err
 	}
-	events := s.audit.History(since)
+	return s.writeHistory(w, r, since, s.audit.History(since))
+}
+
+// writeHistory answers with events, the history read after since, and
+// the newest audited epoch.
+func (s *Service) writeHistory(w http.ResponseWriter, r *http.Request, since int64, events []EpochRecord) error {
 	last := s.audit.LastEpoch()
 	obs.RequestFrom(r.Context()).SetEpoch(last)
 	writeJSON(w, http.StatusOK, planHistoryResponse{
@@ -68,139 +72,100 @@ func (s *Service) handlePlanHistory(w http.ResponseWriter, r *http.Request) erro
 	return nil
 }
 
-// handlePlanChanges serves the change feed. Default mode is long-poll:
-// the request returns as soon as the audit history holds an epoch newer
-// than ?since_epoch (immediately, when it already does), or with an
-// empty event list once ?wait_ms expires — wait_ms is capped by the default
-// request deadline, exactly like ?deadline_ms, so a poll can never pin
-// a connection longer than any other request. ?stream=sse (or an
-// Accept: text/event-stream header) upgrades to a server-sent-event
-// stream instead. since_epoch defaults to the newest epoch — "changes
-// from now on".
+// handlePlanChanges serves the change feed from the audit history, in
+// one loop for both modes: read the history after since, send what it
+// holds (flagging a hole before it as a gap, exactly as
+// /v1/plan/history does), otherwise wait for the feed's next wake-up.
+// The default long-poll answers with the first non-empty batch, or with
+// an empty event list once ?wait_ms expires — wait_ms is capped by the
+// default request deadline, exactly like ?deadline_ms, so a poll can
+// never pin a connection longer than any other request. ?stream=sse (or
+// an Accept: text/event-stream header) turns it into a server-sent-event
+// stream of "epoch" events, with a "gap" event before any hole, until
+// the client leaves or the feed shuts down (drain). since_epoch
+// defaults to the newest epoch — "changes from now on".
 func (s *Service) handlePlanChanges(w http.ResponseWriter, r *http.Request) error {
 	since, err := sinceEpochParam(r, s.audit.LastEpoch())
 	if err != nil {
 		return err
 	}
-	if r.URL.Query().Get("stream") == "sse" ||
-		strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		return s.streamPlanChanges(w, r, since)
-	}
-
-	wait := s.cfg.DefaultDeadline
-	if raw := r.URL.Query().Get("wait_ms"); raw != "" {
-		ms, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil || ms < 0 {
-			return fmt.Errorf("service: invalid wait_ms %q", raw)
+	sse := r.URL.Query().Get("stream") == "sse" ||
+		strings.Contains(r.Header.Get("Accept"), "text/event-stream")
+	ctx := r.Context()
+	if !sse {
+		wait, err := millisParam(r, "wait_ms", 0, s.cfg.DefaultDeadline)
+		if err != nil {
+			return err
 		}
-		if req := time.Duration(ms) * time.Millisecond; req < wait {
-			wait = req
-		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, wait)
+		defer cancel()
 	}
-
-	// Subscribe before consulting history: an epoch landing between the
-	// two is then either already in history or guaranteed to wake us.
+	// Subscribe before the first history read: an epoch audited after
+	// that read is published after it too, so it wakes the next Wait.
 	sub := s.feed.Subscribe()
 	defer sub.Close()
-	respond := func(events []EpochRecord) error {
-		last := s.audit.LastEpoch()
-		obs.RequestFrom(r.Context()).SetEpoch(last)
-		writeJSON(w, http.StatusOK, planHistoryResponse{
-			LastEpoch: last,
-			Gap:       historyGap(since, events),
-			Events:    events,
-		})
-		return nil
+	if sse {
+		obs.RequestFrom(r.Context()).SetEpoch(s.audit.LastEpoch())
+		writeSSEHead(w)
 	}
-	if events := s.audit.History(since); len(events) > 0 {
-		return respond(events)
-	}
-	wctx, cancel := context.WithTimeout(r.Context(), wait)
-	defer cancel()
-	// A wake-up is only a hint: the feed may deliver an epoch at or
-	// below since (a late publish of the poll's own starting epoch) or
-	// one whose audit append failed, so history decides, and the poll
-	// waits on until it holds an event or the window closes.
 	for {
-		_, _, err := sub.Next(wctx)
+		events := s.audit.History(since)
+		if len(events) > 0 {
+			if !sse {
+				return s.writeHistory(w, r, since, events)
+			}
+			if err := writeSSEBatch(w, since, events); err != nil {
+				return nil // client gone
+			}
+			since = events[len(events)-1].Provenance.Epoch
+		}
+		// A wake-up is only a hint: the epoch behind it may be at or
+		// below since, or its audit append may have failed, so history
+		// decides and the loop waits on.
+		err := sub.Wait(ctx)
 		switch {
 		case err == nil:
-		case errors.Is(wctx.Err(), context.DeadlineExceeded) && r.Context().Err() == nil:
-			return respond(s.audit.History(since)) // wait window over: an empty poll, not an error
+		case sse:
+			return nil // client gone or feed closed: the stream just ends
 		case errors.Is(err, ErrFeedClosed):
 			return fmt.Errorf("plan change feed: %w", ErrDraining)
+		case errors.Is(err, context.DeadlineExceeded) && r.Context().Err() == nil:
+			// The wait window is over: an empty poll, not an error.
+			return s.writeHistory(w, r, since, s.audit.History(since))
 		default:
 			return err
 		}
-		if events := s.audit.History(since); len(events) > 0 {
-			return respond(events)
-		}
 	}
 }
 
-// streamPlanChanges is the SSE mode: the history backlog after since,
-// then every live epoch as an "epoch" event, with a "gap" event
-// whenever this subscriber's buffer overflowed (the client re-syncs
-// from /v1/plan/history). The stream ends when the client disconnects
-// or the feed shuts down (drain); per the feed's contract it never
-// back-pressures the publisher.
-func (s *Service) streamPlanChanges(w http.ResponseWriter, r *http.Request, since int64) error {
-	sub := s.feed.Subscribe()
-	defer sub.Close()
-	backlog := s.audit.History(since)
-	obs.RequestFrom(r.Context()).SetEpoch(s.audit.LastEpoch())
-
-	writeSSEHead(w)
-	lastSent := since
-	send := func(event string, v any) error {
-		if err := writeSSEEvent(w, event, v); err != nil {
+// writeSSEBatch writes and flushes one history batch read after since:
+// a "gap" event first when the batch does not resume at since+1, then
+// one "epoch" event per record.
+func writeSSEBatch(w http.ResponseWriter, since int64, events []EpochRecord) error {
+	if historyGap(since, events) {
+		if err := writeSSEEvent(w, "gap", map[string]any{"since_epoch": since}); err != nil {
 			return err
 		}
-		return nil
 	}
-	if historyGap(since, backlog) {
-		if err := send("gap", map[string]any{"since_epoch": since}); err != nil {
-			return nil
+	for _, ev := range events {
+		if err := writeSSEEvent(w, "epoch", ev); err != nil {
+			return err
 		}
 	}
-	for _, ev := range backlog {
-		if err := send("epoch", ev); err != nil {
-			return nil
-		}
-		lastSent = ev.Provenance.Epoch
-	}
-	flushSSE(w)
-	for {
-		recs, gap, err := sub.Next(r.Context())
-		if err != nil {
-			return nil // client gone or feed closed: the stream just ends
-		}
-		if gap {
-			if err := send("gap", map[string]any{"since_epoch": lastSent}); err != nil {
-				return nil
-			}
-		}
-		for _, ev := range recs {
-			if ev.Provenance.Epoch <= lastSent {
-				continue // already delivered via the backlog
-			}
-			if err := send("epoch", ev); err != nil {
-				return nil
-			}
-			lastSent = ev.Provenance.Epoch
-		}
-		flushSSE(w)
-	}
+	return http.NewResponseController(w).Flush()
 }
 
-// writeSSEHead commits the SSE response head: the event-stream content
-// type and a 200, after which the connection is a one-way event pipe.
+// writeSSEHead commits and flushes the SSE response head: the
+// event-stream content type and a 200, after which the connection is a
+// one-way event pipe.
 func writeSSEHead(w http.ResponseWriter) {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-store")
 	h.Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
+	http.NewResponseController(w).Flush()
 }
 
 // writeSSEEvent frames one named event with a JSON data payload.
@@ -211,13 +176,6 @@ func writeSSEEvent(w http.ResponseWriter, event string, v any) error {
 	}
 	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 	return err
-}
-
-// flushSSE pushes buffered events down the wire between waits.
-func flushSSE(w http.ResponseWriter) {
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // serveEpochsDebug renders the retained epoch timeline as text, newest

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"partitionshare/internal/faultinject"
 	"partitionshare/internal/mrc"
 	"partitionshare/internal/obs"
 )
@@ -442,6 +443,25 @@ func TestHTTPPlanChangesLongPoll(t *testing.T) {
 	}
 }
 
+// waitFeedSubscribers waits until the service's change feed has want
+// subscribers.
+func waitFeedSubscribers(t *testing.T, svc *Service, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		svc.feed.mu.Lock()
+		n := svc.feed.subs
+		svc.feed.mu.Unlock()
+		if n == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("feed has %d subscribers, want %d", n, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestLongPollOutlivesStaleWake: a feed event at or below since_epoch
 // (a late publish of the poll's own starting epoch) wakes a parked
 // long-poll but must not end it. The test drives the audit log and the
@@ -477,22 +497,6 @@ func TestLongPollOutlivesStaleWake(t *testing.T) {
 		}()
 		return done
 	}
-	waitSubscribers := func(want int) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			svc.feed.mu.Lock()
-			n := len(svc.feed.subs)
-			svc.feed.mu.Unlock()
-			if n == want {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("feed has %d subscribers, want %d", n, want)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 	await := func(done <-chan result) result {
 		t.Helper()
 		select {
@@ -509,7 +513,7 @@ func TestLongPollOutlivesStaleWake(t *testing.T) {
 
 	// A stale wake, then a real epoch: the poll returns the real one.
 	done := poll(1)
-	waitSubscribers(1)
+	waitFeedSubscribers(t, svc, 1)
 	svc.feed.Publish(testEpochRecord(1))
 	if err := svc.audit.Append(testEpochRecord(2)); err != nil {
 		t.Fatal(err)
@@ -522,11 +526,11 @@ func TestLongPollOutlivesStaleWake(t *testing.T) {
 
 	// A stale wake, then the feed closes: the poll must still be parked
 	// when the close arrives (a typed draining refusal), not answer the
-	// stale wake with an empty 200. The feed hands a waiter its pending
-	// records before it reports the close, so this is deterministic.
-	waitSubscribers(0) // the first poll has unsubscribed
+	// stale wake with an empty 200. The feed reports a publish before it
+	// reports the close, so this is deterministic.
+	waitFeedSubscribers(t, svc, 0) // the first poll has unsubscribed
 	done = poll(2)
-	waitSubscribers(1)
+	waitFeedSubscribers(t, svc, 1)
 	svc.feed.Publish(testEpochRecord(2))
 	svc.feed.Close()
 	r = await(done)
@@ -616,12 +620,105 @@ func TestHTTPPlanChangesSSE(t *testing.T) {
 	assertDiffMatchesPlans(t, live[0].Diff, plan1, plan2)
 }
 
+// TestFailedAuditAppendIsAGap: an epoch whose audit append fails never
+// reaches a parked long-poll, an open SSE stream or /v1/plan/history;
+// each delivers the next audited epoch behind a gap flag or gap event.
+func TestFailedAuditAppendIsAGap(t *testing.T) {
+	srv, svc := startTestServer(t, testConfig())
+	base := "http://" + srv.Addr()
+	doReq(t, "PUT", base+"/v1/tenants/t1", profileBytes(t, testProfile(t, 1)))
+	p1 := waitForEpoch(t, svc, []string{"t1"})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(10*time.Second, cancel) // a stream that stalls fails its read
+	req, err := http.NewRequestWithContext(ctx, "GET",
+		fmt.Sprintf("%s/v1/plan/changes?stream=sse&since_epoch=%d", base, p1.Epoch), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	pollDone := make(chan planHistoryResponse, 1)
+	go func() {
+		var resp planHistoryResponse
+		r, err := http.Get(fmt.Sprintf("%s/v1/plan/changes?since_epoch=%d&wait_ms=1900", base, p1.Epoch))
+		if err == nil {
+			err = json.NewDecoder(r.Body).Decode(&resp)
+			r.Body.Close()
+		}
+		if err != nil {
+			t.Errorf("long-poll: %v", err)
+		}
+		pollDone <- resp
+	}()
+	waitFeedSubscribers(t, svc, 2)
+
+	plan := faultinject.NewPlan()
+	plan.Set(FaultAuditAppend, faultinject.Rule{Count: 1})
+	faultinject.Enable(plan)
+	defer faultinject.Enable(nil)
+	doReq(t, "PUT", base+"/v1/tenants/t2", profileBytes(t, testProfile(t, 2)))
+	p2 := waitForEpoch(t, svc, []string{"t1", "t2"})
+	if last := svc.Audit().LastEpoch(); last != p1.Epoch {
+		t.Fatalf("audit LastEpoch = %d after the failed append of epoch %d, want %d", last, p2.Epoch, p1.Epoch)
+	}
+	doReq(t, "PUT", base+"/v1/tenants/t3", profileBytes(t, testProfile(t, 3)))
+	p3 := waitForEpoch(t, svc, []string{"t1", "t2", "t3"})
+
+	check := func(mode string, gap bool, epochs []int64) {
+		t.Helper()
+		if !gap || len(epochs) != 1 || epochs[0] != p3.Epoch {
+			t.Fatalf("%s: gap=%v epochs=%v, want a gap then epoch %d only (epoch %d was never audited)",
+				mode, gap, epochs, p3.Epoch, p2.Epoch)
+		}
+	}
+	epochsOf := func(events []EpochRecord) []int64 {
+		var out []int64
+		for _, ev := range events {
+			out = append(out, ev.Provenance.Epoch)
+		}
+		return out
+	}
+	select {
+	case resp := <-pollDone:
+		check("long-poll", resp.Gap, epochsOf(resp.Events))
+	case <-time.After(5 * time.Second):
+		t.Fatal("long-poll never returned")
+	}
+	events, others := readSSEEvents(t, bufio.NewReader(stream.Body), 1)
+	check("sse", len(others) == 1 && others[0] == "gap", epochsOf(events))
+	var hist planHistoryResponse
+	_, body := doReq(t, "GET", fmt.Sprintf("%s/v1/plan/history?since_epoch=%d", base, p1.Epoch), nil)
+	if err := json.Unmarshal(body, &hist); err != nil {
+		t.Fatal(err)
+	}
+	check("history", hist.Gap, epochsOf(hist.Events))
+}
+
 // TestHTTPPlanHistory: since_epoch filtering, last_epoch, and the gap
 // flag when retention has dropped the records a client asks for.
 func TestHTTPPlanHistory(t *testing.T) {
-	cfg := testConfig()
-	cfg.AuditRetain = 2
-	srv, svc := startTestServer(t, cfg)
+	// Reopen the audit log with a retention of 2 before the server starts.
+	svc := newTestService(t, testConfig())
+	if err := svc.audit.Close(); err != nil {
+		t.Fatal(err)
+	}
+	audit, err := OpenAuditLog(svc.store.Dir(), 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.audit = audit
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv, err := StartServer(ctx, svc, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	base := "http://" + srv.Addr()
 
 	var group []string
@@ -722,20 +819,7 @@ func TestDrainClosesChangeFeed(t *testing.T) {
 			fmt.Sprintf("%s/v1/plan/changes?since_epoch=%d&wait_ms=1900", base, p.Epoch), nil)
 		pollDone <- status
 	}()
-	// Wait for the poll to actually subscribe before draining.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		svc.feed.mu.Lock()
-		n := len(svc.feed.subs)
-		svc.feed.mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("long-poll never subscribed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFeedSubscribers(t, svc, 1) // the poll has subscribed: drain now
 
 	drainDone := make(chan error, 1)
 	go func() { drainDone <- srv.Drain(5 * time.Second) }()

@@ -55,18 +55,6 @@ type Config struct {
 	// service enters degraded mode and keeps serving the last good plan.
 	RetryMax  int
 	RetryBase time.Duration
-	// TenantSeriesCap bounds the live per-tenant metric label set
-	// (telemetry.go); tenants beyond it fold into the "other" overflow
-	// series. Non-positive means the obs default.
-	TenantSeriesCap int
-	// FeedBuffer bounds each change-feed subscriber's pending-record
-	// buffer; a subscriber further behind than this loses its oldest
-	// records and sees a gap marker (feed.go). Non-positive means the
-	// default.
-	FeedBuffer int
-	// AuditRetain bounds how many epoch records the audit log keeps.
-	// Non-positive means the default (audit.go).
-	AuditRetain int
 	// Seed makes the backoff jitter deterministic for tests.
 	Seed uint64
 }
@@ -83,9 +71,6 @@ func DefaultConfig() Config {
 		ReoptDeadline:   10 * time.Second,
 		RetryMax:        3,
 		RetryBase:       50 * time.Millisecond,
-		TenantSeriesCap: obs.DefaultChildSetCap,
-		FeedBuffer:      defaultFeedBuffer,
-		AuditRetain:     defaultAuditRetain,
 		Seed:            1,
 	}
 }
@@ -115,15 +100,6 @@ func (c *Config) normalize() {
 	}
 	if c.RetryBase <= 0 {
 		c.RetryBase = d.RetryBase
-	}
-	if c.TenantSeriesCap <= 0 {
-		c.TenantSeriesCap = d.TenantSeriesCap
-	}
-	if c.FeedBuffer <= 0 {
-		c.FeedBuffer = d.FeedBuffer
-	}
-	if c.AuditRetain <= 0 {
-		c.AuditRetain = d.AuditRetain
 	}
 }
 
@@ -160,8 +136,8 @@ type Service struct {
 	store   *Store
 	limiter *Limiter
 
-	// audit is the durable epoch record (audit.go); feed fans epoch
-	// events out to /v1/plan/changes subscribers (feed.go).
+	// audit is the durable epoch record (audit.go); feed wakes
+	// /v1/plan/changes subscribers to read it (feed.go).
 	audit *AuditLog
 	feed  *ChangeFeed
 
@@ -189,7 +165,7 @@ type Service struct {
 // restarts, not just within one process.
 func New(cfg Config, store *Store) (*Service, error) {
 	cfg.normalize()
-	audit, err := OpenAuditLog(store.Dir(), cfg.AuditRetain, 0)
+	audit, err := OpenAuditLog(store.Dir(), 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +174,7 @@ func New(cfg Config, store *Store) (*Service, error) {
 		store:   store,
 		limiter: NewLimiter(cfg.MaxInflight, cfg.QueueDepth),
 		audit:   audit,
-		feed:    NewChangeFeed(cfg.FeedBuffer),
+		feed:    NewChangeFeed(0),
 		inputs:  make(map[string]tenantInput),
 		rng:     rand.New(rand.NewPCG(cfg.Seed, 0x9e3779b97f4a7c15)),
 		churn:   make(chan struct{}, 1),
@@ -612,7 +588,7 @@ func (s *Service) publishEpoch(plan *Plan) {
 	s.degraded.Store(false)
 
 	reg.Counter(mPlanUnitsMoved).Add(int64(diff.UnitsMoved))
-	cs := reg.ChildSet(mPlanDeltaPrefix, s.cfg.TenantSeriesCap)
+	cs := reg.ChildSet(mPlanDeltaPrefix, obs.DefaultChildSetCap)
 	for _, td := range diff.Deltas {
 		if td.DeltaUnits != 0 {
 			cs.Add(td.Tenant, planDeltaUnitsSuffix, int64(abs(td.DeltaUnits)))

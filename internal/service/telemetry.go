@@ -56,13 +56,9 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 	return sw.ResponseWriter.Write(b)
 }
 
-// Flush forwards to the underlying writer so the SSE stream handler can
-// push events through the wrapper as they happen.
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
+// Unwrap lets http.ResponseController reach the underlying writer, so
+// the SSE stream handler can flush events through the wrapper.
+func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
 
 // statusClass buckets an HTTP status for the by-class RED counters.
 func statusClass(status int) string {
@@ -166,7 +162,7 @@ func (s *Service) recordRequest(reg *obs.Registry, route string, rec obs.Request
 	reg.Histogram(mHTTPLatencyPrefix+route, obs.DurationBuckets()).Observe(rec.DurNS)
 
 	if rec.Tenant != "" {
-		cs := reg.ChildSet(mTenantPrefix, s.cfg.TenantSeriesCap)
+		cs := reg.ChildSet(mTenantPrefix, obs.DefaultChildSetCap)
 		cs.Add(rec.Tenant, tenantRequestsPrefix+route, 1)
 		if rec.Status >= 400 {
 			cs.Add(rec.Tenant, tenantErrorsPrefix+class, 1)

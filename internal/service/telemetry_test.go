@@ -225,13 +225,12 @@ func TestHTTPTraceparentMalformedReplaced(t *testing.T) {
 }
 
 // A tenant-label flood over the HTTP surface stays capped: the live
-// per-tenant series never exceed the configured cap, with the overflow
+// per-tenant series never exceed the set's cap, with the overflow
 // folded into the "other" bucket and totals preserved.
 func TestHTTPTenantFloodCapped(t *testing.T) {
 	reg, _, _ := withTelemetry(t)
-	cfg := testConfig()
-	cfg.TenantSeriesCap = 8
-	svc := newTestService(t, cfg)
+	reg.ChildSet(mTenantPrefix, 8) // the first creation's capacity wins
+	svc := newTestService(t, testConfig())
 	h := svc.Handler()
 
 	const flood = 10_000

@@ -8,9 +8,10 @@
 // bit-exactness contract, observed end to end through both CLIs). The
 // registrations are staged to exercise the plan-lifecycle surface: the
 // first tenant's epoch is captured from GET /v1/plan, a long-poll on
-// GET /v1/plan/changes is parked, and the second registration must wake
-// it with an epoch event whose per-tenant deltas exactly match the
-// difference of the two served plans. Before any of that, a 78-byte
+// GET /v1/plan/changes is parked beside an SSE stream of the same
+// route, and the second registration must wake both with the same epoch
+// event, whose per-tenant deltas exactly match the difference of the
+// two served plans. Before any of that, a 78-byte
 // profile declaring a 2^28-entry histogram must get a prompt 4xx. It
 // also asserts the observability surface: traceparent propagation on a
 // plan request, the Prometheus
@@ -28,6 +29,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -36,8 +38,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 )
@@ -58,7 +62,8 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	defer os.RemoveAll(dir)
+	cleanup = func() { os.RemoveAll(dir) }
+	defer cleanup()
 	addrFile := filepath.Join(dir, "addr")
 	manifestPath := filepath.Join(dir, "manifest.json")
 
@@ -76,7 +81,10 @@ func main() {
 	if err := daemon.Start(); err != nil {
 		fail("start partitiond: %v", err)
 	}
-	defer daemon.Process.Kill()
+	cleanup = func() {
+		daemon.Process.Kill()
+		os.RemoveAll(dir)
+	}
 
 	base := "http://" + waitForAddr(addrFile)
 
@@ -100,11 +108,12 @@ func main() {
 		}
 		pollCh <- body
 	}()
+	sseCh := openChangeStream(base, plan1.Epoch)
 	time.Sleep(50 * time.Millisecond) // give the poll time to park
 
 	registerTenant(base, names[1], profiles[1])
 	plan2 := waitForServedPlan(base, names)
-	checkChangeFeedEvent(pollCh, plan1, plan2)
+	checkChangeFeedEvent(pollCh, sseCh, plan1, plan2)
 
 	status, resp := doReq("POST", base+"/v1/plan", []byte(`{"tenants":["a","b"]}`))
 	if status != http.StatusOK {
@@ -249,13 +258,72 @@ func waitForServedPlan(base string, want []string) servedPlan {
 	return servedPlan{}
 }
 
-// checkChangeFeedEvent receives the parked long-poll's response and
-// cross-checks the reported epoch event against the two served plans:
-// the event must be plan2's epoch, and every per-tenant delta must be
+// A feedEvent is the part of an epoch record the change-feed check
+// compares.
+type feedEvent struct {
+	Provenance struct {
+		Epoch int64  `json:"epoch"`
+		Cause string `json:"cause"`
+	} `json:"provenance"`
+	Diff struct {
+		FromEpoch int64 `json:"from_epoch"`
+		ToEpoch   int64 `json:"to_epoch"`
+		Deltas    []struct {
+			Tenant     string `json:"tenant"`
+			FromUnits  int    `json:"from_units"`
+			ToUnits    int    `json:"to_units"`
+			DeltaUnits int    `json:"delta_units"`
+		} `json:"deltas"`
+	} `json:"diff"`
+}
+
+// openChangeStream opens GET /v1/plan/changes as an SSE stream after
+// since and returns a channel that receives the stream's first epoch
+// event. A gap or any other event before it, or an early end, fails.
+func openChangeStream(base string, since int64) <-chan feedEvent {
+	resp, err := http.Get(fmt.Sprintf("%s/v1/plan/changes?stream=sse&since_epoch=%d", base, since))
+	if err != nil {
+		fail("SSE /v1/plan/changes: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
+		fail("SSE /v1/plan/changes = %d %q", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	ch := make(chan feedEvent, 1)
+	go func() {
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(nil, 1<<20)
+		event := ""
+		for sc.Scan() {
+			line := sc.Text()
+			switch {
+			case strings.HasPrefix(line, "event: "):
+				event = strings.TrimPrefix(line, "event: ")
+			case strings.HasPrefix(line, "data: "):
+				if event != "epoch" {
+					fail("SSE stream sent a %q event before any epoch: %s", event, line)
+				}
+				var ev feedEvent
+				if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
+					fail("SSE epoch event does not parse: %v: %s", err, line)
+				}
+				ch <- ev
+				return
+			}
+		}
+		fail("SSE stream ended before any epoch event (%v)", sc.Err())
+	}()
+	return ch
+}
+
+// checkChangeFeedEvent receives the parked long-poll's response and the
+// SSE stream's first event and cross-checks both against the two served
+// plans: each must be plan2's epoch, every per-tenant delta must be
 // exactly the difference between the allocations the daemon actually
 // served — the feed reports what a client would compute from its own
-// polls, no more and no less.
-func checkChangeFeedEvent(pollCh <-chan []byte, plan1, plan2 servedPlan) {
+// polls, no more and no less — and the two modes must report the same
+// event.
+func checkChangeFeedEvent(pollCh <-chan []byte, sseCh <-chan feedEvent, plan1, plan2 servedPlan) {
 	var body []byte
 	select {
 	case body = <-pollCh:
@@ -263,23 +331,8 @@ func checkChangeFeedEvent(pollCh <-chan []byte, plan1, plan2 servedPlan) {
 		fail("long-poll on /v1/plan/changes never returned after churn")
 	}
 	var resp struct {
-		LastEpoch int64 `json:"last_epoch"`
-		Events    []struct {
-			Provenance struct {
-				Epoch int64  `json:"epoch"`
-				Cause string `json:"cause"`
-			} `json:"provenance"`
-			Diff struct {
-				FromEpoch int64 `json:"from_epoch"`
-				ToEpoch   int64 `json:"to_epoch"`
-				Deltas    []struct {
-					Tenant     string `json:"tenant"`
-					FromUnits  int    `json:"from_units"`
-					ToUnits    int    `json:"to_units"`
-					DeltaUnits int    `json:"delta_units"`
-				} `json:"deltas"`
-			} `json:"diff"`
-		} `json:"events"`
+		LastEpoch int64       `json:"last_epoch"`
+		Events    []feedEvent `json:"events"`
 	}
 	if err := json.Unmarshal(body, &resp); err != nil {
 		fail("change-feed response does not parse: %v: %s", err, body)
@@ -287,6 +340,26 @@ func checkChangeFeedEvent(pollCh <-chan []byte, plan1, plan2 servedPlan) {
 	if len(resp.Events) == 0 {
 		fail("change feed woke with no events: %s", body)
 	}
+	polled := resp.Events[len(resp.Events)-1]
+	if polled.Provenance.Epoch != plan2.Epoch {
+		fail("change feed never reported epoch %d: %s", plan2.Epoch, body)
+	}
+	checkEpochEvent("long-poll", polled, plan1, plan2)
+	var streamed feedEvent
+	select {
+	case streamed = <-sseCh:
+	case <-time.After(15 * time.Second):
+		fail("SSE stream on /v1/plan/changes sent no epoch after churn")
+	}
+	checkEpochEvent("sse", streamed, plan1, plan2)
+	if !reflect.DeepEqual(streamed, polled) {
+		fail("SSE event %+v differs from the long-poll's %+v", streamed, polled)
+	}
+}
+
+// checkEpochEvent checks one change-feed event against the served plans
+// before (plan1) and after (plan2) its epoch.
+func checkEpochEvent(mode string, ev feedEvent, plan1, plan2 servedPlan) {
 	unitsOf := func(p servedPlan) map[string]int {
 		m := make(map[string]int, len(p.Tenants))
 		for i, n := range p.Tenants {
@@ -295,37 +368,29 @@ func checkChangeFeedEvent(pollCh <-chan []byte, plan1, plan2 servedPlan) {
 		return m
 	}
 	from, to := unitsOf(plan1), unitsOf(plan2)
-	for _, ev := range resp.Events {
-		if ev.Provenance.Epoch != plan2.Epoch {
-			continue
-		}
-		if ev.Provenance.Cause != "churn" {
-			fail("epoch %d event cause %q, want churn", plan2.Epoch, ev.Provenance.Cause)
-		}
-		if ev.Diff.FromEpoch != plan1.Epoch || ev.Diff.ToEpoch != plan2.Epoch {
-			fail("diff bounds %d->%d, want %d->%d",
-				ev.Diff.FromEpoch, ev.Diff.ToEpoch, plan1.Epoch, plan2.Epoch)
-		}
-		for _, d := range ev.Diff.Deltas {
-			if d.FromUnits != from[d.Tenant] || d.ToUnits != to[d.Tenant] ||
-				d.DeltaUnits != d.ToUnits-d.FromUnits {
-				fail("delta for %s is %+v, served plans say %d -> %d",
-					d.Tenant, d, from[d.Tenant], to[d.Tenant])
-			}
-		}
-		// Every tenant that moved has an entry.
-		reported := make(map[string]bool, len(ev.Diff.Deltas))
-		for _, d := range ev.Diff.Deltas {
-			reported[d.Tenant] = true
-		}
-		for n, u := range to {
-			if u != from[n] && !reported[n] {
-				fail("tenant %s moved %d -> %d but the event has no delta for it", n, from[n], u)
-			}
-		}
-		return
+	if ev.Provenance.Epoch != plan2.Epoch || ev.Provenance.Cause != "churn" {
+		fail("%s: event epoch %d cause %q, want churn epoch %d",
+			mode, ev.Provenance.Epoch, ev.Provenance.Cause, plan2.Epoch)
 	}
-	fail("change feed never reported epoch %d: %s", plan2.Epoch, body)
+	if ev.Diff.FromEpoch != plan1.Epoch || ev.Diff.ToEpoch != plan2.Epoch {
+		fail("%s: diff bounds %d->%d, want %d->%d",
+			mode, ev.Diff.FromEpoch, ev.Diff.ToEpoch, plan1.Epoch, plan2.Epoch)
+	}
+	reported := make(map[string]bool, len(ev.Diff.Deltas))
+	for _, d := range ev.Diff.Deltas {
+		reported[d.Tenant] = true
+		if d.FromUnits != from[d.Tenant] || d.ToUnits != to[d.Tenant] ||
+			d.DeltaUnits != d.ToUnits-d.FromUnits {
+			fail("%s: delta for %s is %+v, served plans say %d -> %d",
+				mode, d.Tenant, d, from[d.Tenant], to[d.Tenant])
+		}
+	}
+	// Every tenant that moved has an entry.
+	for n, u := range to {
+		if u != from[n] && !reported[n] {
+			fail("%s: tenant %s moved %d -> %d but the event has no delta for it", mode, n, from[n], u)
+		}
+	}
 }
 
 // checkObservability asserts the daemon's request-telemetry surface:
@@ -518,7 +583,18 @@ func doReqTrace(method, url string, body []byte, traceparent string) (int, []byt
 	return resp.StatusCode, data, resp.Header
 }
 
+// cleanup stops the daemon and removes the scratch directory. fail runs
+// it too: os.Exit skips deferred calls, and a daemon left running would
+// hold the caller's stderr open.
+var cleanup = func() {}
+
+// failMu is never released: the first failure reports and exits, and a
+// later one (say, the SSE reader seeing the killed daemon's EOF) waits.
+var failMu sync.Mutex
+
 func fail(format string, args ...any) {
+	failMu.Lock()
 	fmt.Fprintf(os.Stderr, "checkservice: "+format+"\n", args...)
+	cleanup()
 	os.Exit(1)
 }
