@@ -16,12 +16,14 @@ import (
 )
 
 // TestResultsGolden pins the paper's outputs at full scale: it runs the
-// real experiments command at the full geometry with -validate into a
-// temp dir and compares every committed results/*.csv byte for byte —
-// Table I, Figures 5–7 and the §VII-C validation. A one-ulp change to
-// any reported number fails it. To regenerate after a deliberate change:
+// real experiments command at the full geometry with every study flag
+// into a temp dir and compares every committed results/*.csv byte for
+// byte — Table I, Figures 5–7, the §VII-C validation, and the
+// correlation, granularity, replacement-policy and epoch studies. A
+// one-ulp change to any reported number fails it. To regenerate after a
+// deliberate change:
 //
-//	go run ./cmd/experiments -validate
+//	go run ./cmd/experiments -validate -correlate -granularity -policy -epoch -manifest none
 func TestResultsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-geometry sweep in -short mode")
@@ -37,7 +39,7 @@ func TestResultsGolden(t *testing.T) {
 		t.Fatal("no committed results/*.csv to compare against")
 	}
 	out := t.TempDir()
-	cmd := mainCommand("-validate", "-out", out, "-manifest", "none", "-log-level", "error")
+	cmd := mainCommand("-validate", "-correlate", "-granularity", "-policy", "-epoch", "-out", out, "-manifest", "none", "-log-level", "error")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {

@@ -6,6 +6,7 @@
 // Usage:
 //
 //	experiments [-small] [-out DIR] [-groupsize N] [-validate]
+//	            [-correlate] [-granularity] [-policy] [-epoch]
 //
 // SIGINT/SIGTERM trigger a graceful drain: in-flight groups finish, no
 // CSV is written, and the process exits with status 130. The whole
@@ -27,6 +28,14 @@
 //	fig6.csv     — group miss ratio of five schemes, sorted by Optimal
 //	fig7.csv     — Optimal vs STTW, sorted by Optimal
 //	validate.csv — HOTL-predicted vs simulated miss ratios (with -validate)
+//	correlation.csv — predicted group miss ratio and simulated co-run
+//	               time per sampled group (with -correlate)
+//	granularity.csv — units, blocks/unit and mean group miss ratio per
+//	               granularity (with -granularity)
+//	policy.csv   — one column per program/capacity; rows LRU, CLOCK,
+//	               random and HOTL miss ratios (with -policy)
+//	epoch.csv    — one column per phased group; rows static MR, dynamic
+//	               MR and the dynamic gain (with -epoch)
 package main
 
 import (
@@ -38,6 +47,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -288,17 +298,17 @@ func main() {
 	}
 	if *granularity {
 		_, span := obs.Start(ctx, "granularity", obs.CatStage)
-		runGranularity(res.Programs, cfg)
+		runGranularity(res.Programs, cfg, *outDir)
 		span.End()
 	}
 	if *policy {
 		pctx, span := obs.Start(ctx, "policy", obs.CatStage)
-		runPolicy(pctx, cfg)
+		runPolicy(pctx, cfg, *outDir)
 		span.End()
 	}
 	if *epochFlag {
 		ectx, span := obs.Start(ctx, "epoch", obs.CatStage)
-		runEpochStudy(ectx, cfg)
+		runEpochStudy(ectx, cfg, *outDir)
 		span.End()
 	}
 }
@@ -329,8 +339,9 @@ func sweepProgress() func(processed, total int) {
 }
 
 // runEpochStudy prints the dynamic-vs-static repartitioning comparison on
-// the phased (antiphase) suite — the §VIII random-phase caveat.
-func runEpochStudy(ctx context.Context, cfg workload.Config) {
+// the phased (antiphase) suite — the §VIII random-phase caveat — and
+// writes epoch.csv.
+func runEpochStudy(ctx context.Context, cfg workload.Config, outDir string) {
 	ecfg := cfg
 	if ecfg.TraceLen > 1<<21 {
 		ecfg.TraceLen = 1 << 21
@@ -344,10 +355,16 @@ func runEpochStudy(ctx context.Context, cfg workload.Config) {
 	}
 	obs.Progressf("\nDynamic vs static repartitioning on the phased suite (§VIII caveat):\n")
 	obs.Progressf("%-40s %12s %12s %9s\n", "group", "static MR", "dynamic MR", "gain")
+	var out []textplot.Series
 	for _, r := range rows {
 		obs.Progressf("%-40s %12.5f %12.5f %8.1f%%\n",
 			fmt.Sprint(r.Members), r.StaticMR, r.DynamicMR, 100*r.Gain())
+		out = append(out, textplot.Series{
+			Name:   strings.Join(r.Members, "+"),
+			Values: []float64{r.StaticMR, r.DynamicMR, r.Gain()},
+		})
 	}
+	writeCSV(outDir, "epoch.csv", out)
 }
 
 // runCorrelation reproduces the §VIII locality-performance correlation:
@@ -380,8 +397,10 @@ func runCorrelation(ctx context.Context, cfg workload.Config, outDir string) {
 	})
 }
 
-// runGranularity prints the §VII-A granularity ablation.
-func runGranularity(progs []workload.Program, cfg workload.Config) {
+// runGranularity prints the §VII-A granularity ablation and writes
+// granularity.csv. The DP time is printed only: wall time is not
+// reproducible, so it stays out of the pinned CSV.
+func runGranularity(progs []workload.Program, cfg workload.Config, outDir string) {
 	groups, err := experiment.Combinations(len(progs), 4)
 	if err != nil {
 		fatal(err)
@@ -397,13 +416,21 @@ func runGranularity(progs []workload.Program, cfg workload.Config) {
 	}
 	obs.Progressf("\nGranularity ablation (§VII-A), %d sampled groups:\n", len(sample))
 	obs.Progressf("%8s %14s %14s %14s\n", "units", "blocks/unit", "mean groupMR", "DP time")
+	units := textplot.Series{Name: "units"}
+	bpu := textplot.Series{Name: "blocks_per_unit"}
+	mr := textplot.Series{Name: "mean_group_mr"}
 	for _, p := range pts {
 		obs.Progressf("%8d %14d %14.5f %14v\n", p.Units, p.BlocksPerUnit, p.MeanGroupMR, p.MeanSolveTime.Round(time.Microsecond))
+		units.Values = append(units.Values, float64(p.Units))
+		bpu.Values = append(bpu.Values, float64(p.BlocksPerUnit))
+		mr.Values = append(mr.Values, p.MeanGroupMR)
 	}
+	writeCSV(outDir, "granularity.csv", []textplot.Series{units, bpu, mr})
 }
 
-// runPolicy prints the §VIII replacement-policy comparison.
-func runPolicy(ctx context.Context, cfg workload.Config) {
+// runPolicy prints the §VIII replacement-policy comparison and writes
+// policy.csv.
+func runPolicy(ctx context.Context, cfg workload.Config, outDir string) {
 	pcfg := cfg
 	if pcfg.TraceLen > 1<<21 {
 		pcfg.TraceLen = 1 << 21
@@ -416,9 +443,15 @@ func runPolicy(ctx context.Context, cfg workload.Config) {
 	}
 	obs.Progressf("\nReplacement-policy study (§VIII): simulated miss ratios vs the HOTL (LRU) model\n")
 	obs.Progressf("%-10s %10s %9s %9s %9s %9s\n", "program", "capacity", "LRU", "CLOCK", "random", "HOTL")
+	var out []textplot.Series
 	for _, r := range rows {
 		obs.Progressf("%-10s %10d %9.5f %9.5f %9.5f %9.5f\n", r.Program, r.Capacity, r.LRU, r.Clock, r.Random, r.HOTL)
+		out = append(out, textplot.Series{
+			Name:   fmt.Sprintf("%s/%d", r.Program, r.Capacity),
+			Values: []float64{r.LRU, r.Clock, r.Random, r.HOTL},
+		})
 	}
+	writeCSV(outDir, "policy.csv", out)
 }
 
 func mean(xs []float64) float64 {

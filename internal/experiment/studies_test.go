@@ -110,7 +110,11 @@ func TestPolicyStudy(t *testing.T) {
 	if len(rows) != len(specs)*len(caps) {
 		t.Fatalf("got %d rows, want %d", len(rows), len(specs)*len(caps))
 	}
-	for _, r := range rows {
+	for i, r := range rows {
+		// Spec-major, capacity-minor, whatever order the workers finish in.
+		if s, c := specs[i/len(caps)], caps[i%len(caps)]; r.Program != s.Name || r.Capacity != c {
+			t.Errorf("row %d is %s/%d, want %s/%d", i, r.Program, r.Capacity, s.Name, c)
+		}
 		if r.LRU < 0 || r.LRU > 1 || r.Clock < 0 || r.Clock > 1 || r.Random < 0 || r.Random > 1 {
 			t.Fatalf("out-of-range ratios: %+v", r)
 		}
