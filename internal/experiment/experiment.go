@@ -2,7 +2,8 @@
 // 4-program co-run groups drawn from the 16-program suite, each evaluated
 // under the six cache-allocation schemes (Equal, Natural, Equal-baseline,
 // Natural-baseline, Optimal, STTW), summarized as in Table I and Figures
-// 5–7. Groups are independent, so the harness fans out over a worker pool.
+// 5–7. Groups are independent, so the harness fans out over par's worker
+// pool.
 package experiment
 
 import (
@@ -11,15 +12,14 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"runtime/debug"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"partitionshare/internal/compose"
 	"partitionshare/internal/mrc"
 	"partitionshare/internal/obs"
+	"partitionshare/internal/par"
 	"partitionshare/internal/partition"
 	"partitionshare/internal/workload"
 )
@@ -338,30 +338,9 @@ type RunOpts struct {
 	OnProgress func(processed, total int)
 }
 
-// evaluateGroupSafe runs evaluateGroup with panics recovered into errors,
-// so one pathological group (or a bug in a solver path) degrades to a
-// typed GroupError instead of crashing the whole sweep.
-func evaluateGroupSafe(ctx context.Context, progs []workload.Program, members []int, units int, blocksPerUnit int64, costTab [][]float64) (gr GroupResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			// A panic value that is itself an error stays in the chain
-			// (%w), so callers can errors.Is through the GroupError all
-			// the way to a typed cause.
-			if perr, ok := r.(error); ok {
-				err = fmt.Errorf("panic: %w\n%s", perr, debug.Stack())
-			} else {
-				err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
-			}
-		}
-	}()
-	if testHookEvaluateGroup != nil {
-		testHookEvaluateGroup(members)
-	}
-	return evaluateGroup(ctx, progs, members, units, blocksPerUnit, costTab)
-}
-
 // testHookEvaluateGroup, when non-nil, runs at the top of every group
-// evaluation inside the recovery envelope. Tests use it to inject faults.
+// evaluation inside the pool's panic recovery. Tests use it to inject
+// faults.
 var testHookEvaluateGroup func(members []int)
 
 // Run evaluates every groupSize-subset of the programs in parallel and
@@ -388,7 +367,6 @@ func Run(ctx context.Context, progs []workload.Program, groupSize, units int, bl
 		return Result{}, err
 	}
 	res := Result{Programs: progs, Units: units, Groups: make([]GroupResult, len(groups))}
-	errs := make([]error, len(groups))
 
 	// Metric handles are resolved once per run; with the registry
 	// disabled every handle is nil and each use below is a nil check.
@@ -409,74 +387,63 @@ func Run(ctx context.Context, progs []workload.Program, groupSize, units int, bl
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// The jobs channel holds the whole work list so the feeder never
-	// blocks and workers drain it back-to-back; each worker's sequential
-	// solves then reuse one pooled DP scratch arena, keeping the sweep's
-	// hot path allocation-free.
-	var wg sync.WaitGroup
-	jobs := make(chan int, len(groups))
-	for g := range groups {
-		jobs <- g
+	// Each worker owns one trace lane (row in the exported timeline);
+	// lane 0 stays the main goroutine's. par.Do runs at most this many
+	// workers, and each worker's sequential solves reuse one pooled DP
+	// scratch arena, keeping the sweep's hot path allocation-free.
+	workers := runtime.GOMAXPROCS(0)
+	if opts.Workers > 0 {
+		workers = min(opts.Workers, workers)
 	}
-	close(jobs)
-	maxWorkers := runtime.GOMAXPROCS(0)
-	workers := opts.Workers
-	if workers <= 0 || workers > maxWorkers {
-		workers = maxWorkers
+	lanes := make([]context.Context, workers)
+	for w := range lanes {
+		lanes[w] = obs.WithTraceLane(runCtx, int64(w+1))
 	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker owns one trace lane (row in the exported
-			// timeline); lane 0 stays the main goroutine's.
-			laneCtx := obs.WithTraceLane(runCtx, int64(w+1))
-			for g := range jobs {
-				// Prompt drain: once cancelled (Ctrl-C or FailFast), skip
-				// the remaining queue instead of solving it.
-				if runCtx.Err() != nil {
-					return
-				}
-				var start time.Time
-				if reg != nil {
-					start = time.Now()
-				}
-				gctx, gspan := obs.Start(laneCtx, spanGroup, "sweep")
-				gr, err := evaluateGroupSafe(gctx, progs, groups[g], units, blocksPerUnit, costTab)
-				gspan.Arg("group", int64(g)).End()
-				if reg != nil {
-					groupHist.Observe(time.Since(start).Nanoseconds())
-				}
-				if err != nil {
-					failedCtr.Inc()
-					if opts.OnProgress != nil {
-						opts.OnProgress(int(processed.Add(1)), len(groups))
-					}
-					errs[g] = &GroupError{Members: append([]int(nil), groups[g]...), Cause: err}
-					if opts.FailFast {
-						cancel()
-					}
-					continue
-				}
+	errs := par.Do(runCtx, len(groups), workers, func(w, g int) error {
+		var start time.Time
+		if reg != nil {
+			start = time.Now()
+		}
+		gctx, gspan := obs.Start(lanes[w], spanGroup, "sweep")
+		// The accounting is deferred so a panicking group, recovered by
+		// par.Do, is counted and reported like any other failure.
+		completed := false
+		defer func() {
+			gspan.Arg("group", int64(g)).End()
+			if reg != nil {
+				groupHist.Observe(time.Since(start).Nanoseconds())
+			}
+			if completed {
 				completedCtr.Inc()
-				res.Groups[g] = gr
-				if opts.OnProgress != nil {
-					opts.OnProgress(int(processed.Add(1)), len(groups))
+			} else {
+				failedCtr.Inc()
+				if opts.FailFast {
+					cancel()
 				}
 			}
+			if opts.OnProgress != nil {
+				opts.OnProgress(int(processed.Add(1)), len(groups))
+			}
 		}()
-	}
-	wg.Wait()
+		if testHookEvaluateGroup != nil {
+			testHookEvaluateGroup(groups[g])
+		}
+		gr, err := evaluateGroup(gctx, progs, groups[g], units, blocksPerUnit, costTab)
+		if err != nil {
+			return err
+		}
+		res.Groups[g] = gr
+		completed = true
+		return nil
+	})
 
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
 	var groupErrs []error
-	for _, err := range errs {
+	for g, err := range errs {
 		if err != nil {
+			err = &GroupError{Members: slices.Clone(groups[g]), Cause: err}
 			groupErrs = append(groupErrs, err)
 			if opts.FailFast {
 				return res, err

@@ -3,12 +3,10 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"partitionshare/internal/cachesim"
 	"partitionshare/internal/compose"
-	"partitionshare/internal/footprint"
+	"partitionshare/internal/par"
 	"partitionshare/internal/trace"
 	"partitionshare/internal/workload"
 )
@@ -37,8 +35,9 @@ func (v PairValidation) Err() float64 {
 // predicts each pair's co-run miss ratios from solo profiles (Eq. 11), and
 // measures them by simulating the shared cache on the rate-proportionally
 // interleaved trace. Pairs are processed in parallel; cancelling ctx
-// drains the workers and returns ctx.Err(). The returned slice has two
-// entries per pair (one per member), 2·C(len(specs),2) in total.
+// drains the workers and returns ctx.Err(), and a panic in one pair is
+// returned as an error. The returned slice has two entries per pair (one
+// per member), 2·C(len(specs),2) in total.
 func ValidatePairs(ctx context.Context, specs []workload.Spec, cfg workload.Config) ([]PairValidation, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -46,75 +45,44 @@ func ValidatePairs(ctx context.Context, specs []workload.Spec, cfg workload.Conf
 	if len(specs) < 2 {
 		return nil, fmt.Errorf("experiment: need at least 2 programs to validate pairs")
 	}
-	traces := make([]trace.Trace, len(specs))
-	fps := make([]footprint.Footprint, len(specs))
-	{
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for i, s := range specs {
-			wg.Add(1)
-			go func(i int, s workload.Spec) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if ctx.Err() != nil {
-					return
-				}
-				gen := s.Build(uint32(cfg.CacheBlocks()), cfg.Seed*0x9e3779b9^uint64(i))
-				traces[i] = trace.Generate(gen, cfg.TraceLen)
-				fps[i] = footprint.FromTrace(traces[i])
-			}(i, s)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	traces, fps, err := generateAll(ctx, specs, cfg)
+	if err != nil {
+		return nil, err
 	}
-
 	pairs, err := Combinations(len(specs), 2)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]PairValidation, 2*len(pairs))
 	capacity := int(cfg.CacheBlocks())
-	var wg sync.WaitGroup
-	jobs := make(chan int, len(pairs))
-	for pi := range pairs {
-		jobs <- pi
-	}
-	close(jobs)
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pi := range jobs {
-				if ctx.Err() != nil {
-					return
-				}
-				i, j := pairs[pi][0], pairs[pi][1]
-				progs := []compose.Program{
-					{Name: specs[i].Name, Fp: fps[i], Rate: specs[i].Rate},
-					{Name: specs[j].Name, Fp: fps[j], Rate: specs[j].Rate},
-				}
-				pred := compose.SharedMissRatios(progs, float64(capacity))
-				iv := trace.InterleaveProportional(
-					[]trace.Trace{traces[i], traces[j]},
-					[]float64{specs[i].Rate, specs[j].Rate}, cfg.TraceLen*2)
-				sim := cachesim.SimulateShared(iv, capacity, cfg.TraceLen/2)
-				for k := 0; k < 2; k++ {
-					out[2*pi+k] = PairValidation{
-						Program:   progs[k].Name,
-						Partner:   progs[1-k].Name,
-						Predicted: pred[k],
-						Measured:  sim.MissRatio(k),
-					}
-				}
+	errs := par.Do(ctx, len(pairs), 0, func(_, pi int) error {
+		i, j := pairs[pi][0], pairs[pi][1]
+		progs := []compose.Program{
+			{Name: specs[i].Name, Fp: fps[i], Rate: specs[i].Rate},
+			{Name: specs[j].Name, Fp: fps[j], Rate: specs[j].Rate},
+		}
+		pred := compose.SharedMissRatios(progs, float64(capacity))
+		iv := trace.InterleaveProportional(
+			[]trace.Trace{traces[i], traces[j]},
+			[]float64{specs[i].Rate, specs[j].Rate}, cfg.TraceLen*2)
+		sim := cachesim.SimulateShared(iv, capacity, cfg.TraceLen/2)
+		for k := 0; k < 2; k++ {
+			out[2*pi+k] = PairValidation{
+				Program:   progs[k].Name,
+				Partner:   progs[1-k].Name,
+				Predicted: pred[k],
+				Measured:  sim.MissRatio(k),
 			}
-		}()
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

@@ -21,12 +21,11 @@ package workload
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"partitionshare/internal/footprint"
 	"partitionshare/internal/mrc"
 	"partitionshare/internal/obs"
+	"partitionshare/internal/par"
 	"partitionshare/internal/reuse"
 	"partitionshare/internal/trace"
 )
@@ -286,7 +285,8 @@ func hashName(s string) uint64 {
 
 // ProfileAll profiles every spec in parallel across the available CPUs and
 // returns the programs in spec order. Cancelling ctx skips not-yet-started
-// programs and returns ctx.Err(); a nil ctx never cancels.
+// programs and returns ctx.Err(); a nil ctx never cancels. A panic while
+// profiling one spec is returned as an error.
 func ProfileAll(ctx context.Context, specs []Spec, cfg Config) ([]Program, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -295,24 +295,13 @@ func ProfileAll(ctx context.Context, specs []Spec, cfg Config) ([]Program, error
 		return nil, err
 	}
 	progs := make([]Program, len(specs))
-	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, s := range specs {
-		wg.Add(1)
-		go func(i int, s Spec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return
-			}
-			// One trace lane per program: profiling passes render as
-			// parallel rows in the exported timeline.
-			progs[i], errs[i] = profileCtx(obs.WithTraceLane(ctx, int64(i+1)), s, cfg)
-		}(i, s)
-	}
-	wg.Wait()
+	errs := par.Do(ctx, len(specs), 0, func(_, i int) error {
+		// One trace lane per program: profiling passes render as
+		// parallel rows in the exported timeline.
+		var err error
+		progs[i], err = profileCtx(obs.WithTraceLane(ctx, int64(i+1)), specs[i], cfg)
+		return err
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
