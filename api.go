@@ -12,7 +12,6 @@ import (
 	"partitionshare/internal/partition"
 	"partitionshare/internal/reuse"
 	"partitionshare/internal/sharing"
-	"partitionshare/internal/symbiosis"
 	"partitionshare/internal/trace"
 	"partitionshare/internal/workload"
 )
@@ -363,20 +362,6 @@ func PlanDynamicPartition(progs []EpochProgram, units int, blocksPerUnit int64) 
 // resized at each epoch boundary per the plan.
 func SimulateRepartitioning(progs []EpochProgram, plan EpochPlan, epochLen int, blocksPerUnit int64) (epoch.Result, error) {
 	return epoch.Simulate(progs, plan, epochLen, blocksPerUnit)
-}
-
-// Grouping assigns co-run programs to shared caches.
-type Grouping = symbiosis.Grouping
-
-// OptimalGrouping finds the best assignment of programs to shared caches
-// by exhaustive search over set partitions (programs <= 10).
-func OptimalGrouping(progs []Program, caches int, cacheBlocks float64) (Grouping, error) {
-	return symbiosis.Exhaustive(progs, caches, cacheBlocks)
-}
-
-// GreedyGrouping finds a good assignment by move/swap local search.
-func GreedyGrouping(progs []Program, caches int, cacheBlocks float64, maxRounds int) (Grouping, error) {
-	return symbiosis.Greedy(progs, caches, cacheBlocks, maxRounds)
 }
 
 // ------------------------------------------------- workloads & evaluation

@@ -285,28 +285,6 @@ func TestPublicEpochPartitioning(t *testing.T) {
 	}
 }
 
-// TestPublicGrouping exercises the symbiosis facade.
-func TestPublicGrouping(t *testing.T) {
-	n := 1 << 14
-	progs := []ps.Program{
-		{Name: "s1", Fp: ps.ProfileTrace(ps.Generate(ps.NewStreaming(1), n)), Rate: 2},
-		{Name: "s2", Fp: ps.ProfileTrace(ps.Generate(ps.NewStreaming(1), n)), Rate: 2},
-		{Name: "l1", Fp: ps.ProfileTrace(ps.Generate(ps.NewLoop(150, 1), n)), Rate: 1},
-		{Name: "l2", Fp: ps.ProfileTrace(ps.Generate(ps.NewLoop(170, 1), n)), Rate: 1},
-	}
-	ex, err := ps.OptimalGrouping(progs, 2, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gr, err := ps.GreedyGrouping(progs, 2, 400, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gr.MissRatio < ex.MissRatio-1e-12 {
-		t.Fatalf("greedy %v beats exhaustive %v", gr.MissRatio, ex.MissRatio)
-	}
-}
-
 // TestPublicMechanisms exercises the hardware-mechanism comparison: both
 // real mechanisms deliver the optimizer's intended capacity within a
 // small conflict-miss gap on random traces.

@@ -248,30 +248,3 @@ func SharedGroupMissRatio(progs []Program, c float64) float64 {
 	}
 	return sum
 }
-
-// SharedGroupMissRatioDirect predicts the group miss ratio directly from
-// the composed footprint as fp(w+1) − c where fp(w) = c (Eq. 10 applied to
-// Eq. 9). It equals SharedGroupMissRatio up to interpolation error and
-// exists to test that identity.
-func SharedGroupMissRatioDirect(progs []Program, c float64) float64 {
-	validate(progs)
-	if c >= TotalData(progs) {
-		// Cold misses only: the rate-weighted per-program cold rates.
-		r := totalRate(progs)
-		var sum float64
-		for i := range progs {
-			p := &progs[i]
-			sum += float64(p.Fp.M()) / float64(p.Fp.N()) * p.Rate / r
-		}
-		return sum
-	}
-	w := FillTime(progs, c)
-	mr := CombinedFp(progs, w+1) - c
-	if mr < 0 {
-		return 0
-	}
-	if mr > 1 {
-		return 1
-	}
-	return mr
-}

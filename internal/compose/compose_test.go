@@ -166,7 +166,7 @@ func TestSharedGroupMissRatioDirectAgrees(t *testing.T) {
 	}
 	for _, c := range []float64{50, 150, 350} {
 		viaOcc := SharedGroupMissRatio(progs, c)
-		direct := SharedGroupMissRatioDirect(progs, c)
+		direct := sharedGroupMissRatioDirect(progs, c)
 		if math.Abs(viaOcc-direct) > 0.01 {
 			t.Errorf("c=%v: via occupancies %.5f vs direct %.5f", c, viaOcc, direct)
 		}
@@ -330,4 +330,31 @@ func TestCombinedFpMonotone(t *testing.T) {
 		}
 		prev = v
 	}
+}
+
+// sharedGroupMissRatioDirect predicts the group miss ratio directly from
+// the composed footprint as fp(w+1) − c where fp(w) = c (Eq. 10 applied to
+// Eq. 9). It equals SharedGroupMissRatio up to interpolation error: the
+// oracle for that identity.
+func sharedGroupMissRatioDirect(progs []Program, c float64) float64 {
+	validate(progs)
+	if c >= TotalData(progs) {
+		// Cold misses only: the rate-weighted per-program cold rates.
+		r := totalRate(progs)
+		var sum float64
+		for i := range progs {
+			p := &progs[i]
+			sum += float64(p.Fp.M()) / float64(p.Fp.N()) * p.Rate / r
+		}
+		return sum
+	}
+	w := FillTime(progs, c)
+	mr := CombinedFp(progs, w+1) - c
+	if mr < 0 {
+		return 0
+	}
+	if mr > 1 {
+		return 1
+	}
+	return mr
 }

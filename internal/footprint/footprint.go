@@ -17,7 +17,6 @@
 package footprint
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -41,18 +40,6 @@ func New(p reuse.Profile) Footprint {
 
 // FromTrace profiles the trace and wraps it.
 func FromTrace(t trace.Trace) Footprint { return New(reuse.Collect(t)) }
-
-// FromTraceParallel is FromTrace with the profiling scan sharded across
-// workers (reuse.CollectParallel); the resulting footprint is bit-identical
-// to FromTrace's. workers <= 0 uses all CPUs. It returns reuse.ErrEmptyTrace
-// on an empty trace and ctx.Err() if cancelled mid-scan.
-func FromTraceParallel(ctx context.Context, t trace.Trace, workers int) (Footprint, error) {
-	p, err := reuse.CollectParallel(ctx, t, workers)
-	if err != nil {
-		return Footprint{}, err
-	}
-	return New(p), nil
-}
 
 // N returns the trace length.
 func (f Footprint) N() int64 { return f.p.N }
@@ -262,13 +249,6 @@ func (f Footprint) MissRatio(c float64) float64 {
 	return mr
 }
 
-// InterMissTime returns im(c) = ft(c+1) − ft(c), the expected number of
-// accesses between consecutive misses at cache size c (paper Eq. 7). It is
-// +Inf when c+1 exceeds the total footprint.
-func (f Footprint) InterMissTime(c float64) float64 {
-	return f.FillTime(c+1) - f.FillTime(c)
-}
-
 // MissRatioWindow returns the miss ratio averaged over the cache-size
 // window [c−dc/2, c+dc/2]: (hi−lo)/(ft(hi)−ft(lo)), the harmonic-mean
 // smoothing of mr over dc blocks. For an exact full-trace profile and
@@ -354,38 +334,4 @@ func (f Footprint) MissRatioCurve(maxC, step int64) []float64 {
 		out[i] = f.MissRatio(float64(int64(i) * step))
 	}
 	return out
-}
-
-// BruteForceFp computes the exact average footprint fp(w) of a trace by
-// direct enumeration of all n−w+1 windows using a sliding window, in O(n)
-// per window length. It exists to validate the closed-form formula and is
-// exported for tests and examples only.
-func BruteForceFp(t trace.Trace, w int) float64 {
-	n := len(t)
-	if w <= 0 {
-		return 0
-	}
-	if w >= n {
-		return float64(trace.Trace(t).DistinctData())
-	}
-	counts := make(map[uint32]int, 1024)
-	distinct := 0
-	var total int64
-	for i, d := range t {
-		if counts[d] == 0 {
-			distinct++
-		}
-		counts[d]++
-		if i >= w {
-			old := t[i-w]
-			counts[old]--
-			if counts[old] == 0 {
-				distinct--
-			}
-		}
-		if i >= w-1 {
-			total += int64(distinct)
-		}
-	}
-	return float64(total) / float64(n-w+1)
 }

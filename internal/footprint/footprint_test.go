@@ -36,7 +36,7 @@ func TestClosedFormMatchesBruteForce(t *testing.T) {
 	for ti, tr := range traces {
 		fp := FromTrace(tr)
 		for w := 1; w <= len(tr); w++ {
-			want := BruteForceFp(tr, w)
+			want := bruteForceFp(tr, w)
 			got := fp.AtInt(int64(w))
 			if math.Abs(got-want) > 1e-9 {
 				t.Fatalf("trace %d: fp(%d) = %v, want %v", ti, w, got, want)
@@ -51,7 +51,7 @@ func TestClosedFormMatchesBruteForceProperty(t *testing.T) {
 		tr := randomTrace(seed, 80, pool)
 		fp := FromTrace(tr)
 		for w := 1; w <= 80; w += 7 {
-			if math.Abs(fp.AtInt(int64(w))-BruteForceFp(tr, w)) > 1e-9 {
+			if math.Abs(fp.AtInt(int64(w))-bruteForceFp(tr, w)) > 1e-9 {
 				return false
 			}
 		}
@@ -242,7 +242,7 @@ func TestInterMissTime(t *testing.T) {
 	// Streaming with repeat r: one miss per r accesses, so im(c) = r.
 	tr := trace.Generate(trace.NewStreaming(5), 5000)
 	fp := FromTrace(tr)
-	im := fp.InterMissTime(100)
+	im := fp.interMissTime(100)
 	if math.Abs(im-5) > 0.2 {
 		t.Errorf("im(100) = %v, want ~5", im)
 	}
@@ -278,4 +278,44 @@ func BenchmarkMissRatioCurve1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fp.MissRatioCurve(16384, 16)
 	}
+}
+
+// interMissTime returns im(c) = ft(c+1) − ft(c), the expected number of
+// accesses between consecutive misses at cache size c (paper Eq. 7). It is
+// +Inf when c+1 exceeds the total footprint.
+func (f Footprint) interMissTime(c float64) float64 {
+	return f.FillTime(c+1) - f.FillTime(c)
+}
+
+// bruteForceFp computes the exact average footprint fp(w) of a trace by
+// direct enumeration of all n−w+1 windows using a sliding window, in O(n)
+// per window length: the oracle for the closed-form formula.
+func bruteForceFp(t trace.Trace, w int) float64 {
+	n := len(t)
+	if w <= 0 {
+		return 0
+	}
+	if w >= n {
+		return float64(t.DistinctData())
+	}
+	counts := make(map[uint32]int, 1024)
+	distinct := 0
+	var total int64
+	for i, d := range t {
+		if counts[d] == 0 {
+			distinct++
+		}
+		counts[d]++
+		if i >= w {
+			old := t[i-w]
+			counts[old]--
+			if counts[old] == 0 {
+				distinct--
+			}
+		}
+		if i >= w-1 {
+			total += int64(distinct)
+		}
+	}
+	return float64(total) / float64(n-w+1)
 }

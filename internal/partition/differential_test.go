@@ -123,7 +123,7 @@ func TestOptimizeMatchesBruteForceRandomized(t *testing.T) {
 	for seed := uint64(1); seed <= 120; seed++ {
 		rng := rand.New(rand.NewPCG(seed, seed*13+7))
 		pr := randDiffProblem(rng)
-		bf, errB := BruteForce(pr)
+		bf, errB := bruteForce(pr)
 		dp, errD := Optimize(pr)
 		if (errB == nil) != (errD == nil) {
 			t.Fatalf("seed %d: brute err %v, dp err %v", seed, errB, errD)
@@ -209,7 +209,7 @@ func TestCheckedKernelFallback(t *testing.T) {
 // TestEvaluateMinimaxNegativeCosts is the regression test for the Minimax
 // accumulator: Evaluate must start from -Inf (the identity of max) so an
 // all-negative custom cost is reported as the true worst cost, not clamped
-// to zero — matching Optimize and BruteForce.
+// to zero — matching Optimize and bruteForce.
 func TestEvaluateMinimaxNegativeCosts(t *testing.T) {
 	curves := []mrc.Curve{
 		mkCurve("a", 100, 1.0, 0.5, 0.2),
@@ -227,7 +227,7 @@ func TestEvaluateMinimaxNegativeCosts(t *testing.T) {
 		t.Fatalf("Evaluate Minimax objective = %v, want %v", sol.Objective, want)
 	}
 	// Cross-check consistency with the optimizers on the same problem.
-	bf, err := BruteForce(pr)
+	bf, err := bruteForce(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,14 +236,14 @@ func TestEvaluateMinimaxNegativeCosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if dp.Objective != bf.Objective {
-		t.Fatalf("Optimize objective %v != BruteForce %v", dp.Objective, bf.Objective)
+		t.Fatalf("Optimize objective %v != bruteForce %v", dp.Objective, bf.Objective)
 	}
 	ev, err := Evaluate(pr, bf.Alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ev.Objective != bf.Objective {
-		t.Fatalf("Evaluate(%v) = %v, want BruteForce objective %v", bf.Alloc, ev.Objective, bf.Objective)
+		t.Fatalf("Evaluate(%v) = %v, want bruteForce objective %v", bf.Alloc, ev.Objective, bf.Objective)
 	}
 }
 

@@ -307,8 +307,8 @@ func Evaluate(pr Problem, alloc Allocation) (Solution, error) {
 		return Solution{}, err
 	}
 	// Start from the combine identity — 0 for Sum, -Inf for Minimax — as
-	// Optimize and BruteForce do; starting Minimax at 0 would silently
-	// clamp all-negative custom costs.
+	// Optimize does; starting Minimax at 0 would silently clamp
+	// all-negative custom costs.
 	var obj float64
 	if pr.Combine == Minimax {
 		obj = math.Inf(-1)
@@ -322,59 +322,4 @@ func Evaluate(pr Problem, alloc Allocation) (Solution, error) {
 		}
 	}
 	return pr.solution(alloc, obj), nil
-}
-
-// BruteForce enumerates every allocation of Units units among the programs
-// (respecting bounds) and returns the best. Exponential; exported for
-// cross-checking the DP in tests and for the exhaustive partition-sharing
-// study on tiny instances.
-func BruteForce(pr Problem) (Solution, error) {
-	if err := pr.validate(); err != nil {
-		return Solution{}, err
-	}
-	n, C := len(pr.Curves), pr.Units
-	best := Solution{Objective: math.Inf(1)}
-	alloc := make(Allocation, n)
-	var rec func(p, left int, acc float64)
-	rec = func(p, left int, acc float64) {
-		if p == n-1 {
-			lo, hi := pr.bounds(p)
-			if left < lo || left > hi {
-				return
-			}
-			alloc[p] = left
-			c := pr.cost(p, left)
-			var obj float64
-			if pr.Combine == Minimax {
-				obj = math.Max(acc, c)
-			} else {
-				obj = acc + c
-			}
-			if obj < best.Objective {
-				cp := make(Allocation, n)
-				copy(cp, alloc)
-				best = pr.solution(cp, obj)
-			}
-			return
-		}
-		lo, hi := pr.bounds(p)
-		for u := lo; u <= hi && u <= left; u++ {
-			alloc[p] = u
-			c := pr.cost(p, u)
-			if pr.Combine == Minimax {
-				rec(p+1, left-u, math.Max(acc, c))
-			} else {
-				rec(p+1, left-u, acc+c)
-			}
-		}
-	}
-	start := 0.0
-	if pr.Combine == Minimax {
-		start = math.Inf(-1)
-	}
-	rec(0, C, start)
-	if math.IsInf(best.Objective, 1) {
-		return Solution{}, fmt.Errorf("partition: no feasible allocation")
-	}
-	return best, nil
 }

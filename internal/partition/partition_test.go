@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -78,7 +79,7 @@ func TestOptimizeMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bf, err := BruteForce(pr)
+		bf, err := bruteForce(pr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestOptimizeMatchesBruteForceWithBounds(t *testing.T) {
 		}
 		pr := Problem{Curves: curves, Units: units, MinAlloc: minA, MaxAlloc: maxA}
 		dp, errDP := Optimize(pr)
-		bf, errBF := BruteForce(pr)
+		bf, errBF := bruteForce(pr)
 		if (errDP == nil) != (errBF == nil) {
 			t.Fatalf("seed %d: feasibility disagreement: DP err %v, BF err %v", seed, errDP, errBF)
 		}
@@ -135,7 +136,7 @@ func TestOptimizeMinimaxMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bf, err := BruteForce(pr)
+		bf, err := bruteForce(pr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,4 +514,58 @@ func TestOptimalSubadditivity(t *testing.T) {
 	if math.Abs(best-whole.Objective) > 1e-9 {
 		t.Fatalf("best split %v != joint optimum %v", best, whole.Objective)
 	}
+}
+
+// bruteForce enumerates every allocation of Units units among the programs
+// (respecting bounds) and returns the best: the exponential oracle the DP
+// is cross-checked against.
+func bruteForce(pr Problem) (Solution, error) {
+	if err := pr.validate(); err != nil {
+		return Solution{}, err
+	}
+	n, C := len(pr.Curves), pr.Units
+	best := Solution{Objective: math.Inf(1)}
+	alloc := make(Allocation, n)
+	var rec func(p, left int, acc float64)
+	rec = func(p, left int, acc float64) {
+		if p == n-1 {
+			lo, hi := pr.bounds(p)
+			if left < lo || left > hi {
+				return
+			}
+			alloc[p] = left
+			c := pr.cost(p, left)
+			var obj float64
+			if pr.Combine == Minimax {
+				obj = math.Max(acc, c)
+			} else {
+				obj = acc + c
+			}
+			if obj < best.Objective {
+				cp := make(Allocation, n)
+				copy(cp, alloc)
+				best = pr.solution(cp, obj)
+			}
+			return
+		}
+		lo, hi := pr.bounds(p)
+		for u := lo; u <= hi && u <= left; u++ {
+			alloc[p] = u
+			c := pr.cost(p, u)
+			if pr.Combine == Minimax {
+				rec(p+1, left-u, math.Max(acc, c))
+			} else {
+				rec(p+1, left-u, acc+c)
+			}
+		}
+	}
+	start := 0.0
+	if pr.Combine == Minimax {
+		start = math.Inf(-1)
+	}
+	rec(0, C, start)
+	if math.IsInf(best.Objective, 1) {
+		return Solution{}, fmt.Errorf("partition: no feasible allocation")
+	}
+	return best, nil
 }
