@@ -1,5 +1,5 @@
 // Command tracegen generates synthetic memory-access traces to files,
-// completing the CLI workflow: tracegen → hotlprof → optpart / cogroup.
+// completing the CLI workflow: tracegen → hotlprof → optpart.
 //
 // Usage:
 //

@@ -67,11 +67,14 @@ go test -run=NONE -fuzz='^FuzzNaturalPartition$' -fuzztime="$FUZZTIME" ./interna
 # plus a Chrome trace_event timeline with the expected parented pipeline
 # spans (checktrace). Given the manifest too, checktrace cross-checks
 # the two exports of the one span model: each manifest stage has exactly
-# one same-named stage trace event with the same duration.
+# one same-named stage trace event with the same duration. Every study
+# flag is on, so each loop on the shared worker pool runs under its stage
+# span.
 echo "== obs smoke: experiments -small + manifest + trace checks"
 OBS_SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_SMOKE_DIR"' EXIT
-go run ./cmd/experiments -small -out "$OBS_SMOKE_DIR" \
+go run ./cmd/experiments -small -validate -correlate -granularity -policy -epoch \
+	-out "$OBS_SMOKE_DIR" \
 	-manifest "$OBS_SMOKE_DIR/manifest.json" \
 	-trace-events "$OBS_SMOKE_DIR/trace.json" >/dev/null
 go run scripts/checkmanifest.go "$OBS_SMOKE_DIR/manifest.json"
