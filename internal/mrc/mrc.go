@@ -93,14 +93,22 @@ func (c Curve) MissCount(u int) float64 {
 // row form of MissCount for callers that scan a range of allocations.
 func (c Curve) MissCounts(lo int, dst []float64) {
 	acc := float64(c.Accesses)
-	for i := range dst {
-		// Only u outside [0, C] takes MissRatio's clamp; clamping every
-		// entry ran ~1.8× slower.
-		if u := lo + i; uint(u) < uint(len(c.MR)) {
-			dst[i] = c.MR[u] * acc
-		} else {
-			dst[i] = c.MissRatio(u) * acc
+	// Only u outside [0, C] takes MissRatio's clamp, so the entries
+	// inside it are one branch-free loop over the MR column.
+	i := 0
+	for ; i < len(dst) && lo+i < 0; i++ {
+		dst[i] = c.MissRatio(lo+i) * acc
+	}
+	if i < len(dst) && lo+i < len(c.MR) {
+		body := dst[i:min(len(dst), i+len(c.MR)-(lo+i))]
+		mr := c.MR[lo+i:][:len(body)]
+		for j := range body {
+			body[j] = mr[j] * acc
 		}
+		i += len(body)
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = c.MissRatio(lo+i) * acc
 	}
 }
 

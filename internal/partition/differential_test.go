@@ -152,19 +152,66 @@ func TestCostTableMatchesCostFunc(t *testing.T) {
 			}
 		}
 		want, errW := Optimize(pr)
-		tpr := pr
+		tpr, rpr := pr, pr
 		tpr.CostTable = tab
-		got, errG := Optimize(tpr)
-		if (errW == nil) != (errG == nil) {
-			t.Fatalf("seed %d: err %v vs %v", seed, errG, errW)
+		rpr.Rows = make([]*CostRow, len(tab))
+		for p, row := range tab {
+			rpr.Rows[p] = PrepareRow(row)
 		}
-		if errW != nil {
-			continue
+		for _, q := range []Problem{tpr, rpr} {
+			got, errG := Optimize(q)
+			if (errW == nil) != (errG == nil) {
+				t.Fatalf("seed %d: err %v vs %v", seed, errG, errW)
+			}
+			if errW != nil {
+				continue
+			}
+			if got.Objective != want.Objective || !reflect.DeepEqual(got.Alloc, want.Alloc) {
+				t.Fatalf("seed %d: table solve (%v, %v) != direct (%v, %v)",
+					seed, got.Objective, got.Alloc, want.Objective, want.Alloc)
+			}
 		}
-		if got.Objective != want.Objective || !reflect.DeepEqual(got.Alloc, want.Alloc) {
-			t.Fatalf("seed %d: table solve (%v, %v) != direct (%v, %v)",
-				seed, got.Objective, got.Alloc, want.Objective, want.Alloc)
+	}
+}
+
+// TestPreparedRowsBitExact holds solves over prepared rows to the
+// reference at refinement scale, on every solve path: random problems at
+// C = 512, 1024 and 2048, the bounded fuzz seed (whose feasible box turns
+// the rows into a cost table), the fallback seed (certified rows, work
+// budget exceeded) and a row with a −0 cost (certificate refused).
+func TestPreparedRowsBitExact(t *testing.T) {
+	prepared := func(pr Problem) Problem {
+		rows := make([]*CostRow, len(pr.Curves))
+		for p := range rows {
+			costs := make([]float64, pr.Units+1)
+			for u := range costs {
+				costs[u] = pr.cost(p, u)
+			}
+			rows[p] = PrepareRow(costs)
 		}
+		pr.Rows, pr.Cost = rows, nil
+		return pr
+	}
+	for _, units := range []int{512, 1024, 2048} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			checkSolutionBits(t, prepared(randProblem(seed, 3, units)), fmt.Sprintf("units=%d seed=%d", units, seed))
+		}
+	}
+	for label, seed := range map[string][]byte{"bounded": fuzzSeedBounded, "fallback": fuzzSeedFallback} {
+		pr, _, _ := fuzzProblem(seed)
+		checkSolutionBits(t, prepared(pr), label)
+	}
+	pr := randProblem(4, 3, 1024)
+	pr.Cost = func(p, u int) float64 {
+		if p == 1 && u == 700 {
+			return math.Copysign(0, -1)
+		}
+		return pr.Curves[p].MissCount(u)
+	}
+	pr = prepared(pr)
+	checkSolutionBits(t, pr, "negative zero")
+	if got, _ := Optimize(pr); got.SolverPath != "refine-fallback+exact" {
+		t.Errorf("negative zero: path %q, want refine-fallback+exact", got.SolverPath)
 	}
 }
 
