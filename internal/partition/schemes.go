@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 
 	"partitionshare/internal/mrc"
 )
@@ -150,12 +151,79 @@ func (h sttwHeap) down(i, n int) {
 // a heap.Pop followed by a heap.Push of the granted program's next gain.
 // Allocations therefore match, unit for unit, what that container/heap
 // loop grants, flat curve tails (all gains 0) included.
+//
+// A max-heap's root is always a largest gain, so while one program's gain
+// is strictly above every other the heap would grant to it whatever its
+// layout: STTW grants those units by a strict argmax over the gains, with
+// no heap. Where ties decide, the heap's layout — and so its whole history
+// — matters: at the first tie for the largest gain, or at a NaN gain, STTW
+// discards the prefix and replays every grant through the heap.
 func STTW(curves []mrc.Curve, units int) Solution {
 	if len(curves) == 0 || units <= 0 {
 		panic(fmt.Sprintf("partition: invalid STTW instance (%d programs, %d units)", len(curves), units))
 	}
 	alloc := make(Allocation, len(curves))
 	h := make(sttwHeap, len(curves))
+	if !sttwStrict(curves, units, alloc, h) {
+		clear(alloc)
+		sttwHeapGrants(curves, units, alloc, h)
+	}
+	pr := Problem{Curves: curves, Units: units}
+	sol, err := Evaluate(pr, alloc)
+	if err != nil {
+		panic(fmt.Sprintf("partition: STTW produced invalid allocation: %v", err))
+	}
+	return sol
+}
+
+// sttwStrict grants units into alloc while every grant goes to a strict
+// largest gain, using h as gain storage. It reports false — with alloc
+// partly granted — at the first grant whose largest gain is tied or where
+// a gain is NaN.
+func sttwStrict(curves []mrc.Curve, units int, alloc Allocation, h sttwHeap) bool {
+	for p := range curves {
+		h[p] = sttwItem{p, curves[p].MarginalGain(0)}
+	}
+	best, second, ok := sttwArgmax(h)
+	for granted := 0; granted < units; granted++ {
+		if !ok {
+			return false
+		}
+		alloc[best]++
+		g := curves[best].MarginalGain(alloc[best])
+		h[best].gain = g
+		if g > second {
+			continue // still strictly above every other gain
+		}
+		best, second, ok = sttwArgmax(h)
+	}
+	return true
+}
+
+// sttwArgmax returns the program with the largest gain and the largest
+// gain among the others (−Inf when there are none); ok is false when the
+// largest gain is tied or any gain is NaN.
+func sttwArgmax(h sttwHeap) (best int, second float64, ok bool) {
+	top := h[0].gain
+	second = math.Inf(-1)
+	ok = top == top
+	for p := 1; p < len(h); p++ {
+		g := h[p].gain
+		switch {
+		case g != g:
+			ok = false
+		case g > top:
+			best, second, top = p, top, g
+		case g > second:
+			second = g
+		}
+	}
+	return best, second, ok && top > second
+}
+
+// sttwHeapGrants grants units into alloc through the typed heap h: the
+// tie-order reference.
+func sttwHeapGrants(curves []mrc.Curve, units int, alloc Allocation, h sttwHeap) {
 	for p := range curves {
 		h[p] = sttwItem{p, curves[p].MarginalGain(0)}
 	}
@@ -172,10 +240,4 @@ func STTW(curves []mrc.Curve, units int) Solution {
 		h[last].gain = curves[p].MarginalGain(alloc[p])
 		h.up(last)
 	}
-	pr := Problem{Curves: curves, Units: units}
-	sol, err := Evaluate(pr, alloc)
-	if err != nil {
-		panic(fmt.Sprintf("partition: STTW produced invalid allocation: %v", err))
-	}
-	return sol
 }

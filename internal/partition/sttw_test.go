@@ -121,3 +121,75 @@ func TestSTTWTieOrderTableI(t *testing.T) {
 		checkSTTWTieOrder(t, fmt.Sprint(g), curves, units)
 	}
 }
+
+// fuzzSTTWInstance decodes fuzz bytes into a small STTW instance: byte 0
+// picks 1–6 programs, byte 1 1–256 units, and byte 2's bits force ties —
+// bit 0 duplicates each curve into the next program, bit 1 gives every
+// curve a flat tail (all gains 0 past a byte-chosen unit), bit 2 gives
+// every program the same first gain and access count. The remaining
+// bytes are eight miss-ratio knots per curve, quantized to sixteenths and
+// held across equal stretches, so equal gains are common even without
+// the forcing bits; the curves need not be monotone.
+func fuzzSTTWInstance(data []byte) ([]mrc.Curve, int) {
+	n, units, mode := 1+int(data[0])%6, 1+int(data[1]), data[2]
+	data = data[3:]
+	next := func() int {
+		b := 128
+		if len(data) > 0 {
+			b, data = int(data[0]), data[1:]
+		}
+		return b
+	}
+	curves := make([]mrc.Curve, n)
+	for p := range curves {
+		if p > 0 && mode&1 != 0 {
+			curves[p] = curves[p-1]
+			continue
+		}
+		mr := make([]float64, units+1)
+		var knots [8]float64
+		for k := range knots {
+			knots[k] = float64(next()%17) / 16
+		}
+		for u := range mr {
+			mr[u] = knots[u*len(knots)/(units+1)]
+		}
+		if mode&2 != 0 {
+			for u := next() % (units + 1); u <= units; u++ {
+				mr[u] = mr[max(u-1, 0)]
+			}
+		}
+		acc := int64(1000 * (1 + next()%3))
+		if mode&4 != 0 {
+			acc = 1000
+			mr[0] = 1
+			if units >= 1 {
+				mr[1] = 0.5
+			}
+		}
+		curves[p] = mkCurve(fmt.Sprint("f", p), acc, mr...)
+	}
+	return curves, units
+}
+
+// FuzzSTTW diffs STTW against the container/heap oracle, allocation and
+// solution bits, on small instances biased toward tied gains — where the
+// strict-argmax grants must hand over to the heap replay.
+func FuzzSTTW(f *testing.F) {
+	f.Add([]byte{3, 63, 0, 16, 12, 9, 9, 4, 2, 1, 0})
+	f.Add([]byte{4, 255, 1, 16, 14, 10, 6, 3, 1, 0, 0})
+	f.Add([]byte{5, 40, 2, 16, 8, 8, 4, 4, 0, 0, 0, 20})
+	f.Add([]byte{2, 100, 4, 16, 16, 12, 12, 8, 4, 2, 2})
+	f.Add([]byte{6, 7, 7})
+	// The granted program's next gain ties the runner-up's: granting it
+	// again without the heap is wrong here.
+	f.Add([]byte("1\x06010"))
+	f.Add([]byte{0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		curves, units := fuzzSTTWInstance(data)
+		checkSTTWTieOrder(t, fmt.Sprintf("%x", data), curves, units)
+	})
+}
