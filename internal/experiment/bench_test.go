@@ -9,7 +9,7 @@ import (
 
 // BenchmarkEvaluateGroup is the per-group cost of a Table I sweep: one
 // four-program group under all six schemes at DefaultConfig (1024 units
-// of 4 blocks), with the shared cost table Run builds once per sweep. The
+// of 4 blocks), with the prepared cost rows Run builds once per sweep. The
 // members are the suite's first four programs.
 func BenchmarkEvaluateGroup(b *testing.B) {
 	cfg := workload.DefaultConfig()
@@ -17,13 +17,13 @@ func BenchmarkEvaluateGroup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tab := CostTable(progs, cfg.Units)
+	rows := prepareRows(CostTable(progs, cfg.Units))
 	members := []int{0, 1, 2, 3}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := evaluateGroup(ctx, progs, members, cfg.Units, cfg.BlocksPerUnit, tab); err != nil {
+		if _, err := evaluateGroup(ctx, progs, members, cfg.Units, cfg.BlocksPerUnit, rows); err != nil {
 			b.Fatal(err)
 		}
 	}

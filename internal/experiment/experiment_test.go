@@ -75,8 +75,8 @@ func TestRunProducesAllGroups(t *testing.T) {
 		t.Fatalf("got %d groups, want 1820", len(res.Groups))
 	}
 	for g, gr := range res.Groups {
-		if len(gr.Members) != 4 {
-			t.Fatalf("group %d has %d members", g, len(gr.Members))
+		if len(gr.Members()) != 4 {
+			t.Fatalf("group %d has %d members", g, len(gr.Members()))
 		}
 		for s := Scheme(0); s < NumSchemes; s++ {
 			if len(gr.Alloc(s)) != 4 {
@@ -116,7 +116,7 @@ func TestBaselineConstraintsHold(t *testing.T) {
 	res := suite(t)
 	tol := 1 + partition.DefaultBaselineTolerance
 	for g, gr := range res.Groups {
-		for i := range gr.Members {
+		for i := range gr.Members() {
 			if gr.ProgramMR(res.Programs, EqualBaseline, i) > gr.ProgramMR(res.Programs, Equal, i)*tol+1e-12 {
 				t.Fatalf("group %d member %d: equal baseline worsened a program", g, i)
 			}

@@ -85,14 +85,13 @@ func TestRunWorkerBounds(t *testing.T) {
 }
 
 // sameGroups compares members, group miss ratios and every scheme's
-// allocation. reflect.DeepEqual would miss the allocations: they live in
-// Members' backing array past its length.
+// allocation, through the accessors a reader of a Result uses.
 func sameGroups(a, b []GroupResult) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for g := range a {
-		if !reflect.DeepEqual(a[g].Members, b[g].Members) || a[g].GroupMR != b[g].GroupMR {
+		if !reflect.DeepEqual(a[g].Members(), b[g].Members()) || a[g].GroupMR != b[g].GroupMR {
 			return false
 		}
 		for s := Scheme(0); s < NumSchemes; s++ {
@@ -136,7 +135,7 @@ func TestRunPanicIsolation(t *testing.T) {
 		t.Fatalf("collect mode kept %d groups, want %d", len(res.Groups), want)
 	}
 	for _, gr := range res.Groups {
-		if reflect.DeepEqual(gr.Members, poison) {
+		if reflect.DeepEqual(gr.Members(), poison) {
 			t.Fatal("poisoned group present in results")
 		}
 	}
@@ -178,7 +177,7 @@ func TestRunCancellationMidSweep(t *testing.T) {
 	}
 	kept := 0
 	for _, gr := range res.Groups {
-		if gr.Members != nil {
+		if gr.Members() != nil {
 			kept++
 		}
 	}

@@ -90,11 +90,8 @@ func ProgramSeries(res Result, program int, schemes []Scheme) map[Scheme][]float
 	for _, s := range schemes {
 		var series []float64
 		for _, gr := range res.Groups {
-			for i, m := range gr.Members {
-				if m == program {
-					series = append(series, gr.ProgramMR(res.Programs, s, i))
-					break
-				}
+			if i := gr.memberIndex(program); i >= 0 {
+				series = append(series, gr.ProgramMR(res.Programs, s, i))
 			}
 		}
 		out[s] = series
@@ -107,10 +104,7 @@ func ProgramSeries(res Result, program int, schemes []Scheme) map[Scheme][]float
 // gainer/loser classification of §VII-B. Ties are within tol relative.
 func GainLoss(res Result, program int, tol float64) (gain, tie, loss int) {
 	for _, gr := range res.Groups {
-		for i, m := range gr.Members {
-			if m != program {
-				continue
-			}
+		if i := gr.memberIndex(program); i >= 0 {
 			nat, eq := gr.ProgramMR(res.Programs, Natural, i), gr.ProgramMR(res.Programs, Equal, i)
 			switch {
 			case nat < eq*(1-tol):
@@ -130,10 +124,7 @@ func GainLoss(res Result, program int, tol float64) (gain, tie, loss int) {
 // evidence.
 func UnfairnessCount(res Result, program int, baseline Scheme) (worse, total int) {
 	for _, gr := range res.Groups {
-		for i, m := range gr.Members {
-			if m != program {
-				continue
-			}
+		if i := gr.memberIndex(program); i >= 0 {
 			total++
 			if gr.ProgramMR(res.Programs, Optimal, i) > gr.ProgramMR(res.Programs, baseline, i)*(1+1e-9) {
 				worse++

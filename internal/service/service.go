@@ -205,12 +205,14 @@ func (s *Service) Close() error {
 	return s.audit.Close()
 }
 
-// A tenantInput is one tenant's solve input at some geometry: its curve
-// and the curve's tenantDigest, computed together so a plan's input
-// digest never re-hashes a curve.
+// A tenantInput is one tenant's solve input at some geometry: its curve,
+// the curve's tenantDigest and its prepared cost row, computed together
+// so a plan's input digest never re-hashes a curve and a solve never
+// re-fills or re-certifies a row.
 type tenantInput struct {
 	curve  mrc.Curve
 	digest tenantDigest
+	row    *partition.CostRow
 }
 
 func (s *Service) deriveInput(name string, p profileio.Profile, units int) tenantInput {
@@ -219,7 +221,9 @@ func (s *Service) deriveInput(name string, p profileio.Profile, units int) tenan
 	// the group objective weighs programs by Accesses, so the scaling must
 	// match for daemon-served and offline plans to agree bit-for-bit.
 	c.Accesses = int64(float64(c.Accesses) * p.Rate)
-	return tenantInput{curve: c, digest: sha256.Sum256(appendTenantInput(nil, name, c))}
+	costs := make([]float64, units+1)
+	c.MissCounts(0, costs)
+	return tenantInput{curve: c, digest: sha256.Sum256(appendTenantInput(nil, name, c)), row: partition.PrepareRow(costs)}
 }
 
 // Config returns the service's normalized configuration.
@@ -392,15 +396,14 @@ func (s *Service) PlanFor(ctx context.Context, names []string, units int) (Plan,
 	defer s.limiter.Release()
 
 	_, curvesSpan := obs.Start(ctx, spanReqCurves, "service")
-	curves := make([]mrc.Curve, len(names))
-	digests := make([]tenantDigest, len(names))
+	inputs := make([]tenantInput, len(names))
 	for i, n := range names {
 		in, err := s.inputFor(n, units)
 		if err != nil {
 			curvesSpan.End()
 			return Plan{}, err
 		}
-		curves[i], digests[i] = in.curve, in.digest
+		inputs[i] = in
 	}
 	curvesSpan.End()
 	sctx, solve := obs.Start(ctx, spanReqSolve, "service")
@@ -411,7 +414,7 @@ func (s *Service) PlanFor(ctx context.Context, names []string, units int) (Plan,
 	if err := sctx.Err(); err != nil {
 		return Plan{}, fmt.Errorf("service: solve: %w", err)
 	}
-	plan, err := solvePlan(sctx, names, curves, digests, units)
+	plan, err := solvePlan(sctx, names, inputs, units)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -424,11 +427,17 @@ func (s *Service) PlanFor(ctx context.Context, names []string, units int) (Plan,
 
 // solvePlan is the one solve every plan comes from: the solver ladder,
 // bit-exact with ReferenceOptimize, cancellable — the solver polls ctx
-// between DP rounds, so the caller's deadline reaches every solve. digests are the curves' tenant digests,
-// parallel to names. Callers stamp the result.
-func solvePlan(ctx context.Context, names []string, curves []mrc.Curve, digests []tenantDigest, units int) (*Plan, error) {
+// between DP rounds, so the caller's deadline reaches every solve. inputs
+// are the tenants' inputs at units, parallel to names. Callers stamp the
+// result.
+func solvePlan(ctx context.Context, names []string, inputs []tenantInput, units int) (*Plan, error) {
 	start := time.Now()
-	sol, err := partition.OptimizeContext(ctx, partition.Problem{Curves: curves, Units: units})
+	pr := partition.Problem{Curves: make([]mrc.Curve, len(inputs)), Units: units, Rows: make([]*partition.CostRow, len(inputs))}
+	digests := make([]tenantDigest, len(inputs))
+	for i, in := range inputs {
+		pr.Curves[i], pr.Rows[i], digests[i] = in.curve, in.row, in.digest
+	}
+	sol, err := partition.OptimizeContext(ctx, pr)
 	if err != nil {
 		return nil, err
 	}
@@ -497,18 +506,16 @@ func (s *Service) signalChurn() {
 }
 
 // snapshotGroup copies the current co-run group in registration order,
-// with each tenant's curve and digest.
-func (s *Service) snapshotGroup() ([]string, []mrc.Curve, []tenantDigest) {
+// with each tenant's input.
+func (s *Service) snapshotGroup() ([]string, []tenantInput) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	names := append([]string(nil), s.order...)
-	curves := make([]mrc.Curve, len(names))
-	digests := make([]tenantDigest, len(names))
+	inputs := make([]tenantInput, len(names))
 	for i, n := range names {
-		in := s.inputs[n]
-		curves[i], digests[i] = in.curve, in.digest
+		inputs[i] = s.inputs[n]
 	}
-	return names, curves, digests
+	return names, inputs
 }
 
 func (s *Service) reoptLoop(ctx context.Context) {
@@ -531,12 +538,12 @@ func (s *Service) reoptLoop(ctx context.Context) {
 func (s *Service) reoptimize(ctx context.Context) {
 	reg := obs.Enabled()
 	for attempt := 0; ; attempt++ {
-		names, curves, digests := s.snapshotGroup()
-		if len(curves) == 0 {
+		names, inputs := s.snapshotGroup()
+		if len(inputs) == 0 {
 			s.retireEpoch()
 			return
 		}
-		plan, err := s.solveEpoch(ctx, names, curves, digests)
+		plan, err := s.solveEpoch(ctx, names, inputs)
 		if err == nil {
 			s.publishEpoch(plan)
 			reg.Counter(mReoptEpochs).Add(1)
@@ -655,7 +662,7 @@ func (s *Service) sleepBackoff(ctx context.Context, attempt int) bool {
 
 // solveEpoch solves the full group under the epoch deadline;
 // publishEpoch stamps the result.
-func (s *Service) solveEpoch(ctx context.Context, names []string, curves []mrc.Curve, digests []tenantDigest) (*Plan, error) {
+func (s *Service) solveEpoch(ctx context.Context, names []string, inputs []tenantInput) (*Plan, error) {
 	dctx, cancel := context.WithTimeout(ctx, s.cfg.ReoptDeadline)
 	defer cancel()
 	sctx, span := obs.Start(dctx, spanReoptEpoch, "service")
@@ -666,7 +673,7 @@ func (s *Service) solveEpoch(ctx context.Context, names []string, curves []mrc.C
 	if err := sctx.Err(); err != nil {
 		return nil, fmt.Errorf("service: reopt: %w", err)
 	}
-	plan, err := solvePlan(sctx, names, curves, digests, s.cfg.Units)
+	plan, err := solvePlan(sctx, names, inputs, s.cfg.Units)
 	if err != nil {
 		return nil, err
 	}
