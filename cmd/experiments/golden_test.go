@@ -76,22 +76,28 @@ func TestResultsGolden(t *testing.T) {
 	}
 }
 
-// TestInterruptExits130 drives the real main through SIGINT at two
-// points — during profiling and mid-sweep — and checks the interrupt
-// contract: exit status 130, no CSV written, no checkpoint left behind,
-// and a manifest that still parses. -groupsize 8 makes the sweep 12,870
-// groups, far longer than signal delivery takes, so neither run can
-// finish before the signal lands.
+// TestInterruptExits130 drives the real main through SIGINT at three
+// points — during profiling, mid-sweep and during the -validate study,
+// after the Table I and figure outputs are computed — and checks the
+// interrupt contract: exit status 130, no CSV written, no checkpoint
+// left behind, and a manifest that still parses. -groupsize 8 makes the
+// sweep 12,870 groups, far longer than signal delivery takes, so neither
+// of the first two runs can finish before the signal lands; the third
+// runs the paper's 4-program sweep so that it reaches validation.
 func TestInterruptExits130(t *testing.T) {
-	for _, tc := range []struct{ name, after, stage string }{
-		{"profiling", "profiling ", "profile"},
-		{"sweep", "sweep: ", "sweep"},
+	for _, tc := range []struct {
+		name, after, stage string
+		args               []string
+	}{
+		{"profiling", "profiling ", "profile", []string{"-groupsize", "8"}},
+		{"sweep", "sweep: ", "sweep", []string{"-groupsize", "8"}},
+		{"validate", "Validation ", "validate", []string{"-validate"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := t.TempDir()
 			manifest := filepath.Join(out, "manifest.json")
-			cmd := mainCommand("-small", "-groupsize", "8", "-out", out,
-				"-manifest", manifest, "-log-level", "error")
+			cmd := mainCommand(append([]string{"-small", "-out", out,
+				"-manifest", manifest, "-log-level", "error"}, tc.args...)...)
 			stdout, err := cmd.StdoutPipe()
 			if err != nil {
 				t.Fatal(err)

@@ -13,8 +13,8 @@ import (
 // runValidation reproduces the §VII-C validation: for all program pairs,
 // the HOTL-predicted co-run miss ratios are compared against a shared-LRU
 // simulation (standing in for the paper's hardware counters). It prints
-// the error distribution and writes validate.csv.
-func runValidation(ctx context.Context, cfg workload.Config, outDir string) {
+// the error distribution and holds validate.csv.
+func runValidation(ctx context.Context, cfg workload.Config) error {
 	// Validation re-generates and simulates traces; cap the scale.
 	vcfg := cfg
 	if vcfg.TraceLen > 1<<20 {
@@ -23,13 +23,13 @@ func runValidation(ctx context.Context, cfg workload.Config, outDir string) {
 	specs := workload.Specs()
 	nPairs, err := experiment.CombinationCount(len(specs), 2)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	obs.Progressf("\nValidation (§VII-C): HOTL prediction vs shared-LRU simulation, %d pairs\n", nPairs)
 	start := time.Now()
 	vs, err := experiment.ValidatePairs(ctx, specs, vcfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	sum := experiment.SummarizeValidation(vs, 0.01)
 	obs.Progressf("predicted %d miss ratios in %v: mean |err| = %.4f, max |err| = %.4f, %.1f%% within 0.01\n",
@@ -42,5 +42,6 @@ func runValidation(ctx context.Context, cfg workload.Config, outDir string) {
 		pred.Values = append(pred.Values, v.Predicted)
 		meas.Values = append(meas.Values, v.Measured)
 	}
-	writeCSV(outDir, "validate.csv", []textplot.Series{pred, meas})
+	holdCSV("validate.csv", []textplot.Series{pred, meas})
+	return nil
 }
