@@ -43,6 +43,13 @@ GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/partition
 echo "== plan benchmark rung check: BenchmarkPlanPost, one iteration"
 go test -run '^$' -bench PlanPost -benchtime 1x ./internal/service
 
+# The per-scheme benchmarks the Table I cost is read from: one iteration
+# each keeps them compiling and running.
+echo "== per-scheme benchmark smoke: Optimal, STTW, one six-scheme group"
+go test -run '^$' -bench '^BenchmarkOptimalPartitionGroup$/^units=1024$' -benchtime 1x .
+go test -run '^$' -bench '^BenchmarkSTTWGroup$' -benchtime 1x .
+go test -run '^$' -bench '^BenchmarkEvaluateGroup$' -benchtime 1x ./internal/experiment
+
 # perfbench is its own module (it imports this one through a replace
 # directive), so the root ./... never compiles it: a service or partition
 # API change could break the benchmark while everything above stays green.
@@ -58,6 +65,7 @@ go test -run=NONE -fuzz='^FuzzProfileRoundTrip$' -fuzztime="$FUZZTIME" ./interna
 go test -run=NONE -fuzz='^FuzzCollect$' -fuzztime="$FUZZTIME" ./internal/reuse
 go test -run=NONE -fuzz='^FuzzOptimize$' -fuzztime="$FUZZTIME" ./internal/partition
 go test -run=NONE -fuzz='^FuzzMinPlus$' -fuzztime="$FUZZTIME" ./internal/partition
+go test -run=NONE -fuzz='^FuzzSTTW$' -fuzztime="$FUZZTIME" ./internal/partition
 go test -run=NONE -fuzz='^FuzzCurveDerive$' -fuzztime="$FUZZTIME" ./internal/mrc
 go test -run=NONE -fuzz='^FuzzNaturalPartition$' -fuzztime="$FUZZTIME" ./internal/mrc
 
